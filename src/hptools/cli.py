@@ -18,13 +18,12 @@ from fractions import Fraction
 from . import __version__
 from .errors import DomainError
 from .freeness import (BipGraph, bipgraph_decode, count_nonshattering_attachments,
-                       count_sparse_bipartite, count_uk_free_bipartite,
-                       count_uk_free_bipartite_range,
+                       count_uk_free_bipartite, count_uk_free_bipartite_range,
                        distinguishing_set, extract_clone_classes,
                        max_separated_subset, separated_subset_ceiling)
-from .graphs import (Graph, bits, edgelist_decode, graph6_decode, graph6_encode,
-                     mask_of)
-from .hereditary import (PropertySpec, abt_bounds, colouring_number, count_hrv,
+from .graphs import (MAX_VERTICES, Graph, bits, edgelist_decode, graph6_decode,
+                     graph6_encode, mask_of)
+from .hereditary import (abt_bounds, colouring_number, count_hrv,
                          enumerate_property, load_property, speed,
                          valid_hrv_patterns)
 from .regularity import min_intra_edges_parts
@@ -50,9 +49,17 @@ def _parse_labels(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
+def read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                          f"{exc.start}") from None
+
+
 def load_graph(path: str, fmt: str = "auto") -> Graph:
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path)
     if fmt == "auto":
         first = text.strip().splitlines()[0].strip() if text.strip() else ""
         fmt = "edgelist" if first.isdigit() else "graph6"
@@ -64,8 +71,7 @@ def load_graph(path: str, fmt: str = "auto") -> Graph:
 
 
 def load_bipgraph(path: str) -> BipGraph:
-    with open(path) as fh:
-        return bipgraph_decode(fh.read())
+    return bipgraph_decode(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +95,79 @@ def packing_to_dict(report: PackingReport, G: Graph, parts) -> dict:
     }
 
 
+# Reading a certificate checks every field it uses: a missing field, a
+# wrong type, a vertex outside the graph or a part index outside 0..r-1 is a
+# DomainError naming the field, so the verifiers only see well-formed input.
+
+_KINDS = {str: "a string", int: "an integer", bool: "true or false",
+          list: "a list", dict: "an object", (int, float): "a number"}
+
+
+def _typed(value, kind, name: str):
+    """``value``, checked to be a ``kind``; a bool is never a number."""
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise DomainError(f"certificate field {name!r} must be {_KINDS[kind]}")
+    return value
+
+
+def _need(data: dict, key: str, kind, where: str = ""):
+    if key not in data:
+        raise DomainError(f"certificate lacks field {where + key!r}")
+    return _typed(data[key], kind, where + key)
+
+
+def _ints(values, lo: int, hi: int, name: str) -> list[int]:
+    """``values``, checked to be a list of integers in lo..hi-1."""
+    _typed(values, list, name)
+    if not all(type(x) is int and lo <= x < hi for x in values):
+        raise DomainError(f"certificate field {name!r} must list integers "
+                          f"in {lo}..{hi - 1}")
+    return values
+
+
+def _int_list(data: dict, key: str, lo: int, hi: int, where: str = "") -> list[int]:
+    return _ints(_need(data, key, list, where), lo, hi, where + key)
+
+
+def _vertex_sets(data: dict, key: str, n: int, where: str = "") -> tuple[int, ...]:
+    """A list of vertex lists over 0..n-1, as masks."""
+    return tuple(mask_of(_ints(s, 0, n, f"{where}{key}[{i}]"))
+                 for i, s in enumerate(_need(data, key, list, where)))
+
+
+def _level(k: int, name: str) -> int:
+    """The universal level k of a packing or decomposition.  A U(k) copy
+    has 2^k + k vertices, so no graph within the vertex cap holds one for
+    k beyond it."""
+    if not 1 <= k <= MAX_VERTICES:
+        raise DomainError(f"{name} must lie in 1..{MAX_VERTICES}")
+    return k
+
+
+def _pieces(data: dict, n: int, r: int, where: str = "") -> tuple[PackingPiece, ...]:
+    pieces = []
+    for i, p in enumerate(_need(data, "pieces", list, where)):
+        at = f"{where}pieces[{i}]"
+        _typed(p, dict, at)
+        pieces.append(PackingPiece(
+            _vertex_sets(p, "layers", n, at + "."),
+            _need(p, "level", int, at + "."),
+            tuple(_int_list(p, "placement", 0, r, at + "."))))
+    return tuple(pieces)
+
+
 def packing_from_dict(data: dict) -> tuple[Graph, tuple[int, ...], PackingReport]:
-    G = graph6_decode(data["graph6"])
-    parts = tuple(data["parts"])
-    pieces = tuple(PackingPiece(tuple(mask_of(layer) for layer in p["layers"]),
-                                p["level"], tuple(p["placement"]))
-                   for p in data["pieces"])
-    report = PackingReport(pieces, tuple(mask_of(v) for v in data["residual"]),
-                           data["k"], data["r"])
+    G = graph6_decode(_need(data, "graph6", str))
+    r = _need(data, "r", int)
+    parts = tuple(_int_list(data, "parts", 0, r))
+    if len(parts) != G.n:
+        raise DomainError(f"certificate labels {len(parts)} vertices but its "
+                          f"graph has {G.n}")
+    if (max(parts) + 1 if parts else 0) != r:
+        raise DomainError(f"certificate parts do not use all r = {r} labels")
+    k = _level(_need(data, "k", int), "certificate field 'k'")
+    report = PackingReport(_pieces(data, G.n, r),
+                           _vertex_sets(data, "residual", G.n), k, r)
     return G, parts, report
 
 
@@ -132,21 +203,32 @@ def certificate_to_dict(cert: DecompositionCertificate, G: Graph,
 
 
 def certificate_from_dict(data: dict) -> tuple[Graph, DecompositionCertificate]:
-    G = graph6_decode(data["graph6"])
-    prov = data["provenance"]
-    pieces = tuple(PackingPiece(tuple(mask_of(layer) for layer in p["layers"]),
-                                p["level"], tuple(p["placement"]))
-                   for p in prov["packing"]["pieces"])
-    packing = PackingReport(pieces, (), data["k"], data["r"])
+    G = graph6_decode(_need(data, "graph6", str))
+    n = _need(data, "n", int)
+    if n != G.n:
+        raise DomainError(f"certificate field 'n' is {n} but its graph has "
+                          f"{G.n} vertices")
+    r = _need(data, "r", int)
+    k = _level(_need(data, "k", int), "certificate field 'k'")
+    parts = _vertex_sets(data, "parts", n)
+    if len(parts) != r:
+        raise DomainError(f"certificate lists {len(parts)} parts but r = {r}")
+    prov = _need(data, "provenance", dict)
+    at = "provenance."
+    packing = PackingReport(
+        _pieces(_need(prov, "packing", dict, at), n, r, at + "packing."),
+        (), k, r)
     cert = DecompositionCertificate(
-        n=data["n"], r=data["r"], k=data["k"],
-        exceptional=mask_of(data["A"]),
-        parts=tuple(mask_of(v) for v in data["parts"]),
-        bad_set=mask_of(prov["bad_set"]),
-        adjusted_labels=tuple(prov["adjusted_labels"]),
-        adjustment_ok=prov["adjustment_ok"],
-        packing=packing, alpha=prov["alpha"], eps_out=prov["eps_out"],
-        budget=data["budget"], budget_ok=data["budget_ok"])
+        n=n, r=r, k=k,
+        exceptional=mask_of(_int_list(data, "A", 0, n)),
+        parts=parts,
+        bad_set=mask_of(_int_list(prov, "bad_set", 0, n, at)),
+        adjusted_labels=tuple(_int_list(prov, "adjusted_labels", 0, r, at)),
+        adjustment_ok=_need(prov, "adjustment_ok", bool, at),
+        packing=packing, alpha=_need(prov, "alpha", (int, float), at),
+        eps_out=_need(prov, "eps_out", (int, float), at),
+        budget=_need(data, "budget", (int, float)),
+        budget_ok=_need(data, "budget_ok", bool))
     return G, cert
 
 
@@ -264,8 +346,8 @@ def cmd_census(args) -> None:
             "abt_log2_upper": _log2_str(hi2),
         }
         if args.certify:
-            # min-intra-edge hint: the toy block partitioner is far too slow
-            # to run once per enumerated member
+            # min-intra-edge hint rather than decompose's default partition:
+            # the pinned certified_fraction values depend on this hint
             good = total = 0
             for G in enumerate_property(spec, n):
                 total += 1
@@ -344,7 +426,9 @@ def cmd_sparsen(args) -> None:
 def cmd_pack(args) -> None:
     G = load_graph(args.graph, args.graph_format)
     parts = _parse_labels(args.parts)
-    report = extract_universal_packing(G, parts, args.k)
+    if len(parts) != G.n:
+        raise DomainError("parts do not match the graph")
+    report = extract_universal_packing(G, parts, _level(args.k, "--k"))
     problems = verify_packing_report(G, parts, report)
     data = packing_to_dict(report, G, parts)
     data["structure_ok"] = not problems
@@ -355,28 +439,49 @@ def cmd_pack(args) -> None:
 def cmd_decompose(args) -> None:
     G = load_graph(args.graph, args.graph_format)
     hint = _parse_labels(args.parts) if args.parts else None
-    cert = decompose(G, args.r, args.k, args.alpha, parts_hint=hint,
-                     eps_out=args.eps_out)
+    cert = decompose(G, args.r, _level(args.k, "--k"), args.alpha,
+                     parts_hint=hint, eps_out=args.eps_out)
     data = certificate_to_dict(cert, G, hint)
     data["verified"] = verify_decomposition(G, cert)
     emit(args, data)
 
 
+def load_certificate(path: str) -> dict:
+    """The certificate object of a JSON file, raw or wrapped in a report."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        payload = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(f"certificate is not JSON: {exc}") from None
+    data = payload.get("results", payload) if isinstance(payload, dict) else None
+    if not isinstance(data, dict):
+        raise DomainError("certificate is not a JSON object")
+    return data
+
+
+def _cross_check_graph(args, G: Graph) -> Graph:
+    """The --graph file when given, which must have the certificate's order."""
+    if not args.graph:
+        return G
+    H = load_graph(args.graph, args.graph_format)
+    if H.n != G.n:
+        raise DomainError(f"--graph has {H.n} vertices but the certificate's "
+                          f"graph has {G.n}")
+    return H
+
+
 def cmd_verify(args) -> None:
-    with open(args.certificate) as fh:
-        payload = json.load(fh)
-    data = payload.get("results", payload)  # accept raw or wrapped reports
+    data = load_certificate(args.certificate)
     kind = data.get("type")
     if kind == "decomposition-certificate":
         G, cert = certificate_from_dict(data)
-        if args.graph:
-            G = load_graph(args.graph, args.graph_format)
+        G = _cross_check_graph(args, G)
         ok = verify_decomposition(G, cert, args.budget_eps)
         emit(args, {"type": kind, "valid": ok})
     elif kind == "packing-report":
         G, parts, report = packing_from_dict(data)
-        if args.graph:
-            G = load_graph(args.graph, args.graph_format)
+        G = _cross_check_graph(args, G)
         problems = verify_packing_report(G, parts, report)
         ok = not problems and verify_packing_maximality(G, parts, report)
         emit(args, {"type": kind, "valid": ok, "problems": problems})

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import DomainError
 
@@ -318,6 +317,8 @@ def graph6_encode(G: Graph) -> bytes:
 
 def graph6_decode(data: bytes | str) -> Graph:
     if isinstance(data, str):
+        if not data.isascii():
+            raise DomainError("graph6 data contains out-of-range bytes")
         data = data.encode("ascii")
     data = data.strip()
     if not data:

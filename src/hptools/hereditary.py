@@ -13,7 +13,7 @@ from math import comb, log2
 
 from .errors import DomainError
 from .graphs import (Graph, MAX_ENUM_VERTICES, contains_induced, enumerate_labeled,
-                     graph6_decode, graph6_encode, is_isomorphic)
+                     graph6_decode, graph6_encode)
 
 MAX_FORBIDDEN_ORDER = 10
 MAX_PATTERN_LENGTH = 8

@@ -229,31 +229,69 @@ def greedy_turan_transversal(G: Graph, blocks, eps,
 
 def toy_szemeredi_partition(G: Graph, m: int, eps) -> tuple[int, ...]:
     """Exhaustive search over near-equal partitions into m blocks minimizing
-    the number of irregular pairs.  n <= 12, m <= 4 only."""
+    the number of irregular pairs.  n <= 12, m <= 4 only.
+
+    Returns the lexicographically first minimizing labeling among all m^n
+    labelings.  Because ``is_epsilon_regular`` is symmetric in its two
+    sides, the count of irregular pairs does not change when blocks are
+    relabeled, so that labeling is a restricted-growth string (vertex 0 in
+    block 0, each later vertex in a used block or the next new one).  The
+    search visits only those, one per set partition, in lexicographic
+    order; it caches each pair verdict and stops scoring a partition once
+    it cannot beat the best so far.
+    """
     if G.n > 12 or m > 4 or m < 1:
         raise DomainError("toy partitioner capped at n <= 12, m <= 4")
     if m > G.n:
         raise DomainError("more blocks than vertices")
     eps = _frac(eps)
-    base, extra = divmod(G.n, m)
-    target_sizes = sorted([base + (1 if i < extra else 0) for i in range(m)])
+    n = G.n
+    base, extra = divmod(n, m)
+    pairs = list(combinations(range(m), 2))
+    verdicts: dict[tuple[int, int], bool] = {}
+    labels = [0] * n
+    masks = [0] * m
     best = None
-    best_bad = None
-    for labels in product(range(m), repeat=G.n):
-        masks = part_masks(labels, m)
-        if sorted(mm.bit_count() for mm in masks) != target_sizes:
-            continue
-        if any(mm == 0 for mm in masks):
-            continue
+    best_bad = len(pairs) + 1
+
+    def count_bad() -> int:
         bad = 0
-        for i, j in combinations(range(m), 2):
-            if not is_epsilon_regular(G, masks[i], masks[j], eps):
+        for i, j in pairs:
+            key = (masks[i], masks[j])
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = is_epsilon_regular(G, *key, eps)
+            if not ok:
                 bad += 1
-        if best_bad is None or bad < best_bad:
-            best, best_bad = labels, bad
-            if bad == 0:
-                break
-    return tuple(best)
+                if bad >= best_bad:
+                    break
+        return bad
+
+    def place(v: int, used: int, big: int) -> bool:
+        """Label vertices v.. ; True once a partition with no bad pair is
+        found.  Every block ends with base or base + 1 vertices, exactly
+        ``extra`` of them with base + 1, so every branch reaches a leaf."""
+        nonlocal best, best_bad
+        if v == n:
+            bad = count_bad()
+            if bad < best_bad:
+                best, best_bad = tuple(labels), bad
+            return best_bad == 0
+        bit = 1 << v
+        for lab in range(min(used + 1, m)):
+            size = masks[lab].bit_count()
+            if size > base or (size == base and big == extra):
+                continue
+            labels[v] = lab
+            masks[lab] |= bit
+            done = place(v + 1, max(used, lab + 1), big + (size == base))
+            masks[lab] &= ~bit
+            if done:
+                return True
+        return False
+
+    place(0, 0, 0)
+    return best
 
 
 def toy_bbs_parts(G: Graph, r: int) -> tuple[int, ...]:

@@ -10,7 +10,8 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from hptools import BipGraph, Graph, bits, find_uk_copy, mask_of
+from hptools import (BipGraph, Graph, bits, find_uk_copy, is_epsilon_regular,
+                     mask_of, part_masks)
 
 
 def naive_contains_induced(G: Graph, H: Graph):
@@ -143,6 +144,31 @@ def numpy_regular_verdicts(side: int, eps: Fraction) -> np.ndarray:
             rhs = en * side * side * xs * ys
             verdict &= lhs < rhs
     return verdict
+
+
+def naive_toy_szemeredi_partition(G: Graph, m: int, eps) -> tuple[int, ...]:
+    """Scan all m^n labelings in lexicographic order and keep the first with
+    the fewest irregular block pairs among those with near-equal blocks."""
+    eps = Fraction(eps)
+    base, extra = divmod(G.n, m)
+    target_sizes = sorted([base + (1 if i < extra else 0) for i in range(m)])
+    best = None
+    best_bad = None
+    for labels in product(range(m), repeat=G.n):
+        masks = part_masks(labels, m)
+        if sorted(mm.bit_count() for mm in masks) != target_sizes:
+            continue
+        if any(mm == 0 for mm in masks):
+            continue
+        bad = 0
+        for i, j in combinations(range(m), 2):
+            if not is_epsilon_regular(G, masks[i], masks[j], eps):
+                bad += 1
+        if best_bad is None or bad < best_bad:
+            best, best_bad = labels, bad
+            if bad == 0:
+                break
+    return tuple(best)
 
 
 def brute_hrv(G: Graph, v) -> bool:

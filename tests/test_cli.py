@@ -1,9 +1,17 @@
+import copy
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hptools import graph6_encode, graph_from_edges, random_graph
-from hptools.cli import main
+from hptools import (decompose, extract_universal_packing, graph6_encode,
+                     graph_from_edges, random_graph)
+from hptools.cli import certificate_to_dict, main, packing_to_dict
 from hptools.freeness import bipgraph_encode, random_bipgraph
 
 from conftest import complete_graph
@@ -192,3 +200,165 @@ def test_csv_format(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0].split(",")[0] == "abt_log2_lower"
     assert len(lines) == 4
+
+
+# --- verify on malformed certificates -------------------------------------------
+
+def _certificates():
+    """A decomposition certificate and a packing report, as emitted."""
+    G = random_graph(10, 0.4, seed=6)
+    cert = decompose(G, 2, 1, 0.25)
+    H = random_graph(12, 0.5, seed=5)
+    parts = tuple(v % 2 for v in range(12))
+    packing = extract_universal_packing(H, parts, 1)
+    return (certificate_to_dict(cert, G, None),
+            packing_to_dict(packing, H, parts))
+
+
+DECOMPOSITION, PACKING = _certificates()
+
+
+def verify_text(text) -> tuple[int, str, str]:
+    """Run ``verify`` on a certificate file holding ``text`` (str or bytes)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["verify", "--certificate", str(path)])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_error(rc, err, needle=""):
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+@pytest.mark.parametrize("data", [DECOMPOSITION, PACKING])
+def test_verify_accepts_emitted_certificates(data):
+    rc, out, _ = verify_text(json.dumps(data))
+    assert rc == 0 and parse(out)["results"]["valid"] is True
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("{not json", "not JSON"),
+    (b"\xff\xfe\x00garbage", "not JSON"),
+    ("[1, 2, 3]", "not a JSON object"),
+    ('{"results": 7}', "not a JSON object"),
+    ('{"type": "nothing"}', "unknown certificate type"),
+])
+def test_verify_rejects_unreadable_certificates(text, needle):
+    rc, out, err = verify_text(text)
+    assert out == ""
+    assert_one_line_error(rc, err, needle)
+
+
+DELETE = object()
+
+
+def _mutated(data, path, value):
+    """A deep copy of ``data`` with the field at ``path`` set to ``value``,
+    or deleted when ``value`` is ``DELETE``."""
+    data = copy.deepcopy(data)
+    *head, last = path
+    node = data
+    for key in head:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return data
+
+
+@pytest.mark.parametrize("data, path, value, needle", [
+    (DECOMPOSITION, ("graph6",), DELETE, "'graph6'"),
+    (DECOMPOSITION, ("k",), "1", "'k' must be an integer"),
+    (DECOMPOSITION, ("k",), True, "'k' must be an integer"),
+    (DECOMPOSITION, ("n",), 11, "'n' is 11"),
+    (DECOMPOSITION, ("parts",), [[0, 1]], "1 parts but r = 2"),
+    (DECOMPOSITION, ("A",), [10], "'A' must list integers in 0..9"),
+    (DECOMPOSITION, ("provenance",), [], "'provenance' must be an object"),
+    (DECOMPOSITION, ("provenance", "alpha"), "1/4", "'provenance.alpha'"),
+    (PACKING, ("graph6",), 5, "'graph6' must be a string"),
+    (PACKING, ("graph6",), "é", "out-of-range"),
+    (PACKING, ("k",), 0, "'k' must lie in 1..64"),
+    (PACKING, ("parts",), [0, 1], "labels 2 vertices"),
+    (PACKING, ("r",), 3, "do not use all r = 3 labels"),
+    (PACKING, ("pieces", 0, "placement", 0), 2,
+     "'pieces[0].placement' must list integers in 0..1"),
+    (PACKING, ("pieces", 0, "placement", 0), -1, "'pieces[0].placement'"),
+    (PACKING, ("pieces", 0, "layers", 1), [0, "x"], "'pieces[0].layers[1]'"),
+    (PACKING, ("residual",), DELETE, "lacks field 'residual'"),
+])
+def test_verify_rejects_malformed_fields(data, path, value, needle):
+    rc, out, err = verify_text(json.dumps(_mutated(data, path, value)))
+    assert out == ""
+    assert_one_line_error(rc, err, needle)
+
+
+def _field_paths(node, prefix=()):
+    """Every path to a value inside nested dicts and lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+FIELD_VALUES = st.one_of(
+    st.just(DELETE), st.none(), st.booleans(), st.integers(-3, 2 ** 70),
+    st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-2, 70), max_size=4),
+    st.lists(st.lists(st.integers(-2, 12), max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["level", "layers", "placement"]),
+                    st.integers(-1, 3), max_size=2))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_verify_never_raises_on_mutated_fields(data):
+    base = data.draw(st.sampled_from([DECOMPOSITION, PACKING]))
+    path = data.draw(st.sampled_from(sorted(_field_paths(base), key=repr)))
+    mutated = _mutated(base, path, data.draw(FIELD_VALUES))
+    rc, _, err = verify_text(json.dumps(mutated))
+    assert rc in (0, 1)
+    if rc == 1:
+        assert_one_line_error(rc, err)
+
+
+@given(st.binary(max_size=64))
+@settings(max_examples=40, deadline=None)
+def test_verify_never_raises_on_arbitrary_bytes(raw):
+    rc, _, err = verify_text(raw)
+    assert_one_line_error(rc, err)
+
+
+@pytest.mark.parametrize("graph_bytes, needle", [
+    (graph6_encode(random_graph(9, 0.4, seed=1)) + b"\n", "--graph has 9 vertices"),
+    (b"\xff\xfe\n", "not UTF-8 text"),
+])
+def test_verify_cross_check_graph_must_match(tmp_path, graph_bytes, needle):
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph_bytes)
+    cpath = tmp_path / "cert.json"
+    cpath.write_text(json.dumps(DECOMPOSITION))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(["verify", "--certificate", str(cpath), "--graph", str(gpath)])
+    assert_one_line_error(rc, err.getvalue(), needle)
+
+
+def test_pack_parts_must_match_graph(tmp_path, capsys):
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph6_encode(random_graph(6, 0.5, seed=2)) + b"\n")
+    rc, _, err = run(capsys, "pack", "--graph", str(gpath),
+                     "--parts", "0,1,0", "--k", "1")
+    assert_one_line_error(rc, err, "parts do not match the graph")
+    rc, _, err = run(capsys, "pack", "--graph", str(gpath),
+                     "--parts", "0,1,0,1,0,1", "--k", "0")
+    assert_one_line_error(rc, err, "--k must lie in 1..64")

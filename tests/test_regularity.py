@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hptools import (BBSPartition, DomainError, bits, graph_from_edges,
                      greedy_turan_transversal, is_epsilon_regular, is_grey,
@@ -12,11 +14,17 @@ from hptools import (BBSPartition, DomainError, bits, graph_from_edges,
 from hptools.graphs import complement, part_masks
 
 from conftest import complete_graph
-from oracles import naive_epsilon_regular
+from oracles import naive_epsilon_regular, naive_toy_szemeredi_partition
 
 
 def bipartite_complete(a, b):
     return graph_from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def bipartite_half_graph(h):
+    """a_i ~ b_j iff i <= j: the standard irregular pair."""
+    return graph_from_edges(2 * h, [(i, h + j) for i in range(h)
+                                    for j in range(h) if i <= j])
 
 
 def quasirandom_pair(seed=0):
@@ -85,6 +93,28 @@ def test_regular_monotone_in_eps():
                     for eps in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2),
                                 Fraction(3, 4))]
         assert verdicts == sorted(verdicts)  # False before True only
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    return random_graph(n, draw(st.floats(0, 1)), seed=draw(st.integers(0, 10 ** 9)))
+
+
+EPS = st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+                       Fraction(3, 4)])
+
+
+@given(graphs(10), st.randoms(), EPS)
+@settings(max_examples=60, deadline=None)
+def test_regular_symmetric_in_sides(G, rnd, eps):
+    # disjoint, nonempty sides of unequal sizes
+    side = [rnd.randrange(3) for _ in range(G.n)]
+    A = mask_of(v for v in range(G.n) if side[v] == 1)
+    B = mask_of(v for v in range(G.n) if side[v] == 2)
+    if not A or not B or A.bit_count() == B.bit_count():
+        return
+    assert is_epsilon_regular(G, A, B, eps) == is_epsilon_regular(G, B, A, eps)
 
 
 def test_regular_cap():
@@ -225,6 +255,37 @@ def test_toy_partitioner_balance_and_determinism():
     sizes = sorted(m.bit_count() for m in part_masks(labels, 4))
     assert sizes == [2, 2, 2, 2]
     assert labels == toy_szemeredi_partition(G, 4, Fraction(1, 2))
+
+
+@given(graphs(9), st.integers(1, 4), EPS)
+@example(bipartite_half_graph(4), 4, Fraction(1, 3))
+@example(random_graph(9, 0.5, seed=3), 4, Fraction(1, 4))  # 3 irregular pairs
+@settings(max_examples=40, deadline=None)
+def test_toy_partitioner_matches_labeling_scan(G, m, eps):
+    m = min(m, G.n)
+    assert toy_szemeredi_partition(G, m, eps) == \
+        naive_toy_szemeredi_partition(G, m, eps)
+
+
+def planted_graph(n, r, seed):
+    """Random balanced r-partition, part 0 a clique, the other parts
+    independent, cross pairs uniform."""
+    rng = random.Random(seed)
+    labels = [i % r for i in range(n)]
+    rng.shuffle(labels)
+    return graph_from_edges(n, [
+        (u, v) for v in range(n) for u in range(v)
+        if labels[u] == labels[v] == 0
+        or labels[u] != labels[v] and rng.random() < 0.5])
+
+
+def test_toy_bbs_parts_pinned_12_vertices():
+    # labels of the m^n labeling scan (now naive_toy_szemeredi_partition),
+    # too slow to rerun here at n = 12
+    G = planted_graph(12, 2, seed=1)
+    assert toy_szemeredi_partition(G, 4, Fraction(1, 2)) == \
+        (0, 0, 0, 1, 1, 2, 1, 2, 3, 2, 3, 3)
+    assert toy_bbs_parts(G, 2) == (0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1)
 
 
 def test_toy_bbs_parts_uses_all_parts():
