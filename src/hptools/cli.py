@@ -9,6 +9,7 @@ field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,14 +40,22 @@ def _vlist(mask: int) -> list[int]:
     return list(bits(mask))
 
 
-def _parse_vertices(text: str) -> int:
-    if not text.strip():
-        return 0
-    return mask_of(int(tok) for tok in text.replace(",", " ").split())
+def _parse_labels(text: str, option: str) -> tuple[int, ...]:
+    """Non-negative integers separated by commas or spaces."""
+    labels = []
+    for tok in text.replace(",", " ").split():
+        if not (tok.isascii() and tok.isdigit()):
+            raise DomainError(f"{option} lists {tok!r}, not a non-negative integer")
+        labels.append(int(tok))
+    return tuple(labels)
 
 
-def _parse_labels(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+def _parse_vertices(text: str, option: str, n: int) -> int:
+    """A vertex set of a graph on n vertices."""
+    vertices = _parse_labels(text, option)
+    if any(v >= n for v in vertices):
+        raise DomainError(f"{option} lists a vertex outside 0..{n - 1}")
+    return mask_of(vertices)
 
 
 def read_text(path: str) -> str:
@@ -282,8 +291,10 @@ def cmd_construct(args) -> None:
         }
     else:
         if args.v is not None:
-            v = tuple(int(b) for b in args.v.replace(",", ""))
-            lay = construct_universal_star(args.r, args.k, v)
+            pattern = args.v.replace(",", "")
+            if not set(pattern) <= set("01"):
+                raise DomainError(f"--v is {args.v!r}, not a pattern of 0s and 1s")
+            lay = construct_universal_star(args.r, args.k, tuple(map(int, pattern)))
         else:
             lay = construct_generalized_universal(args.r, args.k)
         results = {
@@ -297,8 +308,8 @@ def cmd_construct(args) -> None:
 
 def cmd_shatter(args) -> None:
     G = load_graph(args.graph, args.graph_format)
-    A = _parse_vertices(args.A)
-    B = _parse_vertices(args.B)
+    A = _parse_vertices(args.A, "--A", G.n)
+    B = _parse_vertices(args.B, "--B", G.n)
     w = shatters(G, A, B)
     results = {"shatters": w is not None}
     if w is not None:
@@ -402,16 +413,21 @@ def cmd_separated(args) -> None:
 
 
 def cmd_sparsen(args) -> None:
+    needed = ("bipgraph",) if args.t is None else ("graph", "parts", "core")
+    for name in needed:
+        if getattr(args, name) is None:
+            raise DomainError(f"sparsen needs --{name} in this mode")
     if args.t is None:
         bg = load_bipgraph(args.bipgraph)
-        u_sub = _parse_vertices(args.usub) if args.usub else (1 << bg.m) - 1
+        u_sub = (_parse_vertices(args.usub, "--usub", bg.m) if args.usub
+                 else (1 << bg.m) - 1)
         ds = distinguishing_set(bg, u_sub, Fraction(args.alpha), args.seed)
         emit(args, {"X": _vlist(ds.X), "size": ds.size,
                     "attempts": ds.attempts}, seed=args.seed)
         return
     G = load_graph(args.graph, args.graph_format)
-    parts = _parse_labels(args.parts)
-    B = _parse_vertices(args.core)
+    parts = _parse_labels(args.parts, "--parts")
+    B = _parse_vertices(args.core, "--core", G.n)
     out = extract_clone_classes(G, parts, B, Fraction(args.alpha), args.t,
                                 args.seed, args.direction)
     emit(args, {
@@ -425,7 +441,7 @@ def cmd_sparsen(args) -> None:
 
 def cmd_pack(args) -> None:
     G = load_graph(args.graph, args.graph_format)
-    parts = _parse_labels(args.parts)
+    parts = _parse_labels(args.parts, "--parts")
     if len(parts) != G.n:
         raise DomainError("parts do not match the graph")
     report = extract_universal_packing(G, parts, _level(args.k, "--k"))
@@ -438,7 +454,7 @@ def cmd_pack(args) -> None:
 
 def cmd_decompose(args) -> None:
     G = load_graph(args.graph, args.graph_format)
-    hint = _parse_labels(args.parts) if args.parts else None
+    hint = _parse_labels(args.parts, "--parts") if args.parts else None
     cert = decompose(G, args.r, _level(args.k, "--k"), args.alpha,
                      parts_hint=hint, eps_out=args.eps_out)
     data = certificate_to_dict(cert, G, hint)
@@ -493,7 +509,9 @@ def cmd_verify(args) -> None:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing leaves it unchanged for ``main``."""
     top = argparse.ArgumentParser(
         prog="hptools",
         description="Exact desk-scale toolkit for universal graphs, "

@@ -329,14 +329,17 @@ def min_intra_edges_parts(G: Graph, r: int) -> tuple[int, ...]:
     n = G.n
     if r == 2 and 2 <= n <= 16:
         sizes0 = {n // 2, (n + 1) // 2}
+        adj, edges = G.adj, G.edge_count()
         best, best_e = None, None
         for size0 in sorted(sizes0):
             # vertex 0 pinned to part 0 to kill the mirror symmetry
             for companions in combinations(range(1, n), size0 - 1):
                 S = 1 | mask_of(companions)
                 Sc = G.vertex_mask & ~S
-                e = sum((G.adj[v] & S).bit_count() for v in bits(S)) // 2
-                e += sum((G.adj[v] & Sc).bit_count() for v in bits(Sc)) // 2
+                # within-part edges: all edges minus those across the cut
+                e = edges - (adj[0] & Sc).bit_count()
+                for v in companions:
+                    e -= (adj[v] & Sc).bit_count()
                 if best_e is None or e < best_e:
                     best, best_e = S, e
         return tuple(0 if best >> v & 1 else 1 for v in range(n))

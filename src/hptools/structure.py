@@ -81,18 +81,21 @@ def max_bad_set(G: Graph, parts, alpha, mode: str = "exact",
     raise DomainError("mode must be 'exact' or 'greedy'")
 
 
+def _clone_part(adj, pmasks, bad, cutoff: int, v: int) -> int:
+    for j, S in enumerate(pmasks):
+        for b in bad:
+            if ((adj[v] ^ adj[b]) & S).bit_count() <= cutoff:
+                return j
+    raise DomainError(f"vertex {v} has no clone in B within any part "
+                      "(the bad set is not maximal)")
+
+
 def clone_index(G: Graph, parts, B: int, alpha, v: int,
                 r: int | None = None) -> int:
     """Smallest part index j such that v is an alpha-clone of some b in B
     with respect to S_j.  Errors when none exists (B not maximal)."""
-    pmasks = part_masks(parts, r)
-    cutoff = clone_cutoff(alpha, G.n)
-    for j, S in enumerate(pmasks):
-        for b in bits(B):
-            if ((G.adj[v] ^ G.adj[b]) & S).bit_count() <= cutoff:
-                return j
-    raise DomainError(f"vertex {v} has no clone in B within any part "
-                      "(the bad set is not maximal)")
+    return _clone_part(G.adj, part_masks(parts, r), list(bits(B)),
+                       clone_cutoff(alpha, G.n), v)
 
 
 @dataclass
@@ -113,11 +116,12 @@ def alpha_adjust(G: Graph, parts, B: int, alpha,
     parts = tuple(parts)
     if r is None:
         r = max(parts) + 1 if parts else 0
-    two_alpha = 2 * Fraction(alpha)
-    labels = tuple(clone_index(G, parts, B, two_alpha, v, r) for v in range(G.n))
-    old_masks = part_masks(parts, r)
-    new_masks = part_masks(labels, r)
     n = G.n
+    old_masks = part_masks(parts, r)
+    bad = list(bits(B))
+    cutoff2 = clone_cutoff(2 * Fraction(alpha), n)
+    labels = tuple(_clone_part(G.adj, old_masks, bad, cutoff2, v) for v in range(n))
+    new_masks = part_masks(labels, r)
     budget = clone_cutoff(alpha, n)
     sym = tuple((old_masks[j] ^ new_masks[j]).bit_count() for j in range(r))
     issues = []
@@ -129,7 +133,7 @@ def alpha_adjust(G: Graph, parts, B: int, alpha,
     for j in range(r):
         for v in bits(new_masks[j]):
             if not any(((G.adj[v] ^ G.adj[b]) & new_masks[j]).bit_count() <= cutoff3
-                       for b in bits(B)):
+                       for b in bad):
                 issues.append(
                     f"vertex {v} is no (3 alpha)-clone of B within new part {j}")
     return AdjustmentReport(labels, sym, not issues, issues)
@@ -185,15 +189,14 @@ def _find_placed_copy(G: Graph, pmasks, X: int, k: int, t: int):
     """First (canonical order) placed generalized-universal copy of t levels
     avoiding X: layers sized per the construction, the shattering chain
     holding, layer j inside part i(j), with i(1) = i(2) and the rest
-    pairwise-new parts.  Exhaustive backtracking over realizer choices."""
+    pairwise-new parts.  Exhaustive backtracking over realizer choices, on
+    the placements where every layer fits (S_i(1) - X holds layers 1 and 2,
+    each later S_i(j) - X holds layer j); the others hold no copy."""
     r = len(pmasks)
     sizes = universal_layer_sizes(t, k)
-    if len(sizes) < t:
+    if len(sizes) < t or sum(sizes) > (G.vertex_mask & ~X).bit_count():
         return None
-    total = sum(sizes)
-    avail_all = G.vertex_mask & ~X
-    if total > avail_all.bit_count():
-        return None
+    free = [(S & ~X).bit_count() for S in pmasks]
 
     def place(layers: list[int], used: int, placement: list[int]) -> bool:
         j = len(layers)
@@ -201,8 +204,6 @@ def _find_placed_copy(G: Graph, pmasks, X: int, k: int, t: int):
             return True
         pool = pmasks[placement[j]] & ~X & ~used
         size = sizes[j]
-        if pool.bit_count() < size:
-            return False
         if j == 0:
             for first in k_submasks(pool, size):
                 layers.append(first)
@@ -213,33 +214,27 @@ def _find_placed_copy(G: Graph, pmasks, X: int, k: int, t: int):
         prefix = 0
         for m in layers:
             prefix |= m
-        need = 1 << prefix.bit_count()
-        if size != need:
-            return False
         classes: dict[int, list[int]] = {}
         for a in bits(pool):
             classes.setdefault(G.adj[a] & prefix, []).append(a)
-        if len(classes) < need:
+        # size = 2^|prefix|: the layer takes one realizer of every trace
+        if len(classes) < size:
             return False
         ordered = sorted(classes)
-        if len(ordered) != need:
-            return False
         if j == t - 1:
             # last layer: any trace-complete choice works; take the lowest
             layer = mask_of(classes[tr][0] for tr in ordered)
             layers.append(layer)
             return True
-        choice = [0] * need
 
         def pick(idx: int, acc: int) -> bool:
-            if idx == need:
+            if idx == size:
                 layers.append(acc)
                 if place(layers, used | acc, placement):
                     return True
                 layers.pop()
                 return False
             for a in classes[ordered[idx]]:
-                choice[idx] = a
                 if pick(idx + 1, acc | 1 << a):
                     return True
             return False
@@ -247,9 +242,13 @@ def _find_placed_copy(G: Graph, pmasks, X: int, k: int, t: int):
         return pick(0, 0)
 
     for p in range(r):
+        if free[p] < sum(sizes[:2]):
+            continue
         tails = permutations([q for q in range(r) if q != p], t - 2) \
             if t >= 3 else [()]
         for tail in tails:
+            if any(free[q] < size for q, size in zip(tail, sizes[2:])):
+                continue
             placement = [p, p, *tail]
             layers: list[int] = []
             if place(layers, 0, placement):

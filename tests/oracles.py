@@ -10,8 +10,10 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from hptools import (BipGraph, Graph, bits, find_uk_copy, is_epsilon_regular,
-                     mask_of, part_masks)
+from hptools import (BipGraph, Graph, PackingPiece, PackingReport, bits,
+                     find_uk_copy, is_epsilon_regular, mask_of, part_masks)
+from hptools.graphs import k_submasks
+from hptools.universal import universal_layer_sizes
 
 
 def naive_contains_induced(G: Graph, H: Graph):
@@ -169,6 +171,88 @@ def naive_toy_szemeredi_partition(G: Graph, m: int, eps) -> tuple[int, ...]:
             if bad == 0:
                 break
     return tuple(best)
+
+
+def naive_min_intra_edges_bipartition(G: Graph) -> tuple[int, ...]:
+    """Balanced bipartition with the fewest within-part edges, counting the
+    edges inside each side vertex by vertex; vertex 0 sits in part 0 and the
+    first minimiser in scan order wins."""
+    n = G.n
+    best, best_e = None, None
+    for size0 in sorted({n // 2, (n + 1) // 2}):
+        for companions in combinations(range(1, n), size0 - 1):
+            S = 1 | mask_of(companions)
+            Sc = G.vertex_mask & ~S
+            e = sum((G.adj[v] & S).bit_count() for v in bits(S)) // 2
+            e += sum((G.adj[v] & Sc).bit_count() for v in bits(Sc)) // 2
+            if best_e is None or e < best_e:
+                best, best_e = S, e
+    return tuple(0 if best >> v & 1 else 1 for v in range(n))
+
+
+def naive_find_placed_copy(G: Graph, pmasks, X: int, k: int, t: int):
+    """The first placed t-level copy avoiding X, by backtracking over every
+    placement [p, p, *tail] in order and every realizer choice; a
+    placement is given up only when the search reaches a layer that does
+    not fit."""
+    r = len(pmasks)
+    sizes = universal_layer_sizes(t, k)
+    if len(sizes) < t or sum(sizes) > (G.vertex_mask & ~X).bit_count():
+        return None
+
+    def place(layers: tuple[int, ...], placement):
+        j = len(layers)
+        if j == t:
+            return layers
+        used = mask_of(v for m in layers for v in bits(m))
+        pool = pmasks[placement[j]] & ~X & ~used
+        if pool.bit_count() < sizes[j]:
+            return None
+        if j == 0:
+            for first in k_submasks(pool, sizes[0]):
+                found = place((first,), placement)
+                if found is not None:
+                    return found
+            return None
+        need = 1 << used.bit_count()
+        classes: dict[int, list[int]] = {}
+        for a in bits(pool):
+            classes.setdefault(G.adj[a] & used, []).append(a)
+        if sizes[j] != need or len(classes) != need:
+            return None
+        ordered = sorted(classes)
+        if j == t - 1:
+            return layers + (mask_of(classes[tr][0] for tr in ordered),)
+        for choice in product(*(classes[tr] for tr in ordered)):
+            found = place(layers + (mask_of(choice),), placement)
+            if found is not None:
+                return found
+        return None
+
+    for p in range(r):
+        rest = [q for q in range(r) if q != p]
+        for tail in (permutations(rest, t - 2) if t >= 3 else [()]):
+            placement = (p, p, *tail)
+            layers = place((), placement)
+            if layers is not None:
+                return PackingPiece(layers, t, placement)
+    return None
+
+
+def naive_extract_universal_packing(G: Graph, parts, k: int) -> PackingReport:
+    """Take the first placed copy at the highest level that has one, remove
+    it, and repeat down to level 2."""
+    pmasks = part_masks(tuple(parts))
+    r = len(pmasks)
+    pieces, X, t = [], 0, r + 1
+    while t >= 2:
+        piece = naive_find_placed_copy(G, pmasks, X, k, t)
+        if piece is None:
+            t -= 1
+            continue
+        pieces.append(piece)
+        X |= piece.vertices
+    return PackingReport(tuple(pieces), tuple(S & ~X for S in pmasks), k, r)
 
 
 def brute_hrv(G: Graph, v) -> bool:

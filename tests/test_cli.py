@@ -1,6 +1,9 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -9,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hptools
 from hptools import (decompose, extract_universal_packing, graph6_encode,
                      graph_from_edges, random_graph)
-from hptools.cli import certificate_to_dict, main, packing_to_dict
+from hptools.cli import (build_parser, certificate_to_dict, main,
+                         packing_to_dict)
 from hptools.freeness import bipgraph_encode, random_bipgraph
 
 from conftest import complete_graph
@@ -362,3 +367,102 @@ def test_pack_parts_must_match_graph(tmp_path, capsys):
     rc, _, err = run(capsys, "pack", "--graph", str(gpath),
                      "--parts", "0,1,0,1,0,1", "--k", "0")
     assert_one_line_error(rc, err, "--k must lie in 1..64")
+
+
+# --- vertex, label and pattern options -----------------------------------------
+
+@pytest.mark.parametrize("argv, needle", [
+    (["shatter", "--graph", "{g}", "--A", "0,a", "--B", "1"], "--A lists 'a'"),
+    (["shatter", "--graph", "{g}", "--A", "-1", "--B", "1"], "--A lists '-1'"),
+    (["shatter", "--graph", "{g}", "--A", "0", "--B", "1,6"],
+     "--B lists a vertex outside 0..5"),
+    (["pack", "--graph", "{g}", "--parts", "0,x,1,0,1,1", "--k", "1"],
+     "--parts lists 'x'"),
+    (["decompose", "--graph", "{g}", "--parts", "0,1,1.5,0,1,1", "--r", "2",
+      "--k", "1", "--alpha", "0.25"], "--parts lists '1.5'"),
+    (["sparsen", "--graph", "{g}", "--parts", "0,0,0,1,z,1", "--core", "0,3",
+      "--t", "1", "--alpha", "0.25"], "--parts lists 'z'"),
+    (["sparsen", "--graph", "{g}", "--parts", "0,0,0,1,1,1", "--core", "0;3",
+      "--t", "1", "--alpha", "0.25"], "--core lists '0;3'"),
+    (["sparsen", "--graph", "{g}", "--parts", "0,0,0,1,1,1", "--core", "9",
+      "--t", "1", "--alpha", "0.25"], "--core lists a vertex outside 0..5"),
+    (["sparsen", "--graph", "{g}", "--t", "1", "--alpha", "0.25"],
+     "sparsen needs --parts"),
+    (["sparsen", "--alpha", "0.25"], "sparsen needs --bipgraph"),
+    (["construct", "--k", "1", "--r", "3", "--v", "0x1"],
+     "--v is '0x1', not a pattern of 0s and 1s"),
+    (["sparsen", "--bipgraph", "{bg}", "--usub", "0,\u0663", "--alpha", "0.25"],
+     "--usub lists '\u0663'"),
+    (["sparsen", "--bipgraph", "{bg}", "--usub", "0,5", "--alpha", "0.25"],
+     "--usub lists a vertex outside 0..4"),
+])
+def test_malformed_list_options_exit_1(tmp_path, capsys, argv, needle):
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph6_encode(random_graph(6, 0.5, seed=2)) + b"\n")
+    bgpath = tmp_path / "bg.txt"
+    bgpath.write_text(bipgraph_encode(random_bipgraph(5, 4, 0.5, seed=1)))
+    argv = [a.format(g=gpath, bg=bgpath) for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert out == ""
+    assert_one_line_error(rc, err, needle)
+
+
+# --- one parser per process --------------------------------------------------------
+
+def test_cached_parser_parses_like_a_fresh_one():
+    decompose_argv = ["decompose", "--graph", "g", "--r", "2", "--k", "1",
+                      "--alpha", "0.25"]
+    census_argv = ["census", "--forbidden", "s", "--n-max", "3"]
+    argvs = [
+        decompose_argv,
+        decompose_argv + ["--parts", "0,1"],
+        decompose_argv,
+        census_argv + ["--certify"],
+        census_argv + ["--no-certify"],
+        census_argv,
+        *(["pack", "--graph", "g", "--graph-format", fmt, "--parts", "0",
+           "--k", "1"] for fmt in ("graph6", "edgelist", "auto")),
+        ["pack", "--graph", "g", "--parts", "0", "--k", "1", "--format", "csv"],
+        ["verify", "--certificate", "c", "--budget-eps", "0.5"],
+        ["verify", "--certificate", "c"],
+    ]
+    cached = build_parser()
+    assert build_parser() is cached
+    for argv in argvs:
+        fresh = build_parser.__wrapped__()
+        assert vars(cached.parse_args(argv)) == vars(fresh.parse_args(argv))
+
+
+def test_repeated_main_calls_emit_the_same_report(tmp_path, capsys):
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph6_encode(random_graph(11, 0.4, seed=3)) + b"\n")
+    reports = []
+    for _ in range(2):
+        rc, out, _ = run(capsys, "decompose", "--graph", str(gpath), "--r", "2",
+                         "--k", "1", "--alpha", "0.25")
+        assert rc == 0
+        rep = parse(out)
+        del rep["timing_ms"]
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
+def test_used_parser_still_exits_on_version_and_bad_commands(capsys):
+    assert main(["count-free", "--m", "2", "--n", "2", "--k", "1"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == hptools.__version__
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 2
+
+
+def test_python_m_hptools_runs_the_cli():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hptools.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hptools", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == hptools.__version__

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hptools import (BBSPartition, DomainError, bits, graph_from_edges,
@@ -14,7 +14,8 @@ from hptools import (BBSPartition, DomainError, bits, graph_from_edges,
 from hptools.graphs import complement, part_masks
 
 from conftest import complete_graph
-from oracles import naive_epsilon_regular, naive_toy_szemeredi_partition
+from oracles import (naive_epsilon_regular, naive_min_intra_edges_bipartition,
+                     naive_toy_szemeredi_partition)
 
 
 def bipartite_complete(a, b):
@@ -301,3 +302,10 @@ def test_min_intra_edges_bipartite_exact():
     intra = sum(sum((G.adj[v] & m).bit_count() for v in bits(m)) // 2
                 for m in masks)
     assert intra == 0  # recovers the bipartition exactly
+
+
+@given(graphs(12))
+@settings(max_examples=100, deadline=None)
+def test_min_intra_edges_bipartition_matches_vertexwise_count(G):
+    assume(G.n >= 2)
+    assert min_intra_edges_parts(G, 2) == naive_min_intra_edges_bipartition(G)

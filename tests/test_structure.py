@@ -3,9 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hptools import (DomainError, PackingPiece, PackingReport, alpha_adjust,
-                     bits, clone_index, decompose, decomposition_failures,
+                     bits, clone_index, construct_generalized_universal,
+                     decompose, decomposition_failures,
                      extract_universal_packing, graph_from_edges,
                      induced_subgraph, is_alpha_clone, mask_of, max_bad_set,
                      random_graph, shatters, verify_decomposition,
@@ -14,6 +17,25 @@ from hptools.graphs import part_masks
 from hptools.structure import CloneParams, clone_cutoff
 
 from conftest import complete_graph
+from oracles import naive_extract_universal_packing
+
+
+@st.composite
+def partitioned_graphs(draw, max_n, max_r):
+    """A random graph on 1..max_n vertices with a labeling in 0..max_r-1
+    that need not use every label."""
+    n = draw(st.integers(1, max_n))
+    G = random_graph(n, draw(st.floats(0, 1)), seed=draw(st.integers(0, 10 ** 9)))
+    r = draw(st.integers(1, max_r))
+    return G, tuple(draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n)))
+
+
+def outcome(f):
+    """f(), or the message of the DomainError it raises."""
+    try:
+        return f()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
 
 
 # --- clones -------------------------------------------------------------------
@@ -156,6 +178,21 @@ def test_alpha_adjust_identity_when_settled():
                                for v in range(4))
 
 
+@given(partitioned_graphs(12, 3), st.booleans(), st.integers(0, (1 << 12) - 1),
+       st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), 0.3]))
+@settings(max_examples=150, deadline=None)
+def test_alpha_adjust_labels_are_clone_indices(graph_parts, maximal, B, alpha):
+    # a maximal bad set gives labels; an arbitrary B may give the error
+    G, parts = graph_parts
+    r = max(parts) + 1
+    two_alpha = 2 * Fraction(alpha)
+    B = (max_bad_set(G, parts, two_alpha, r=r).vertices if maximal
+         else B & G.vertex_mask)
+    assert outcome(lambda: alpha_adjust(G, parts, B, alpha, r).labels) == \
+        outcome(lambda: tuple(clone_index(G, parts, B, two_alpha, v, r)
+                              for v in range(G.n)))
+
+
 def test_alpha_adjust_moves_single_misplaced_vertex():
     # B = {0}; vertex 4 is far from 0 inside part 0 but clones it in part 1,
     # while 8 and 9 stay anchored in part 1 the same way
@@ -222,6 +259,53 @@ def test_packing_pieces_verified_by_shatters():
             if i:
                 assert shatters(G, layer, prefix) is not None
             prefix |= layer
+
+
+@st.composite
+def planted_level3(draw):
+    """U(3,1) (layers of 1, 2 and 8 vertices) with up to 3 extra vertices
+    joined at random, relabeled at random; the first two layers share a
+    part and the third has its own, the extra vertices are labeled freely."""
+    lay = construct_generalized_universal(3, 1)
+    m = lay.graph.n
+    n = m + draw(st.integers(0, 3))
+    noise = random_graph(n, draw(st.floats(0, 1)), seed=draw(st.integers(0, 10 ** 9)))
+    edges = lay.graph.edges() + [(u, v) for u, v in noise.edges() if v >= m]
+    perm = draw(st.permutations(range(n)))
+    p, q = draw(st.permutations(range(3)))[:2]
+    first_two = lay.layers[0] | lay.layers[1]
+    labels = [p if first_two >> u & 1 else q for u in range(m)]
+    labels += draw(st.lists(st.integers(0, 2), min_size=n - m, max_size=n - m))
+    parts = [0] * n
+    for u in range(n):
+        parts[perm[u]] = labels[u]
+    return graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges]), tuple(parts)
+
+
+def check_packing_against_oracle(G, parts, k):
+    expected = naive_extract_universal_packing(G, parts, k)
+    rep = extract_universal_packing(G, parts, k)
+    assert rep.pieces == expected.pieces
+    assert rep.residual == expected.residual
+    assert verify_packing_maximality(G, parts, expected)
+    if expected.pieces:
+        # the last piece is still placeable once it is left out
+        under = PackingReport(expected.pieces[:-1], (), k, expected.r)
+        assert not verify_packing_maximality(G, parts, under)
+    return expected
+
+
+@given(partitioned_graphs(14, 3), st.sampled_from([1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_packing_matches_search_without_fit_check(graph_parts, k):
+    check_packing_against_oracle(*graph_parts, k)
+
+
+@given(planted_level3())
+@settings(max_examples=60, deadline=None)
+def test_packing_matches_search_without_fit_check_planted(graph_parts):
+    expected = check_packing_against_oracle(*graph_parts, 1)
+    assert expected.pieces[0].level == 3
 
 
 def test_maximality_rejects_underpacked():
