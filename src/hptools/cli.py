@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -19,9 +18,9 @@ from fractions import Fraction
 from . import __version__
 from .errors import DomainError
 from .freeness import (BipGraph, bipgraph_decode, count_nonshattering_attachments,
-                       count_uk_free_bipartite, count_uk_free_bipartite_range,
-                       distinguishing_set, extract_clone_classes,
-                       max_separated_subset, separated_subset_ceiling)
+                       count_uk_free_bipartite, distinguishing_set,
+                       extract_clone_classes, max_separated_subset,
+                       separated_subset_ceiling)
 from .graphs import (MAX_VERTICES, Graph, bits, edgelist_decode, graph6_decode,
                      graph6_encode, mask_of)
 from .hereditary import (abt_bounds, colouring_number, count_hrv,
@@ -48,6 +47,15 @@ def _parse_labels(text: str, option: str) -> tuple[int, ...]:
             raise DomainError(f"{option} lists {tok!r}, not a non-negative integer")
         labels.append(int(tok))
     return tuple(labels)
+
+
+def _parse_parts(text: str) -> tuple[int, ...]:
+    """The --parts labels, each below the vertex cap: a graph has at most
+    that many parts, and every label allocates a part."""
+    parts = _parse_labels(text, "--parts")
+    if any(j >= MAX_VERTICES for j in parts):
+        raise DomainError(f"--parts lists a label outside 0..{MAX_VERTICES - 1}")
+    return parts
 
 
 def _parse_vertices(text: str, option: str, n: int) -> int:
@@ -87,6 +95,14 @@ def load_bipgraph(path: str) -> BipGraph:
 # certificate schemas (version 1)
 
 
+def _pieces_to_list(pieces) -> list[dict]:
+    return [{
+        "level": p.level,
+        "layers": [_vlist(m) for m in p.layers],
+        "placement": list(p.placement),
+    } for p in pieces]
+
+
 def packing_to_dict(report: PackingReport, G: Graph, parts) -> dict:
     return {
         "type": "packing-report",
@@ -95,11 +111,7 @@ def packing_to_dict(report: PackingReport, G: Graph, parts) -> dict:
         "parts": list(parts),
         "k": report.k,
         "r": report.r,
-        "pieces": [{
-            "level": p.level,
-            "layers": [_vlist(m) for m in p.layers],
-            "placement": list(p.placement),
-        } for p in report.pieces],
+        "pieces": _pieces_to_list(report.pieces),
         "residual": [_vlist(m) for m in report.residual],
     }
 
@@ -168,6 +180,9 @@ def _pieces(data: dict, n: int, r: int, where: str = "") -> tuple[PackingPiece, 
 def packing_from_dict(data: dict) -> tuple[Graph, tuple[int, ...], PackingReport]:
     G = graph6_decode(_need(data, "graph6", str))
     r = _need(data, "r", int)
+    if r > MAX_VERTICES:
+        raise DomainError(f"certificate field 'r' exceeds the "
+                          f"{MAX_VERTICES}-part cap")
     parts = tuple(_int_list(data, "parts", 0, r))
     if len(parts) != G.n:
         raise DomainError(f"certificate labels {len(parts)} vertices but its "
@@ -198,13 +213,7 @@ def certificate_to_dict(cert: DecompositionCertificate, G: Graph,
             "hint_parts": list(hint_parts) if hint_parts is not None else None,
             "adjusted_labels": list(cert.adjusted_labels),
             "adjustment_ok": cert.adjustment_ok,
-            "packing": {
-                "pieces": [{
-                    "level": p.level,
-                    "layers": [_vlist(m) for m in p.layers],
-                    "placement": list(p.placement),
-                } for p in cert.packing.pieces],
-            },
+            "packing": {"pieces": _pieces_to_list(cert.packing.pieces)},
         },
         "budget": cert.budget,
         "budget_ok": cert.budget_ok,
@@ -377,19 +386,7 @@ def cmd_census(args) -> None:
 
 
 def cmd_count_free(args) -> None:
-    threads = int(os.environ.get("HPTOOLS_THREADS", "1"))
-    total = 1 << (args.m * args.n)
-    if threads > 1 and total >= 1 << 12:
-        from concurrent.futures import ProcessPoolExecutor
-        step = -(-total // threads)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(count_uk_free_bipartite_range, args.m,
-                                   args.n, args.k, args.mode, lo,
-                                   min(lo + step, total))
-                       for lo in range(0, total, step)]
-            count = sum(f.result() for f in futures)
-    else:
-        count = count_uk_free_bipartite(args.m, args.n, args.k, args.mode)
+    count = count_uk_free_bipartite(args.m, args.n, args.k, args.mode)
     emit(args, {"count": str(count)})
 
 
@@ -426,7 +423,7 @@ def cmd_sparsen(args) -> None:
                     "attempts": ds.attempts}, seed=args.seed)
         return
     G = load_graph(args.graph, args.graph_format)
-    parts = _parse_labels(args.parts, "--parts")
+    parts = _parse_parts(args.parts)
     B = _parse_vertices(args.core, "--core", G.n)
     out = extract_clone_classes(G, parts, B, Fraction(args.alpha), args.t,
                                 args.seed, args.direction)
@@ -441,7 +438,7 @@ def cmd_sparsen(args) -> None:
 
 def cmd_pack(args) -> None:
     G = load_graph(args.graph, args.graph_format)
-    parts = _parse_labels(args.parts, "--parts")
+    parts = _parse_parts(args.parts)
     if len(parts) != G.n:
         raise DomainError("parts do not match the graph")
     report = extract_universal_packing(G, parts, _level(args.k, "--k"))
@@ -454,7 +451,9 @@ def cmd_pack(args) -> None:
 
 def cmd_decompose(args) -> None:
     G = load_graph(args.graph, args.graph_format)
-    hint = _parse_labels(args.parts, "--parts") if args.parts else None
+    if args.r > MAX_VERTICES:
+        raise DomainError(f"--r exceeds the {MAX_VERTICES}-part cap")
+    hint = _parse_parts(args.parts) if args.parts else None
     cert = decompose(G, args.r, _level(args.k, "--k"), args.alpha,
                      parts_hint=hint, eps_out=args.eps_out)
     data = certificate_to_dict(cert, G, hint)

@@ -11,20 +11,23 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import DomainError, StepError
-from .graphs import (Graph, bits, greedy_maximal_clique, k_submasks, mask_of,
-                     max_clique, part_masks)
-from .universal import TraceFamily, find_shattered, reverse_shatter, \
-    aligned_reverse_shatter, shatters
+from .graphs import Graph, bits, far_clique, k_submasks, mask_of, part_masks
+from .universal import (TraceFamily, aligned_reverse_shatter, find_shattered,
+                        first_realizers, reverse_shatter, shatters)
 
 # sides up to 64 so the distinguishing-set harness can run its published
 # parameters (c=8, n=64); rows still fit one machine word
 MAX_BIP_SIDE = 64
-MAX_UK_HOST = 24
+# hosts of the U(k) search, and so of the packing and decomposition pipeline
+# that ends in it; C(n,k) * n checks stay cheap at n = 40 for small k
+MAX_UK_HOST = 40
 MAX_UK_LEVEL = 4
 MAX_COUNT_CELLS = 25
 
@@ -125,13 +128,9 @@ def find_uk_copy(G: Graph, k: int, parts: tuple[int, int] | None = None):
         pool = a_pool & ~B
         if pool.bit_count() < need:
             continue
-        realizers: dict[int, int] = {}
-        for a in bits(pool):
-            tr = G.adj[a] & B
-            if tr not in realizers:
-                realizers[tr] = a
-                if len(realizers) == need:
-                    return mask_of(realizers.values()), B
+        realizers = first_realizers(G.adj, pool, B, need)
+        if len(realizers) == need:
+            return mask_of(realizers.values()), B
     return None
 
 
@@ -143,103 +142,72 @@ def is_uk_free(G: Graph, k: int, parts=None) -> bool:
 # exact counting of U(k)-free bipartite graphs
 
 
-def _free_cross(rows, n: int, k: int, subsets) -> bool:
+def _free_cross(rows, k: int, subsets) -> bool:
     """No k-subset of the B side realizes all 2^k traces among the rows."""
     need = 1 << k
     if len(rows) < need:
         return True
-    for sub in subsets:
-        seen = set()
-        for row in rows:
-            seen.add(row & sub)
-            if len(seen) == need:
-                return False
-    return True
+    pool = (1 << len(rows)) - 1
+    return all(len(first_realizers(rows, pool, sub, need)) < need
+               for sub in subsets)
 
 
-def _side_coverable(rows, other_count: int, k: int, subsets) -> bool:
+def _side_coverable(rows, side_size: int, k: int, subsets) -> bool:
     """Whole-graph helper: can some k-subset of this side have every trace
     pattern realized?  Nonempty patterns need realizers on the opposite
-    side (rows); the empty pattern may also come from this side's leftover
-    vertices."""
-    if len(rows) < (1 << k) - 1:
+    side (rows); the empty pattern may also come from a leftover vertex of
+    this side, which exists when the side has more than k vertices."""
+    need = 1 << k
+    if len(rows) < need - 1:
         return False
-    side_size = None
-    for sub, npat in subsets:
-        found = set()
-        for row in rows:
-            tr = row & sub
-            if tr:
-                found.add(tr)
-        if len(found) == npat:
-            if other_count > k:
-                return True  # empty trace from a leftover same-side vertex
-            if any(row & sub == 0 for row in rows):
-                return True
+    pool = (1 << len(rows)) - 1
+    for sub in subsets:
+        found = first_realizers(rows, pool, sub, need)
+        if len(found) + (side_size > k and 0 not in found) == need:
+            return True
     return False
-
-
-def _free_whole(rows, cols, m: int, n: int, k: int, bsubs, asubs) -> bool:
-    """Whole-graph U(k)-freeness of the bipartite host.
-
-    A mixed k-set (meeting both sides) can never be fully traced: the
-    all-of-S pattern would need a vertex adjacent to vertices of both
-    sides, impossible across a bipartition.  So only pure one-side k-sets
-    matter.
-    """
-    if _side_coverable(rows, n, k, bsubs):
-        return False
-    if _side_coverable(cols, m, k, asubs):
-        return False
-    return True
-
-
-def _whole_subsets(side: int, k: int):
-    return [(sub, (1 << k) - 1) for sub in k_submasks((1 << side) - 1, k)]
 
 
 def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     """Exact number of cross-edge patterns on A (size m) x B (size n) whose
-    host is U(k)-free in the chosen mode.  Enumerates all 2^(mn) patterns;
-    row-permutation symmetry is exploited through memoization only (the
-    count itself is over labeled patterns)."""
-    return count_uk_free_bipartite_range(m, n, k, mode, 0, 1 << (m * n))
+    host is U(k)-free in the chosen mode.
 
-
-def count_uk_free_bipartite_range(m: int, n: int, k: int, mode: str,
-                                  start: int, stop: int) -> int:
-    """Partial count over a sub-range of cross-edge bitmasks, so disjoint
-    shards can be summed by independent workers."""
+    Freeness depends only on the multiset of rows, so each row multiset is
+    tested once and counted with its m!/prod(mult!) labeled orderings.  A
+    mixed k-set (meeting both sides) can never be fully traced in whole
+    mode: the all-of-S pattern would need a vertex adjacent to vertices of
+    both sides, impossible across a bipartition.  So only pure one-side
+    k-sets matter.
+    """
     if mode not in ("whole", "cross"):
         raise DomainError("mode must be 'whole' or 'cross'")
     if m * n > MAX_COUNT_CELLS:
         raise DomainError(f"enumeration capped at m*n <= {MAX_COUNT_CELLS}")
     if not 1 <= k <= MAX_UK_LEVEL:
         raise DomainError(f"universal level capped at {MAX_UK_LEVEL}")
-    row_mask = (1 << n) - 1
-    bsubs = list(k_submasks(row_mask, k))
-    asubs_w = _whole_subsets(m, k)
-    bsubs_w = _whole_subsets(n, k)
-    memo: dict[tuple, bool] = {}
+    bsubs = list(k_submasks((1 << n) - 1, k))
+    asubs = list(k_submasks((1 << m) - 1, k))
     count = 0
-    for g in range(max(start, 0), min(stop, 1 << (m * n))):
-        rows = tuple(sorted((g >> (a * n)) & row_mask for a in range(m)))
-        free = memo.get(rows)
-        if free is None:
-            if mode == "cross":
-                free = _free_cross(rows, n, k, bsubs)
-            else:
-                cols = [0] * n
-                for a, row in enumerate(rows):
-                    rr = row
-                    while rr:
-                        low = rr & -rr
-                        cols[low.bit_length() - 1] |= 1 << a
-                        rr ^= low
-                free = _free_whole(rows, cols, m, n, k, bsubs_w, asubs_w)
-            memo[rows] = free
+    for rows in combinations_with_replacement(range(1 << n), m):
+        if mode == "cross":
+            free = _free_cross(rows, k, bsubs)
+        else:
+            cols = [0] * n
+            for a, row in enumerate(rows):
+                for b in bits(row):
+                    cols[b] |= 1 << a
+            free = not (_side_coverable(rows, n, k, bsubs)
+                        or _side_coverable(cols, m, k, asubs))
         if free:
-            count += 1
+            count += _orderings(rows)
+    return count
+
+
+def _orderings(items) -> int:
+    """Number of distinct orderings of a multiset: len! / prod(mult!)."""
+    count = math.factorial(len(items))
+    for mult in Counter(items).values():
+        count //= math.factorial(mult)
     return count
 
 
@@ -276,7 +244,7 @@ def trace_count_check(bg: BipGraph, blocks, k: int, verify_free: bool = True):
         raise DomainError("blocks do not cover the B side")
     if verify_free:
         bsubs = list(k_submasks((1 << bg.n) - 1, k))
-        if not _free_cross(bg.rows, bg.n, k, bsubs):
+        if not _free_cross(bg.rows, k, bsubs):
             raise DomainError("host is not U(k)-free in cross mode")
     out = []
     for blk in blocks:
@@ -304,19 +272,12 @@ def count_nonshattering_attachments(a: int, n: int) -> tuple[int, int, int]:
     at every scale (a=1, n=2 already has exact count 2 > 1)."""
     if not (1 <= a <= 3 and 1 <= n <= 6):
         raise DomainError("caps: a <= 3 and n <= 6")
-    full = (1 << (1 << a)) - 1
-    amask = (1 << a) - 1
+    need = 1 << a
     count = 0
-    for g in range(1 << (a * n)):
-        seen = 0
-        for b in range(n):
-            col = 0
-            for i in range(a):
-                if g >> (i * n + b) & 1:
-                    col |= 1 << i
-            seen |= 1 << (col & amask)
-        if seen != full:
-            count += 1
+    # whether B shatters A depends only on the multiset of B's traces on A
+    for cols in combinations_with_replacement(range(need), n):
+        if len(first_realizers(cols, (1 << n) - 1, need - 1, need)) < need:
+            count += _orderings(cols)
     printed = (2 ** a - 1) ** n
     corrected = 2 ** a * printed
     return count, printed, corrected
@@ -377,22 +338,11 @@ def max_separated_subset(bg: BipGraph, side: str, x: int,
     as a lower bound.
     """
     vecs = _side_vectors(bg, side)
-    sz = len(vecs)
-    adj = [0] * sz
-    for i in range(sz):
-        for j in range(i):
-            if (vecs[i] ^ vecs[j]).bit_count() >= x:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    if mode == "exact":
-        if sz > 20:
-            raise DomainError("exact mode capped at side size 20")
-        best = max_clique(sz, adj)
-        return SeparatedSet(best, best.bit_count(), True)
-    if mode == "greedy":
-        best = greedy_maximal_clique(sz, adj)
-        return SeparatedSet(best, best.bit_count(), False)
-    raise DomainError("mode must be 'exact' or 'greedy'")
+    if mode == "exact" and len(vecs) > 20:
+        raise DomainError("exact mode capped at side size 20")
+    # the single mask -1 keeps every bit of the distance
+    best = far_clique(vecs, (-1,), x, mode)
+    return SeparatedSet(best, best.bit_count(), mode == "exact")
 
 
 def separated_subset_ceiling(n: int, x: int, k: int, m: int) -> float:
@@ -528,10 +478,8 @@ def _sparsening_rounds(G: Graph, B_verts, part: int, t: int, rng,
         if X_star is None:
             break
         # realizers of every subset of X_star within the core candidates
-        realizers = {}
-        for b in B_verts:
-            tr = G.adj[b] & X_star
-            realizers.setdefault(tr, b)
+        realizers = first_realizers(G.adj, B_mask, X_star,
+                                    1 << X_star.bit_count())
         u_star = mask_of(realizers.values())
         core, X_used = reverse_shatter(G, u_star, X_star, t)
         rounds.append((core, X_used))

@@ -425,3 +425,20 @@ def greedy_maximal_clique(n: int, adj) -> int:
             continue
         cur |= 1 << v
     return cur
+
+
+def far_clique(vecs, masks, cutoff: int, mode: str) -> int:
+    """Indices of vectors pairwise far apart: |(x_u ^ x_v) & S| >= cutoff
+    for every mask S.  ``exact`` takes a maximum clique of the far-pair
+    graph, ``greedy`` a maximal one; callers cap the exact size."""
+    if mode not in ("exact", "greedy"):
+        raise DomainError("mode must be 'exact' or 'greedy'")
+    n = len(vecs)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u):
+            x = vecs[u] ^ vecs[v]
+            if all((x & S).bit_count() >= cutoff for S in masks):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return (max_clique if mode == "exact" else greedy_maximal_clique)(n, adj)

@@ -240,24 +240,13 @@ def colouring_number(spec: PropertySpec, r_max: int = MAX_PATTERN_LENGTH) -> Col
         raise DomainError("unbounded colouring number (no forbidden graphs)")
     if r_max > MAX_PATTERN_LENGTH:
         raise DomainError(f"r_max capped at {MAX_PATTERN_LENGTH}")
-
-    def witness_at(r: int):
-        for ones in range(r + 1):
-            v = (1,) * ones + (0,) * (r - ones)
-            if all(hrv_member(F, v) is None for F in spec.forbidden):
-                return v
-        return None
-
-    best_v = witness_at(1)
-    if best_v is None:
+    # r = 1 is always examined, so r_max < 1 reports a capped 1
+    patterns = valid_hrv_patterns(spec, max(r_max, 1))
+    if not patterns:
         return ColouringNumber(0, False, True, None)
-    value = 1
-    for r in range(2, r_max + 1):
-        v = witness_at(r)
-        if v is None:
-            return ColouringNumber(value, False, False, best_v)
-        value, best_v = r, v
-    return ColouringNumber(value, True, False, best_v)
+    value = patterns[-1][0]
+    witness = next(v for r, v in patterns if r == value)
+    return ColouringNumber(value, value >= r_max, False, witness)
 
 
 def valid_hrv_patterns(spec: PropertySpec, r_max: int = MAX_PATTERN_LENGTH):

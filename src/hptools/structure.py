@@ -13,14 +13,13 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import DomainError, StepError
-from .freeness import find_uk_copy
-from .graphs import (Graph, bits, greedy_maximal_clique, induced_subgraph,
-                     k_submasks, mask_of, max_clique, part_masks)
+from .freeness import MAX_UK_HOST, find_uk_copy
+from .graphs import (Graph, bits, far_clique, induced_subgraph, k_submasks,
+                     mask_of, part_masks)
 from .regularity import min_intra_edges_parts, toy_bbs_parts
 from .universal import shatters, universal_layer_sizes
 
 MAX_BAD_EXACT = 24
-MAX_PACK_VERTICES = 40
 
 
 def clone_cutoff(alpha, n: int) -> int:
@@ -44,11 +43,6 @@ def is_alpha_clone(G: Graph, u: int, v: int, A: int, alpha) -> bool:
     return ((G.adj[u] ^ G.adj[v]) & A).bit_count() <= clone_cutoff(alpha, G.n)
 
 
-def _bad_pair(G: Graph, pmasks, u: int, v: int, cutoff: int) -> bool:
-    x = G.adj[u] ^ G.adj[v]
-    return all((x & S).bit_count() >= cutoff for S in pmasks)
-
-
 @dataclass(frozen=True)
 class BadSetResult:
     vertices: int
@@ -63,22 +57,10 @@ def max_bad_set(G: Graph, parts, alpha, mode: str = "exact",
     maximal set flagged as a lower bound.  An explicit ``r`` admits empty
     parts, which kill every bad pair once the cutoff is positive."""
     pmasks = part_masks(parts, r)
-    cutoff = clone_cutoff(alpha, G.n)
-    adj = [0] * G.n
-    for u in range(G.n):
-        for v in range(u):
-            if _bad_pair(G, pmasks, u, v, cutoff):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    if mode == "exact":
-        if G.n > MAX_BAD_EXACT:
-            raise DomainError(f"exact mode capped at {MAX_BAD_EXACT} vertices")
-        best = max_clique(G.n, adj) if G.n else 0
-        return BadSetResult(best, best.bit_count(), True)
-    if mode == "greedy":
-        best = greedy_maximal_clique(G.n, adj) if G.n else 0
-        return BadSetResult(best, best.bit_count(), False)
-    raise DomainError("mode must be 'exact' or 'greedy'")
+    if mode == "exact" and G.n > MAX_BAD_EXACT:
+        raise DomainError(f"exact mode capped at {MAX_BAD_EXACT} vertices")
+    best = far_clique(G.adj, pmasks, clone_cutoff(alpha, G.n), mode)
+    return BadSetResult(best, best.bit_count(), mode == "exact")
 
 
 def _clone_part(adj, pmasks, bad, cutoff: int, v: int) -> int:
@@ -261,8 +243,8 @@ def extract_universal_packing(G: Graph, parts, k: int,
     """The packing loop: for t from r+1 down to 2, repeatedly take the first
     placeable t-level copy, remove its vertices, and continue.  Levels too
     large to fit simply contribute no pieces."""
-    if G.n > MAX_PACK_VERTICES:
-        raise DomainError(f"packing capped at {MAX_PACK_VERTICES} vertices")
+    if G.n > MAX_UK_HOST:
+        raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
     parts = tuple(parts)
     pmasks = part_masks(parts, r)
     r = len(pmasks)

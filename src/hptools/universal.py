@@ -47,14 +47,18 @@ def sauer_bound(g: int, k: int) -> int:
     return sum(comb(g, i) for i in range(k))
 
 
-def _is_shattered(traces, X: int) -> bool:
-    need = 1 << X.bit_count()
-    seen = set()
-    for t in traces:
-        seen.add(t & X)
-        if len(seen) == need:
-            return True
-    return False
+def first_realizers(rows, pool: int, X: int, need: int) -> dict[int, int]:
+    """Map each trace ``rows[a] & X`` to its first realizer a, scanning a
+    over ``bits(pool)`` in ascending order and stopping once ``need``
+    traces are found.  X is shattered iff ``need = 2^|X|`` are found."""
+    found: dict[int, int] = {}
+    for a in bits(pool):
+        tr = rows[a] & X
+        if tr not in found:
+            found[tr] = a
+            if len(found) == need:
+                break
+    return found
 
 
 def find_shattered(family: TraceFamily, k: int):
@@ -63,8 +67,11 @@ def find_shattered(family: TraceFamily, k: int):
     Relaxed entry point: no size precondition; returns None when no k-subset
     is shattered.
     """
+    traces = tuple(family.traces)
+    pool = (1 << len(traces)) - 1
+    need = 1 << k
     for X in k_submasks(family.ground, k):
-        if _is_shattered(family.traces, X):
+        if len(first_realizers(traces, pool, X, need)) == need:
             return X
     return None
 
@@ -107,14 +114,8 @@ def shatters(G: Graph, A: int, B: int):
     need = 1 << k
     if A.bit_count() < need:
         return None
-    realizers: dict[int, int] = {}
-    for a in bits(A):
-        tr = G.adj[a] & B
-        if tr not in realizers:
-            realizers[tr] = a
-            if len(realizers) == need:
-                return ShatterWitness(B, realizers)
-    return None
+    realizers = first_realizers(G.adj, A, B, need)
+    return ShatterWitness(B, realizers) if len(realizers) == need else None
 
 
 # ---------------------------------------------------------------------------
@@ -223,35 +224,26 @@ def construct_universal_star(r: int, k: int, v) -> LayeredUniversal:
 
 
 def reverse_shatter(G: Graph, A: int, B: int, t: int):
-    """From A -> B with |B| >= 2^t, produce (A', B') with B' -> A', |A'| = t.
-
-    The 2^t lowest vertices of B are labeled with the binary hypercube in
-    index order; A' collects the realizers of the t origin-containing faces.
-    """
+    """From A -> B with |B| >= 2^t, produce (A', B') with B' -> A', |A'| = t:
+    the aligned reverse construction with the single set A."""
     if t < 0:
         raise DomainError("t must be nonnegative")
     if B.bit_count() < 1 << t:
         raise DomainError("need |B| >= 2^t")
-    witness = shatters(G, A, B)
-    if witness is None:
+    if shatters(G, A, B) is None:
         raise DomainError("A does not shatter B")
-    B0 = bottom_bits(B, 1 << t)
-    b_verts = list(bits(B0))
-    a_prime = 0
-    for j in range(t):
-        face = 0
-        for label, b in enumerate(b_verts):
-            if not label >> j & 1:
-                face |= 1 << b
-        a_prime |= 1 << witness.realizers[face]
-    check = shatters(G, B0, a_prime)
-    assert check is not None, "reverse construction failed its own check"
+    (a_prime,), B0 = aligned_reverse_shatter(G, [A], B, t)
     return a_prime, B0
 
 
 def aligned_reverse_shatter(G: Graph, A_list, B: int, t: int):
     """Shared-labeling extension: each A_j -> B, |B| >= 2^(rt); produce
-    (A'_1..A'_r, B') with B' -> union of the A'_j and |A'_j| = t."""
+    (A'_1..A'_r, B') with B' -> union of the A'_j and |A'_j| = t.
+
+    The 2^(rt) lowest vertices of B are labeled with the binary hypercube in
+    index order; A'_j collects A_j's realizers of the t origin-containing
+    faces jt .. jt + t - 1.
+    """
     A_list = list(A_list)
     r = len(A_list)
     if r < 1 or t < 0:

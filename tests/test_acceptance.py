@@ -193,7 +193,7 @@ def test_criterion_6_exact_bipartite_counting():
         for n in range(1, 17):
             if m * n > 16:
                 continue
-            for k in (1, 2):
+            for k in (1, 2, 3):
                 for mode in ("whole", "cross"):
                     assert count_uk_free_bipartite(m, n, k, mode) == \
                         numpy_count_uk_free(m, n, k, mode)

@@ -299,6 +299,7 @@ def _mutated(data, path, value):
     (PACKING, ("pieces", 0, "placement", 0), -1, "'pieces[0].placement'"),
     (PACKING, ("pieces", 0, "layers", 1), [0, "x"], "'pieces[0].layers[1]'"),
     (PACKING, ("residual",), DELETE, "lacks field 'residual'"),
+    (PACKING, ("r",), 65, "'r' exceeds the 64-part cap"),
 ])
 def test_verify_rejects_malformed_fields(data, path, value, needle):
     rc, out, err = verify_text(json.dumps(_mutated(data, path, value)))
@@ -395,6 +396,14 @@ def test_pack_parts_must_match_graph(tmp_path, capsys):
      "--usub lists '\u0663'"),
     (["sparsen", "--bipgraph", "{bg}", "--usub", "0,5", "--alpha", "0.25"],
      "--usub lists a vertex outside 0..4"),
+    (["pack", "--graph", "{g}", "--parts", "0,0,0,1,1,64", "--k", "1"],
+     "--parts lists a label outside 0..63"),
+    (["decompose", "--graph", "{g}", "--parts", "0,0,0,1,1,64", "--r", "2",
+      "--k", "1", "--alpha", "0.25"], "--parts lists a label outside 0..63"),
+    (["decompose", "--graph", "{g}", "--r", "65", "--k", "1",
+      "--alpha", "0.25"], "--r exceeds the 64-part cap"),
+    (["sparsen", "--graph", "{g}", "--parts", "0,0,0,1,1,64", "--core", "0,3",
+      "--t", "1", "--alpha", "0.25"], "--parts lists a label outside 0..63"),
 ])
 def test_malformed_list_options_exit_1(tmp_path, capsys, argv, needle):
     gpath = tmp_path / "g.g6"

@@ -91,7 +91,7 @@ def test_uk_copy_matches_naive_all_pairs_oracle():
 def test_uk_copy_caps():
     from hptools import random_graph
     with pytest.raises(DomainError):
-        find_uk_copy(random_graph(25, 0.5, seed=0), 1)
+        find_uk_copy(random_graph(41, 0.5, seed=0), 1)
     with pytest.raises(DomainError):
         find_uk_copy(random_graph(5, 0.5, seed=0), 5)
 
@@ -123,15 +123,6 @@ def test_count_free_monotone_in_k():
         for mode in ("whole", "cross"):
             assert count_uk_free_bipartite(m, n, 2, mode) <= \
                 count_uk_free_bipartite(m, n, 3, mode)
-
-
-def test_count_free_shards_sum_to_total():
-    from hptools.freeness import count_uk_free_bipartite_range
-    total = 1 << 9
-    whole = count_uk_free_bipartite(3, 3, 2, "whole")
-    sharded = sum(count_uk_free_bipartite_range(3, 3, 2, "whole", lo, lo + 128)
-                  for lo in range(0, total, 128))
-    assert sharded == whole
 
 
 def test_count_free_caps():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hptools import (DomainError, PropertySpec, abt_bounds, bits,
-                     colouring_number, count_hrv, dump_property,
+from hptools import (ColouringNumber, DomainError, PropertySpec, abt_bounds,
+                     bits, colouring_number, count_hrv, dump_property,
                      enumerate_labeled, enumerate_property, graph_from_edges,
                      hrv_member, induced_subgraph, is_member, load_property,
                      random_graph, speed, valid_hrv_patterns)
@@ -182,6 +182,11 @@ def test_colouring_number_edge_cases():
     # empty graphs forbidden at every r: the capped flag fires
     chi2 = colouring_number(spec_of(complete_graph(2)), r_max=3)
     assert chi2.value == 1 and not chi2.capped
+    # r = 1 is examined whatever r_max says; reaching r_max is capped
+    k3 = spec_of(complete_graph(3))
+    assert colouring_number(k3, r_max=0) == ColouringNumber(1, True, False, (0,))
+    assert colouring_number(k3, r_max=2) == ColouringNumber(2, True, False, (0, 0))
+    assert colouring_number(k3, r_max=3) == ColouringNumber(2, False, False, (0, 0))
 
 
 def test_observation8_finite_inequality(k3, c4):

@@ -401,6 +401,15 @@ def test_verify_decomposition_budget():
     assert not verify_decomposition(G, everything, budget_eps=0.5)
 
 
+def test_decompose_beyond_the_exact_bad_set_cap():
+    # n = 30 takes the greedy bad set, and the final U(k) check must accept
+    # every host the packing accepts
+    G = graph_from_edges(30, [])
+    cert = decompose(G, 1, 2, Fraction(1, 4))
+    assert cert.parts == (G.vertex_mask & ~cert.exceptional,)
+    assert verify_decomposition(G, cert)
+
+
 def test_decompose_default_parts():
     G = random_graph(10, 0.5, seed=9)
     cert = decompose(G, 2, 1, Fraction(1, 4))

@@ -12,7 +12,7 @@ from hptools import (DomainError, TraceFamily, aligned_reverse_shatter, bits,
                      random_graph, reverse_shatter, sauer_bound,
                      sauer_find_shattered, shatters)
 from hptools.graphs import Graph
-from hptools.universal import universal_layer_sizes
+from hptools.universal import first_realizers, universal_layer_sizes
 
 
 # --- construct_universal ---------------------------------------------------
@@ -83,6 +83,19 @@ def test_shatters_monotone(rnd):
     keep = set(w.realizers.values())
     A2 = mask_of(v for v in bits(uni.A) if v in keep or rnd.random() < 0.5)
     assert shatters(G, A2, uni.B) is not None
+
+
+@given(st.lists(st.integers(0, 63), max_size=12), st.integers(0, 4095),
+       st.integers(0, 63), st.integers(1, 70))
+@settings(max_examples=200, deadline=None)
+def test_first_realizers_matches_first_occurrence_scan(rows, pool, X, need):
+    pool &= (1 << len(rows)) - 1
+    want = {}
+    for a in range(len(rows)):
+        if pool >> a & 1 and len(want) < need:
+            want.setdefault(rows[a] & X, a)
+    got = first_realizers(rows, pool, X, need)
+    assert list(got.items()) == list(want.items())
 
 
 # --- generalized / starred universal graphs ---------------------------------
