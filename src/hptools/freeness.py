@@ -18,7 +18,8 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import DomainError, StepError
-from .graphs import Graph, bits, far_clique, k_submasks, mask_of, part_masks
+from .graphs import (MAX_VERTICES, Graph, bits, far_clique, k_submasks, mask_of,
+                     part_masks)
 from .universal import (TraceFamily, aligned_reverse_shatter, find_shattered,
                         first_realizers, reverse_shatter, shatters)
 
@@ -517,6 +518,8 @@ def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
     """
     if direction not in ("to-core", "from-core"):
         raise DomainError("direction must be 'to-core' or 'from-core'")
+    if t < 0:
+        raise DomainError("t must be non-negative")
     pmasks = part_masks(parts)
     r = len(pmasks)
     n = G.n
@@ -542,6 +545,13 @@ def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
                                   direction, seed)
         return SparseningOutput(B, classes, params, True, True)
 
+    # |B| <= 64 < 2^(2^3), so an inner t of 3 or more always starves; decide
+    # that from t and r*t before forming 2^(rt) or the tower 2^(2^t_inner)
+    if (t >= 3 if direction == "to-core" else r * t >= 2):
+        inner = t if direction == "to-core" else f"(2^{r * t})"
+        raise StepError("core-selection",
+                        f"need |B| >= 2^(2^{inner}) trace patterns, more than "
+                        f"the {MAX_VERTICES}-vertex cap allows; have {c}")
     t_inner = t if direction == "to-core" else 1 << (r * t)
     if c < 1 << (1 << t_inner):
         raise StepError("core-selection",

@@ -169,57 +169,59 @@ def induced_subgraph(G: Graph, S: int) -> Graph:
 # induced-subgraph search
 
 
-def contains_induced(G: Graph, H: Graph):
+def contains_induced(G, H: Graph, pin: int | None = None):
     """Find an injective map phi with uv in E(H) iff phi(u)phi(v) in E(G).
 
-    Exhaustive backtracking with degree pruning; returns the map as a tuple
-    (phi[h] = image vertex) or None.  The first witness in the search order
-    is returned, so results are deterministic.
-    """
-    if H.n > G.n:
-        return None
-    if H.n == 0:
-        return ()
-    # order pattern vertices: place high-degree, well-connected vertices early
-    order = sorted(range(H.n), key=lambda h: -H.degree(h))
-    placed: list[int] = []
-    image = [-1] * H.n
-    used = 0
-    gdeg = [G.degree(v) for v in range(G.n)]
-    gcodeg = [G.n - 1 - d for d in gdeg]
-    hdeg = [H.degree(h) for h in range(H.n)]
-    hcodeg = [H.n - 1 - d for d in hdeg]
+    Returns the map as a tuple (phi[h] = image vertex) or None.  With
+    ``pin`` set, only maps whose image contains vertex ``pin`` count.  The
+    host G is a Graph or a pair ``(n, rows)`` of bit rows, of which only the
+    first n are read, so a caller can search a prefix of rows it is still
+    building.
 
-    def bt(i: int) -> bool:
-        nonlocal used
-        if i == len(order):
+    Bitset backtracking: pattern vertices are placed by descending degree
+    (stable), each onto the candidates of its mask in ascending order, and
+    placing h at g narrows every later mask to the neighbours or the
+    non-neighbours of g as H requires.  A branch ends as soon as a mask
+    empties, which cuts only dead branches, so the first witness in this
+    order is returned and results are deterministic.
+    """
+    n, adj = G if isinstance(G, tuple) else (G.n, G.adj)
+    if H.n > n:
+        return None
+    hadj = H.adj
+    image = [-1] * H.n
+
+    def bt(seq, masks) -> bool:
+        # seq[0] goes onto a vertex of masks[0]; masks[i] serves seq[i]
+        if not seq:
             return True
-        h = order[i]
-        for g in range(G.n):
-            if used >> g & 1:
-                continue
-            if gdeg[g] < hdeg[h] or gcodeg[g] < hcodeg[h]:
-                continue
-            row = G.adj[g]
-            ok = True
-            for h2 in placed:
-                if (H.adj[h] >> h2 & 1) != (row >> image[h2] & 1):
-                    ok = False
+        h, later = seq[0], seq[1:]
+        hrow, cand, rest = hadj[h], masks[0], masks[1:]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            g = low.bit_length() - 1
+            row = adj[g]
+            anti = ~(row | low)
+            nxt = []
+            for m, h2 in zip(rest, later):
+                m &= row if hrow >> h2 & 1 else anti
+                if not m:
                     break
-            if not ok:
-                continue
-            image[h] = g
-            placed.append(h)
-            used |= 1 << g
-            if bt(i + 1):
-                return True
-            used &= ~(1 << g)
-            placed.pop()
-            image[h] = -1
+                nxt.append(m)
+            else:
+                image[h] = g
+                if bt(later, nxt):
+                    return True
         return False
 
-    if bt(0):
-        return tuple(image)
+    order = sorted(range(H.n), key=lambda h: -hadj[h].bit_count())
+    full = [(1 << n) - 1] * H.n
+    if pin is None:
+        return tuple(image) if bt(order, full) else None
+    for h in order:  # h is the pattern vertex placed on the pin
+        if bt([h] + [x for x in order if x != h], [1 << pin] + full[1:]):
+            return tuple(image)
     return None
 
 
@@ -261,18 +263,12 @@ def edge_mask_of(G: Graph) -> int:
     return emask
 
 
-def enumerate_labeled(n: int, predicate=None, start: int = 0, stop: int | None = None):
+def enumerate_labeled(n: int, predicate=None):
     """Stream every labeled graph on [n] passing ``predicate``, ascending edge
-    bitmask.  ``start``/``stop`` restrict to a sub-range of edge bitmasks so
-    disjoint shards can be consumed independently (each graph appears in
-    exactly one shard).
-    """
+    bitmask."""
     if not 0 <= n <= MAX_ENUM_VERTICES:
         raise DomainError(f"full enumeration capped at n <= {MAX_ENUM_VERTICES}")
-    total = 1 << (n * (n - 1) // 2)
-    if stop is None or stop > total:
-        stop = total
-    for emask in range(max(start, 0), stop):
+    for emask in range(1 << (n * (n - 1) // 2)):
         G = graph_from_edge_mask(n, emask)
         if predicate is None or predicate(G):
             yield G

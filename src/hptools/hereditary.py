@@ -89,15 +89,12 @@ def enumerate_property(spec: PropertySpec, n: int):
     if not 0 <= n <= MAX_ENUM_VERTICES:
         raise DomainError(f"enumeration capped at n <= {MAX_ENUM_VERTICES}")
     forb = spec.forbidden
-    min_forb = min((F.n for F in forb), default=1)
     rows = [0] * n
 
     def clean(v: int) -> bool:
         # does some forbidden graph appear induced in the prefix, touching v?
-        if v + 1 < min_forb:
-            return True
         for F in forb:
-            if F.n <= v + 1 and _pinned_copy(rows, v + 1, F, v):
+            if contains_induced((v + 1, rows), F, pin=v) is not None:
                 return False
         return True
 
@@ -121,47 +118,6 @@ def enumerate_property(spec: PropertySpec, n: int):
             yield Graph(0, ())
         return
     yield from rec(0)
-
-
-def _pinned_copy(rows, nv: int, H: Graph, pin: int) -> bool:
-    """Is there an induced copy of H in the raw-row prefix whose image
-    contains vertex ``pin``?  Works on the mutable row list directly so the
-    enumeration DFS avoids per-node object churn."""
-    hadj = H.adj
-    image = [-1] * H.n
-    for h_pin in range(H.n):
-        order = [h_pin] + [h for h in range(H.n) if h != h_pin]
-        used = 0
-
-        def bt(i: int) -> bool:
-            nonlocal used
-            if i == len(order):
-                return True
-            h = order[i]
-            hrow = hadj[h]
-            candidates = (pin,) if i == 0 else range(nv)
-            for g in candidates:
-                if used >> g & 1:
-                    continue
-                grow = rows[g]
-                ok = True
-                for h2 in order[:i]:
-                    if (hrow >> h2 & 1) != (grow >> image[h2] & 1):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                image[h] = g
-                used |= 1 << g
-                if bt(i + 1):
-                    return True
-                used &= ~(1 << g)
-                image[h] = -1
-            return False
-
-        if bt(0):
-            return True
-    return False
 
 
 def speed(spec: PropertySpec, n: int) -> SpeedRow:

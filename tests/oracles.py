@@ -10,24 +10,32 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from hptools import (BipGraph, Graph, PackingPiece, PackingReport, bits,
-                     find_uk_copy, is_epsilon_regular, mask_of, part_masks)
+from hptools import (Graph, PackingPiece, PackingReport, bits,
+                     is_epsilon_regular, mask_of, part_masks)
 from hptools.graphs import k_submasks
 from hptools.universal import universal_layer_sizes
+
+
+def is_induced_embedding(G: Graph, H: Graph, image) -> bool:
+    """Is ``image`` (image[h] in V(G)) injective, with ab in E(H) iff
+    image[a]image[b] in E(G)?"""
+    return len(set(image)) == H.n and all(0 <= g < G.n for g in image) and all(
+        (H.adj[a] >> b & 1) == (G.adj[image[a]] >> image[b] & 1)
+        for a in range(H.n) for b in range(a))
 
 
 def naive_contains_induced(G: Graph, H: Graph):
     """All injections V(H) -> V(G), checked edge by edge."""
     for image in permutations(range(G.n), H.n):
-        ok = True
-        for a in range(H.n):
-            for b in range(a):
-                if (H.adj[a] >> b & 1) != (G.adj[image[a]] >> image[b] & 1):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if is_induced_embedding(G, H, image):
+            return image
+    return None
+
+
+def naive_pinned_copy(G: Graph, H: Graph, pin: int):
+    """All injections V(H) -> V(G) whose image contains ``pin``."""
+    for image in permutations(range(G.n), H.n):
+        if pin in image and is_induced_embedding(G, H, image):
             return image
     return None
 

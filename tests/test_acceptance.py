@@ -7,10 +7,8 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from hptools import (BipGraph, PropertySpec, TraceFamily, aligned_reverse_shatter,
-                     bits, construct_universal, count_hrv,
+                     construct_universal, count_hrv,
                      count_nonshattering_attachments, count_uk_free_bipartite,
                      colouring_number, decompose, distinguishing_set,
                      enumerate_property, extract_universal_packing, find_uk_copy,

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 import hptools
 from hptools import (decompose, extract_universal_packing, graph6_encode,
-                     graph_from_edges, random_graph)
+                     random_graph)
 from hptools.cli import (build_parser, certificate_to_dict, main,
                          packing_to_dict)
-from hptools.freeness import bipgraph_encode, random_bipgraph
+from hptools.freeness import bipgraph_encode, planted_clone_instance, random_bipgraph
 
 from conftest import complete_graph
 
@@ -112,6 +112,20 @@ def test_sparsen_distinguishing(tmp_path, capsys):
         assert len(rep["results"]["X"]) == rep["results"]["size"]
     else:
         assert rc == 1  # separation precondition can fail for a random draw
+
+
+@pytest.mark.parametrize("t, direction", [("2", "from-core"), ("3", "to-core"),
+                                          ("1000", "from-core"), ("-1", "to-core")])
+def test_sparsen_clone_classes_large_or_negative_t(tmp_path, capsys, t, direction):
+    G, parts, core = planted_clone_instance(2, 2, 1)
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph6_encode(G) + b"\n")
+    rc, out, err = run(capsys, "sparsen", "--graph", str(gpath),
+                       "--parts", ",".join(map(str, parts)),
+                       "--core", ",".join(str(v) for v in range(G.n) if core >> v & 1),
+                       "--t", t, "--alpha", "0.01", "--direction", direction)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_pack_and_verify_roundtrip(tmp_path, capsys):

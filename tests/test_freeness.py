@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from hptools import (BipGraph, DomainError, StepError, bipgraph_decode,
-                     bipgraph_encode, bits, count_nonshattering_attachments,
+                     bipgraph_encode, count_nonshattering_attachments,
                      count_sparse_bipartite, count_uk_free_bipartite,
                      distinguishing_set, extract_clone_classes, find_uk_copy,
-                     graph_from_edges, is_uk_free, mask_of, max_separated_subset,
+                     graph_from_edges, mask_of, max_separated_subset,
                      planted_clone_instance, random_bipgraph,
                      separated_subset_ceiling, separation_profile, shatters,
                      trace_count_check)
@@ -368,6 +368,24 @@ def test_clone_classes_structured_errors():
     with pytest.raises(StepError) as err:
         extract_clone_classes(G, parts, core, Fraction(2, G.n), 2, seed=0)
     assert err.value.step == "core-selection"  # |B| = 4 < 2^(2^2)
+
+
+@pytest.mark.parametrize("r, t, direction", [(2, 2, "from-core"), (3, 2, "from-core"),
+                                             (1, 3, "to-core"), (1, 10 ** 6, "to-core"),
+                                             (1, 10 ** 6, "from-core")])
+def test_clone_classes_core_selection_never_forms_the_tower(r, t, direction):
+    # |B| <= 64 < 2^(2^3); these needs once raised ValueError or MemoryError
+    G, parts, core = planted_clone_instance(r, 1, copies=1)
+    with pytest.raises(StepError) as err:
+        extract_clone_classes(G, parts, core, 0.01, t, direction=direction)
+    assert err.value.step == "core-selection"
+    assert len(str(err.value)) < 120
+
+
+def test_clone_classes_negative_t():
+    G, parts, core = planted_clone_instance(1, 1, copies=2)
+    with pytest.raises(DomainError):
+        extract_clone_classes(G, parts, core, Fraction(2, G.n), -1)
 
 
 def test_clone_classes_separation_precondition():

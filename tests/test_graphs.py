@@ -1,6 +1,8 @@
 import random
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,7 @@ from hptools.graphs import (edge_mask_of, edgelist_decode, edgelist_encode,
                             k_submasks, max_clique)
 
 from conftest import complete_graph, cycle_graph, path_graph
-from oracles import naive_contains_induced
+from oracles import is_induced_embedding, naive_contains_induced, naive_pinned_copy
 
 
 def test_graph_from_edges_path():
@@ -81,6 +83,46 @@ def test_contains_induced_matches_naive_oracle():
             (naive_contains_induced(G, H) is None)
 
 
+@st.composite
+def graphs(draw, max_n: int, min_n: int = 0):
+    """A graph on min_n..max_n vertices: edgeless, complete or arbitrary."""
+    n = draw(st.integers(min_n, max_n))
+    full = (1 << (n * (n - 1) // 2)) - 1
+    emask = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    return graph_from_edge_mask(n, emask)
+
+
+def to_networkx(G: Graph):
+    X = nx.Graph()
+    X.add_nodes_from(range(G.n))
+    X.add_edges_from(G.edges())
+    return X
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(9), graphs(6))
+def test_contains_induced_agrees_with_oracles(G, H):
+    phi = contains_induced(G, H)
+    found = naive_contains_induced(G, H) is not None
+    assert (phi is not None) == found
+    matcher = GraphMatcher(to_networkx(G), to_networkx(H))
+    assert matcher.subgraph_is_isomorphic() == found  # networkx tests induced copies
+    if phi is not None:
+        assert is_induced_embedding(G, H, phi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(9, min_n=1), graphs(6), st.data())
+def test_pinned_contains_induced_agrees_with_oracle(G, H, data):
+    pin = data.draw(st.integers(0, G.n - 1))
+    pad = data.draw(st.integers(0, 3))  # zero rows past the prefix are never read
+    phi = contains_induced((G.n, list(G.adj) + [0] * pad), H, pin=pin)
+    assert (phi is None) == (naive_pinned_copy(G, H, pin) is None)
+    if phi is not None:
+        assert pin in phi and is_induced_embedding(G, H, phi)
+    assert phi == contains_induced(G, H, pin=pin)
+
+
 def test_enumeration_counts(k3):
     assert sum(1 for _ in enumerate_labeled(3)) == 8
     assert sum(1 for _ in enumerate_labeled(
@@ -95,13 +137,9 @@ def test_enumeration_complete(n):
     assert sum(1 for _ in enumerate_labeled(n)) == 1 << (n * (n - 1) // 2)
 
 
-def test_enumeration_order_and_sharding():
+def test_enumeration_order():
     masks = [edge_mask_of(G) for G in enumerate_labeled(4)]
     assert masks == list(range(64))
-    sharded = []
-    for lo in range(0, 64, 16):
-        sharded += list(enumerate_labeled(4, None, start=lo, stop=lo + 16))
-    assert sharded == list(enumerate_labeled(4))
 
 
 def test_enumeration_cap():

@@ -1,11 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hptools import (ColouringNumber, DomainError, PropertySpec, abt_bounds,
-                     bits, colouring_number, count_hrv, dump_property,
+                     colouring_number, count_hrv, dump_property,
                      enumerate_labeled, enumerate_property, graph_from_edges,
                      hrv_member, induced_subgraph, is_member, load_property,
                      random_graph, speed, valid_hrv_patterns)
@@ -79,11 +77,13 @@ def test_speed_degenerate_spec():
     assert speed(spec_of(one), 3).count == 0
 
 
-def test_pruned_enumeration_matches_plain_filter():
+def test_pruned_enumeration_matches_plain_filter(k3, c4):
     rng = random.Random(9)
-    for _ in range(6):
-        h = random_graph(rng.randint(2, 4), rng.random(), seed=rng.random())
-        spec = spec_of(h)
+    specs = [spec_of(random_graph(rng.randint(2, 4), rng.random(), seed=rng.random()))
+             for _ in range(6)]
+    three_k1 = graph_from_edges(3, [])
+    specs += [spec_of(three_k1), spec_of(k3, three_k1), spec_of(c4, path_graph(4))]
+    for spec in specs:
         for n in range(6):
             plain = [edge_mask_of(G) for G in
                      enumerate_labeled(n, lambda g: is_member(spec, g))]

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,7 +12,6 @@ from hptools import (BBSPartition, DomainError, bits, graph_from_edges,
                      verify_bbs_partition)
 from hptools.graphs import complement, part_masks
 
-from conftest import complete_graph
 from oracles import (naive_epsilon_regular, naive_min_intra_edges_bipartition,
                      naive_toy_szemeredi_partition)
 

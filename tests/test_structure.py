@@ -10,13 +10,12 @@ from hptools import (DomainError, PackingPiece, PackingReport, alpha_adjust,
                      bits, clone_index, construct_generalized_universal,
                      decompose, decomposition_failures,
                      extract_universal_packing, graph_from_edges,
-                     induced_subgraph, is_alpha_clone, mask_of, max_bad_set,
+                     is_alpha_clone, mask_of, max_bad_set,
                      random_graph, shatters, verify_decomposition,
                      verify_packing_maximality, verify_packing_report)
 from hptools.graphs import part_masks
 from hptools.structure import CloneParams, clone_cutoff
 
-from conftest import complete_graph
 from oracles import naive_extract_universal_packing
 
 

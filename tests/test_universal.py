@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from hptools import (DomainError, TraceFamily, aligned_reverse_shatter, bits,
                      construct_generalized_universal, construct_universal,
-                     construct_universal_star, contains_induced, find_shattered,
+                     construct_universal_star, find_shattered,
                      find_universal_star_embedding, graph_from_edges, mask_of,
-                     random_graph, reverse_shatter, sauer_bound,
+                     reverse_shatter, sauer_bound,
                      sauer_find_shattered, shatters)
-from hptools.graphs import Graph
-from hptools.universal import first_realizers, universal_layer_sizes
+from hptools.universal import first_realizers
 
 
 # --- construct_universal ---------------------------------------------------
