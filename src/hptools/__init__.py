@@ -31,7 +31,7 @@ from .regularity import (BBSPartition, BBSReport, greedy_turan_transversal,
                          is_epsilon_regular, is_grey, min_intra_edges_parts,
                          pair_density, toy_bbs_parts, toy_szemeredi_partition,
                          verify_bbs_partition)
-from .structure import (AdjustmentReport, BadSetResult, CloneParams,
+from .structure import (AdjustmentReport, BadSetResult,
                         DecompositionCertificate, PackingPiece, PackingReport,
                         alpha_adjust, clone_index, decompose,
                         decomposition_failures, default_parts,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -146,6 +147,16 @@ def _ints(values, lo: int, hi: int, name: str) -> list[int]:
     return values
 
 
+def _number(data: dict, key: str, where: str = ""):
+    """A finite number: JSON readers accept NaN and the infinities, which
+    RFC 8259 does not."""
+    value = _need(data, key, (int, float), where)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"certificate field {where + key!r} must be a "
+                          "finite number")
+    return value
+
+
 def _int_list(data: dict, key: str, lo: int, hi: int, where: str = "") -> list[int]:
     return _ints(_need(data, key, list, where), lo, hi, where + key)
 
@@ -243,9 +254,9 @@ def certificate_from_dict(data: dict) -> tuple[Graph, DecompositionCertificate]:
         bad_set=mask_of(_int_list(prov, "bad_set", 0, n, at)),
         adjusted_labels=tuple(_int_list(prov, "adjusted_labels", 0, r, at)),
         adjustment_ok=_need(prov, "adjustment_ok", bool, at),
-        packing=packing, alpha=_need(prov, "alpha", (int, float), at),
-        eps_out=_need(prov, "eps_out", (int, float), at),
-        budget=_need(data, "budget", (int, float)),
+        packing=packing, alpha=_number(prov, "alpha", at),
+        eps_out=_number(prov, "eps_out", at),
+        budget=_number(data, "budget"),
         budget_ok=_need(data, "budget_ok", bool))
     return G, cert
 
@@ -346,6 +357,7 @@ def cmd_speed(args) -> None:
 
 
 def cmd_census(args) -> None:
+    k = _level(args.k, "--k")
     spec = load_property(args.forbidden)
     chi = colouring_number(spec)
     if chi.degenerate:
@@ -373,7 +385,7 @@ def cmd_census(args) -> None:
                 total += 1
                 try:
                     hint = min_intra_edges_parts(G, r)
-                    cert = decompose(G, r, args.k, args.alpha,
+                    cert = decompose(G, r, k, args.alpha,
                                      parts_hint=hint, eps_out=args.budget_eps)
                 except DomainError:
                     continue
@@ -508,10 +520,36 @@ def cmd_verify(args) -> None:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line, with exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _finite(text: str) -> float:
+    """A float option value other than NaN or an infinity."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _alpha(text: str) -> float:
+    """An --alpha value: a finite float strictly between 0 and 1."""
+    value = _finite(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} does not lie in (0, 1)")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once: parsing leaves it unchanged for ``main``."""
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="hptools",
         description="Exact desk-scale toolkit for universal graphs, "
                     "hereditary speeds, and structure certificates.")
@@ -548,10 +586,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("census", cmd_census, help="per-n speed/entropy/bound table")
     p.add_argument("--forbidden", required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=0.25)
+    p.add_argument("--eps", type=_finite, default=0.5)
+    p.add_argument("--alpha", type=_alpha, default=0.25)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--budget-eps", type=float, default=0.5)
+    p.add_argument("--budget-eps", type=_finite, default=0.5)
     p.add_argument("--certify", action=argparse.BooleanOptionalAction,
                    default=False,
                    help="also decompose every member and report the "
@@ -584,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "graph6", "edgelist"))
     p.add_argument("--parts", help="part label per vertex, comma-separated")
     p.add_argument("--core", help="core vertex set B")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite, required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--direction", choices=("to-core", "from-core"),
                    default="to-core")
@@ -603,16 +641,16 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "graph6", "edgelist"))
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--parts")
-    p.add_argument("--eps-out", type=float, default=0.5)
+    p.add_argument("--eps-out", type=_finite, default=0.5)
 
     p = add("verify", cmd_verify, help="re-verify an emitted certificate")
     p.add_argument("--certificate", required=True)
     p.add_argument("--graph", help="optional cross-check graph file")
     p.add_argument("--graph-format", default="auto",
                    choices=("auto", "graph6", "edgelist"))
-    p.add_argument("--budget-eps", type=float)
+    p.add_argument("--budget-eps", type=_finite)
 
     return top
 

@@ -112,6 +112,17 @@ class Graph:
                 if not self.adj[j] >> i & 1:
                     raise DomainError(f"adjacency not symmetric at ({i},{j})")
 
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph on rows that are valid by construction (n within the cap,
+        one row per vertex inside [n], loopless and symmetric), built
+        without the checks of ``__post_init__``.  Only producers that make
+        such rows themselves call it; every input path builds ``Graph``."""
+        G = object.__new__(cls)
+        object.__setattr__(G, "n", n)
+        object.__setattr__(G, "adj", adj)
+        return G
+
     @property
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
@@ -162,7 +173,7 @@ def induced_subgraph(G: Graph, S: int) -> Graph:
     for v in verts:
         for u in bits(G.adj[v] & S):
             adj[index[v]] |= 1 << index[u]
-    return Graph(len(verts), tuple(adj))
+    return Graph._trusted(len(verts), tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +274,47 @@ def edge_mask_of(G: Graph) -> int:
     return emask
 
 
+def grow_rows(n: int, keep=None):
+    """Every loopless symmetric list of n bit rows, in ascending edge-bitmask
+    order, yielded as one live list that the caller must not keep.
+
+    An odometer over rows: vertex v's backward row takes the values
+    0 .. 2^v - 1 in turn, and the bits it sets in the rows of earlier
+    vertices are set and undone in place.  Vertex 1's block is the most
+    significant, so the order is ascending by construction.  With ``keep``,
+    a prefix whose rows 0..v fail ``keep(v, rows)`` is not extended.
+    """
+    rows = [0] * n
+
+    def rec(v: int):
+        if v == n:
+            yield rows
+            return
+        bit = 1 << v
+        prev = 0
+        for row in range(1 << v):
+            flip = row ^ prev  # toggle bit v in the rows whose edge changed
+            while flip:
+                low = flip & -flip
+                rows[low.bit_length() - 1] ^= bit
+                flip ^= low
+            rows[v] = prev = row
+            if keep is None or keep(v, rows):
+                yield from rec(v + 1)
+        for u in bits(prev):
+            rows[u] ^= bit
+        rows[v] = 0
+
+    yield from rec(0)
+
+
 def enumerate_labeled(n: int, predicate=None):
     """Stream every labeled graph on [n] passing ``predicate``, ascending edge
     bitmask."""
     if not 0 <= n <= MAX_ENUM_VERTICES:
         raise DomainError(f"full enumeration capped at n <= {MAX_ENUM_VERTICES}")
-    for emask in range(1 << (n * (n - 1) // 2)):
-        G = graph_from_edge_mask(n, emask)
+    for rows in grow_rows(n):
+        G = Graph._trusted(n, tuple(rows))
         if predicate is None or predicate(G):
             yield G
 

@@ -13,7 +13,7 @@ from math import comb, log2
 
 from .errors import DomainError
 from .graphs import (Graph, MAX_ENUM_VERTICES, contains_induced, enumerate_labeled,
-                     graph6_decode, graph6_encode)
+                     graph6_decode, graph6_encode, grow_rows)
 
 MAX_FORBIDDEN_ORDER = 10
 MAX_PATTERN_LENGTH = 8
@@ -81,43 +81,29 @@ def _entropy(n: int, count: int) -> float:
 def enumerate_property(spec: PropertySpec, n: int):
     """Stream the graphs of the property on [n] in canonical order.
 
-    Row-building DFS: hereditary closure means a forbidden subgraph in a
-    prefix kills every extension, so pruned branches lose nothing.  Emits
-    exactly the graphs of ``enumerate_labeled(n, is_member)`` in the same
-    ascending edge-bitmask order.
+    The row odometer of ``enumerate_labeled``, pruned: hereditary closure
+    means a forbidden subgraph in a prefix kills every extension, so pruned
+    branches lose nothing.  Emits exactly the graphs of
+    ``enumerate_labeled(n, is_member)`` in the same ascending edge-bitmask
+    order.
     """
     if not 0 <= n <= MAX_ENUM_VERTICES:
         raise DomainError(f"enumeration capped at n <= {MAX_ENUM_VERTICES}")
     forb = spec.forbidden
-    rows = [0] * n
 
-    def clean(v: int) -> bool:
+    def clean(v: int, rows) -> bool:
         # does some forbidden graph appear induced in the prefix, touching v?
         for F in forb:
             if contains_induced((v + 1, rows), F, pin=v) is not None:
                 return False
         return True
 
-    def rec(v: int):
-        if v == n:
-            yield Graph(n, tuple(rows))
-            return
-        for row in range(1 << v):
-            rows[v] = row
-            for u in range(v):
-                if row >> u & 1:
-                    rows[u] |= 1 << v
-            if clean(v):
-                yield from rec(v + 1)
-            for u in range(v):
-                rows[u] &= ~(1 << v)
-        rows[v] = 0
-
     if n == 0:
         if is_member(spec, Graph(0, ())):
             yield Graph(0, ())
         return
-    yield from rec(0)
+    for rows in grow_rows(n, clean):
+        yield Graph._trusted(n, tuple(rows))
 
 
 def speed(spec: PropertySpec, n: int) -> SpeedRow:

@@ -22,20 +22,21 @@ from .universal import shatters, universal_layer_sizes
 MAX_BAD_EXACT = 24
 
 
+def _cutoffs(alpha, n: int) -> tuple[int, int, int]:
+    """floor(c * alpha * n) for c = 1, 2, 3, by integer floor division of
+    one numerator/denominator pair: a float is read by its exact binary
+    value, a string such as "1/4" through Fraction.  For alpha >= 0 this is
+    truncation; below 0 every cutoff is negative, which no bit count meets
+    under either rounding."""
+    if isinstance(alpha, str):
+        alpha = Fraction(alpha)
+    p, q = alpha.as_integer_ratio()
+    pn = p * n
+    return pn // q, 2 * pn // q, 3 * pn // q
+
+
 def clone_cutoff(alpha, n: int) -> int:
-    return int(Fraction(alpha) * n)
-
-
-@dataclass(frozen=True)
-class CloneParams:
-    alpha: float
-    k: int
-    r: int
-    eps_out: float
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise DomainError("alpha must lie in (0,1)")
+    return _cutoffs(alpha, n)[0]
 
 
 def is_alpha_clone(G: Graph, u: int, v: int, A: int, alpha) -> bool:
@@ -101,17 +102,14 @@ def alpha_adjust(G: Graph, parts, B: int, alpha,
     n = G.n
     old_masks = part_masks(parts, r)
     bad = list(bits(B))
-    cutoff2 = clone_cutoff(2 * Fraction(alpha), n)
+    budget, cutoff2, cutoff3 = _cutoffs(alpha, n)
     labels = tuple(_clone_part(G.adj, old_masks, bad, cutoff2, v) for v in range(n))
     new_masks = part_masks(labels, r)
-    budget = clone_cutoff(alpha, n)
     sym = tuple((old_masks[j] ^ new_masks[j]).bit_count() for j in range(r))
     issues = []
     for j in range(r):
         if sym[j] > budget:
             issues.append(f"part {j} moved by {sym[j]} > alpha*n = {budget}")
-    three_alpha = 3 * Fraction(alpha)
-    cutoff3 = clone_cutoff(three_alpha, n)
     for j in range(r):
         for v in bits(new_masks[j]):
             if not any(((G.adj[v] ^ G.adj[b]) & new_masks[j]).bit_count() <= cutoff3
@@ -352,17 +350,34 @@ def default_parts(G: Graph, r: int) -> tuple[int, ...]:
     return min_intra_edges_parts(G, r)
 
 
+def _budget(n: int, eps: float) -> float:
+    """The |A| budget n^(1-eps), refused when it is no finite float."""
+    try:
+        return n ** (1 - eps)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"budget n^(1-eps) is not finite for n = {n}, "
+                          f"eps = {eps}") from None
+
+
 def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
               eps_out: float = 0.5, bad_mode: str = "auto") -> DecompositionCertificate:
     """Full pipeline: maximal (2 alpha)-bad set, alpha-adjustment, universal
     packing, then A = B union packed and S_j = S'_j minus A.
 
-    Each final part is verified U(k)-free before returning.  The |A| budget
-    n^(1-eps_out) is reported, never asserted: it holds for almost all
-    graphs of a property, not for every input.
+    ``alpha`` (a float, a Fraction or a string such as "1/4") must lie in
+    (0, 1).  Each final part is verified U(k)-free before returning.  The
+    |A| budget n^(1-eps_out) is reported, never asserted: it holds for
+    almost all graphs of a property, not for every input.
     """
     if r < 1:
         raise DomainError("need at least one part")
+    try:
+        alpha = Fraction(alpha)
+    except (ValueError, OverflowError):  # NaN, an infinity, a bad string
+        raise DomainError("alpha must lie in (0,1)") from None
+    if not 0 < alpha.numerator < alpha.denominator:  # 0 < alpha < 1
+        raise DomainError("alpha must lie in (0,1)")
+    budget = _budget(G.n, eps_out)
     parts = tuple(parts_hint) if parts_hint is not None else default_parts(G, r)
     if len(parts) != G.n:
         raise DomainError("parts hint does not match the graph")
@@ -370,8 +385,7 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
         raise DomainError("parts hint uses a label outside 0..r-1")
     if bad_mode == "auto":
         bad_mode = "exact" if G.n <= MAX_BAD_EXACT else "greedy"
-    two_alpha = 2 * Fraction(alpha)
-    bad = max_bad_set(G, parts, two_alpha, bad_mode, r)
+    bad = max_bad_set(G, parts, 2 * alpha, bad_mode, r)
     adj = alpha_adjust(G, parts, bad.vertices, alpha, r)
     packing = extract_universal_packing(G, adj.labels, k, r)
     A = bad.vertices | packing.packed_mask()
@@ -382,12 +396,11 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
         if sub.n >= (1 << k) + k and find_uk_copy(sub, k) is not None:
             raise StepError("packing",
                             f"part {j} still contains a U({k}) copy after packing")
-    budget = G.n ** (1 - eps_out)
     return DecompositionCertificate(
         n=G.n, r=r, k=k, exceptional=A, parts=final_parts,
         bad_set=bad.vertices, adjusted_labels=adj.labels,
         adjustment_ok=adj.is_adjustment, packing=packing,
-        alpha=float(Fraction(alpha)), eps_out=eps_out, budget=budget,
+        alpha=float(alpha), eps_out=eps_out, budget=budget,
         budget_ok=A.bit_count() <= budget)
 
 
@@ -406,7 +419,7 @@ def decomposition_failures(G: Graph, cert: DecompositionCertificate,
         if sub.n >= (1 << cert.k) + cert.k and find_uk_copy(sub, cert.k) is not None:
             problems.append(f"part {j} contains a U({cert.k}) copy")
     if budget_eps is not None:
-        budget = G.n ** (1 - budget_eps)
+        budget = _budget(G.n, budget_eps)
         if cert.exceptional.bit_count() > budget:
             problems.append(
                 f"|A| = {cert.exceptional.bit_count()} exceeds n^(1-eps) = {budget:.3f}")

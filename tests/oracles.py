@@ -12,7 +12,7 @@ import numpy as np
 
 from hptools import (Graph, PackingPiece, PackingReport, bits,
                      is_epsilon_regular, mask_of, part_masks)
-from hptools.graphs import k_submasks
+from hptools.graphs import graph_from_edge_mask, k_submasks
 from hptools.universal import universal_layer_sizes
 
 
@@ -22,6 +22,20 @@ def is_induced_embedding(G: Graph, H: Graph, image) -> bool:
     return len(set(image)) == H.n and all(0 <= g < G.n for g in image) and all(
         (H.adj[a] >> b & 1) == (G.adj[image[a]] >> image[b] & 1)
         for a in range(H.n) for b in range(a))
+
+
+def same_as_checked(G: Graph) -> bool:
+    """Does G pass the checked constructor (which raises on invalid rows),
+    and compare and hash equal to the graph it builds?"""
+    checked = Graph(G.n, G.adj)
+    return type(G.adj) is tuple and G == checked and hash(G) == hash(checked)
+
+
+def naive_enumerate_labeled(n: int, pred=None) -> list[Graph]:
+    """Every labeled graph on [n] passing ``pred``, decoded from each edge
+    bitmask in ascending order."""
+    graphs = (graph_from_edge_mask(n, e) for e in range(1 << (n * (n - 1) // 2)))
+    return [G for G in graphs if pred is None or pred(G)]
 
 
 def naive_contains_induced(G: Graph, H: Graph):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import hptools
 from hptools import (decompose, extract_universal_packing, graph6_encode,
-                     random_graph)
+                     graph_from_edges, random_graph)
 from hptools.cli import (build_parser, certificate_to_dict, main,
                          packing_to_dict)
 from hptools.freeness import bipgraph_encode, planted_clone_instance, random_bipgraph
@@ -314,6 +314,11 @@ def _mutated(data, path, value):
     (PACKING, ("pieces", 0, "layers", 1), [0, "x"], "'pieces[0].layers[1]'"),
     (PACKING, ("residual",), DELETE, "lacks field 'residual'"),
     (PACKING, ("r",), 65, "'r' exceeds the 64-part cap"),
+    (DECOMPOSITION, ("budget",), float("nan"), "'budget' must be a finite number"),
+    (DECOMPOSITION, ("provenance", "alpha"), float("inf"),
+     "'provenance.alpha' must be a finite number"),
+    (DECOMPOSITION, ("provenance", "eps_out"), float("-inf"),
+     "'provenance.eps_out' must be a finite number"),
 ])
 def test_verify_rejects_malformed_fields(data, path, value, needle):
     rc, out, err = verify_text(json.dumps(_mutated(data, path, value)))
@@ -489,3 +494,94 @@ def test_python_m_hptools_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.strip() == hptools.__version__
+
+
+# --- numeric options ------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, option", [
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha", "nan"],
+     "--alpha"),
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha", "inf"],
+     "--alpha"),
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha", "-1"],
+     "--alpha"),
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha", "1.5"],
+     "--alpha"),
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha", "0"],
+     "--alpha"),
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha", "1"],
+     "--alpha"),
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha", "x"],
+     "--alpha"),
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha", "0.25",
+      "--eps-out", "nan"], "--eps-out"),
+    (["census", "--forbidden", "{s}", "--n-max", "3", "--certify",
+      "--alpha", "nan"], "--alpha"),
+    (["census", "--forbidden", "{s}", "--n-max", "3", "--alpha", "1.5"],
+     "--alpha"),
+    (["census", "--forbidden", "{s}", "--n-max", "3", "--eps", "inf"], "--eps"),
+    (["census", "--forbidden", "{s}", "--n-max", "3", "--certify",
+      "--budget-eps", "-inf"], "--budget-eps"),
+    (["verify", "--certificate", "{c}", "--budget-eps", "nan"], "--budget-eps"),
+    (["sparsen", "--graph", "{g}", "--parts", "0,0,0,1,1,1", "--core", "0,3",
+      "--t", "1", "--alpha", "nan"], "--alpha"),
+])
+def test_non_finite_or_out_of_range_options_exit_2(tmp_path, capsys, argv, option):
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph6_encode(random_graph(6, 0.5, seed=2)) + b"\n")
+    cpath = tmp_path / "cert.json"
+    cpath.write_text(json.dumps(DECOMPOSITION))
+    spec = write_spec(tmp_path, complete_graph(3))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(g=gpath, s=spec, c=cpath) for a in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert f"error: argument {option}: " in err
+
+
+@pytest.mark.parametrize("n, eps_out", [(10, "-2000"), (0, "2")])
+def test_decompose_budget_that_is_no_finite_float_exits_1(tmp_path, capsys,
+                                                        n, eps_out):
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph6_encode(random_graph(n, 0.5, seed=2)) + b"\n")
+    rc, out, err = run(capsys, "decompose", "--graph", str(gpath), "--r", "2",
+                       "--k", "1", "--alpha", "0.25", "--eps-out", eps_out)
+    assert out == ""
+    assert_one_line_error(rc, err, "budget n^(1-eps) is not finite")
+
+
+@pytest.mark.parametrize("k", ["-1", "0", "65"])
+def test_census_k_outside_levels_exits_1(tmp_path, capsys, k):
+    spec = write_spec(tmp_path, complete_graph(3))
+    rc, out, err = run(capsys, "census", "--forbidden", spec, "--n-max", "4",
+                       "--certify", "--k", k)
+    assert out == ""
+    assert_one_line_error(rc, err, "--k must lie in 1..64")
+
+
+# --- census rows -----------------------------------------------------------------
+
+# (count, hrv_lower, certified_fraction) for n = 1..5; P4-free members mostly
+# fail certification, so its rows exercise the failing path of decompose
+CENSUS_ROWS = {
+    "K3": (3, [(0, 1), (1, 2), (0, 2)], [
+        ("1", "1", "1/1"), ("2", "2", "1/2"), ("7", "7", "1/7"),
+        ("41", "41", "41/41"), ("388", "376", "388/388")]),
+    "P4": (4, [(0, 1), (1, 2), (2, 3)], [
+        ("1", "1", "1/1"), ("2", "1", "1/2"), ("8", "1", "1/8"),
+        ("52", "1", "26/52"), ("472", "1", "76/472")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_ROWS))
+def test_census_certify_rows_pinned(tmp_path, capsys, name):
+    n, edges, want = CENSUS_ROWS[name]
+    spec = write_spec(tmp_path, graph_from_edges(n, edges))
+    rc, out, _ = run(capsys, "census", "--forbidden", spec, "--certify",
+                     "--n-max", "5")
+    assert rc == 0
+    rows = parse(out)["results"]["rows"]
+    assert [r["n"] for r in rows] == [1, 2, 3, 4, 5]
+    assert [(r["count"], r["hrv_lower"], r["certified_fraction"])
+            for r in rows] == want

@@ -7,7 +7,7 @@ from hptools import (BipGraph, DomainError, StepError, bipgraph_decode,
                      bipgraph_encode, count_nonshattering_attachments,
                      count_sparse_bipartite, count_uk_free_bipartite,
                      distinguishing_set, extract_clone_classes, find_uk_copy,
-                     graph_from_edges, mask_of, max_separated_subset,
+                     graph_from_edges, is_uk_free, mask_of, max_separated_subset,
                      planted_clone_instance, random_bipgraph,
                      separated_subset_ceiling, separation_profile, shatters,
                      trace_count_check)
@@ -86,6 +86,23 @@ def test_uk_copy_matches_naive_all_pairs_oracle():
         G = random_graph(n, rng.random(), seed=rng.random())
         for k in (1, 2):
             assert (find_uk_copy(G, k) is not None) == naive_uk_copy(G, k)
+
+
+def test_is_uk_free_is_no_uk_copy():
+    rng = random.Random(11)
+    from hptools import random_graph
+    seen = set()
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        G = random_graph(n, rng.random(), seed=rng.random())
+        split = rng.randrange(1 << n)
+        parts = (split, G.vertex_mask & ~split)
+        for k in (1, 2):
+            assert is_uk_free(G, k) == (find_uk_copy(G, k) is None)
+            assert is_uk_free(G, k, parts) == (find_uk_copy(G, k, parts) is None)
+            assert is_uk_free(G, k, parts=parts) == is_uk_free(G, k, parts)
+            seen |= {is_uk_free(G, k), is_uk_free(G, k, parts)}
+    assert seen == {True, False}
 
 
 def test_uk_copy_caps():

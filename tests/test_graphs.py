@@ -14,7 +14,8 @@ from hptools.graphs import (edge_mask_of, edgelist_decode, edgelist_encode,
                             k_submasks, max_clique)
 
 from conftest import complete_graph, cycle_graph, path_graph
-from oracles import is_induced_embedding, naive_contains_induced, naive_pinned_copy
+from oracles import (is_induced_embedding, naive_contains_induced,
+                     naive_enumerate_labeled, naive_pinned_copy, same_as_checked)
 
 
 def test_graph_from_edges_path():
@@ -140,6 +141,27 @@ def test_enumeration_complete(n):
 def test_enumeration_order():
     masks = [edge_mask_of(G) for G in enumerate_labeled(4)]
     assert masks == list(range(64))
+    for n in range(6):
+        assert list(enumerate_labeled(n)) == naive_enumerate_labeled(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(9), st.data())
+def test_trusted_induced_subgraphs_are_valid_graphs(G, data):
+    S = data.draw(st.integers(0, G.vertex_mask))
+    sub = induced_subgraph(G, S)
+    assert same_as_checked(sub)
+    assert sub.n == S.bit_count()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 5), st.sampled_from([None, 0, 1, 2]))
+def test_trusted_enumerated_graphs_are_valid_graphs(n, degree):
+    # the predicate keeps graphs whose vertex 0 has the drawn degree
+    pred = None if degree is None else (lambda g: g.n > 0 and g.degree(0) == degree)
+    found = list(enumerate_labeled(n, pred))
+    assert all(same_as_checked(G) for G in found)
+    assert found == naive_enumerate_labeled(n, pred)
 
 
 def test_enumeration_cap():

@@ -1,16 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hptools import (ColouringNumber, DomainError, PropertySpec, abt_bounds,
-                     colouring_number, count_hrv, dump_property,
-                     enumerate_labeled, enumerate_property, graph_from_edges,
-                     hrv_member, induced_subgraph, is_member, load_property,
-                     random_graph, speed, valid_hrv_patterns)
-from hptools.graphs import edge_mask_of, k_submasks
+from hptools import (ColouringNumber, DomainError, PropertySpec,
+                     abt_bounds, colouring_number, count_hrv, dump_property,
+                     enumerate_property, graph_from_edges, hrv_member,
+                     induced_subgraph, is_member, load_property, random_graph,
+                     speed, valid_hrv_patterns)
+from hptools.graphs import edge_mask_of, graph_from_edge_mask, k_submasks
 
 from conftest import complete_graph, cycle_graph, path_graph
-from oracles import brute_chi_c, brute_hrv
+from oracles import (brute_chi_c, brute_hrv, naive_enumerate_labeled,
+                     same_as_checked)
 
 
 def spec_of(*graphs) -> PropertySpec:
@@ -86,9 +89,20 @@ def test_pruned_enumeration_matches_plain_filter(k3, c4):
     for spec in specs:
         for n in range(6):
             plain = [edge_mask_of(G) for G in
-                     enumerate_labeled(n, lambda g: is_member(spec, g))]
+                     naive_enumerate_labeled(n, lambda g: is_member(spec, g))]
             pruned = [edge_mask_of(G) for G in enumerate_property(spec, n)]
             assert plain == pruned  # same graphs, same canonical order
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 63)), min_size=1,
+                max_size=2), st.integers(0, 5))
+def test_trusted_property_members_are_valid_graphs(forbidden, n):
+    # each forbidden graph is (order, edge bitmask), the mask cut to the order
+    spec = spec_of(*(graph_from_edge_mask(m, e % (1 << (m * (m - 1) // 2)))
+                     for m, e in forbidden))
+    for G in enumerate_property(spec, n):
+        assert same_as_checked(G) and is_member(spec, G)
 
 
 def test_speed_monotone_in_forbidden_family(k3, c4):

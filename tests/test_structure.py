@@ -14,7 +14,7 @@ from hptools import (DomainError, PackingPiece, PackingReport, alpha_adjust,
                      random_graph, shatters, verify_decomposition,
                      verify_packing_maximality, verify_packing_report)
 from hptools.graphs import part_masks
-from hptools.structure import CloneParams, clone_cutoff
+from hptools.structure import _cutoffs, clone_cutoff
 
 from oracles import naive_extract_universal_packing
 
@@ -67,9 +67,27 @@ def test_clone_cutoff_floor():
     assert clone_cutoff(0.25, 8) == 2
 
 
-def test_clone_params_validation():
-    with pytest.raises(DomainError):
-        CloneParams(alpha=1.5, k=1, r=2, eps_out=0.5)
+@given(st.one_of(st.floats(0, 1, exclude_min=True, exclude_max=True),
+                 st.fractions(0, 1).filter(lambda a: 0 < a < 1)),
+       st.integers(0, 64))
+def test_integer_cutoffs_match_fraction_products(alpha, n):
+    assert _cutoffs(alpha, n) == tuple(int(Fraction(c) * Fraction(alpha) * n)
+                                       for c in (1, 2, 3))
+    assert clone_cutoff(alpha, n) == int(Fraction(alpha) * n)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1, 0, -1, -0.25, float("nan"),
+                                   float("inf"), float("-inf"), Fraction(3, 2)])
+def test_decompose_rejects_alpha_outside_unit_interval(alpha):
+    G = random_graph(8, 0.5, seed=1)
+    with pytest.raises(DomainError, match=r"alpha must lie in \(0,1\)"):
+        decompose(G, 2, 1, alpha)
+
+
+def test_decompose_reads_alpha_exactly():
+    G = random_graph(10, 0.4, seed=6)
+    cert = decompose(G, 2, 1, Fraction(1, 4))
+    assert decompose(G, 2, 1, "1/4") == cert == decompose(G, 2, 1, 0.25)
 
 
 # --- bad sets -----------------------------------------------------------------
