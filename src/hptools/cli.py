@@ -26,10 +26,10 @@ from .graphs import (MAX_VERTICES, Graph, bits, edgelist_decode, graph6_decode,
                      graph6_encode, mask_of)
 from .hereditary import (abt_bounds, colouring_number, count_hrv,
                          enumerate_property, load_property, speed,
-                         valid_hrv_patterns)
+                         undominated_hrv_patterns, valid_hrv_patterns)
 from .regularity import min_intra_edges_parts
 from .structure import (DecompositionCertificate, PackingPiece, PackingReport,
-                        decompose, extract_universal_packing,
+                        _budget, decompose, extract_universal_packing,
                         verify_decomposition, verify_packing_maximality,
                         verify_packing_report)
 from .universal import (construct_generalized_universal, construct_universal,
@@ -358,12 +358,16 @@ def cmd_speed(args) -> None:
 
 def cmd_census(args) -> None:
     k = _level(args.k, "--k")
+    if args.certify and args.n_max >= 1:
+        # n^(1-eps) is finite for every n in 1..n_max iff it is at n_max;
+        # else every decompose would refuse it
+        _budget(args.n_max, args.budget_eps)
     spec = load_property(args.forbidden)
     chi = colouring_number(spec)
     if chi.degenerate:
         raise DomainError("degenerate property: the one-vertex graph is forbidden")
     r = chi.value
-    patterns = valid_hrv_patterns(spec)
+    patterns = undominated_hrv_patterns(valid_hrv_patterns(spec))
     rows = []
     for n in range(1, args.n_max + 1):
         row = speed(spec, n)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError
 
@@ -77,10 +78,11 @@ def part_masks(labels, r: int | None = None) -> list[int]:
     """Convert a part-labeling tuple into per-part vertex masks."""
     if r is None:
         r = (max(labels) + 1) if labels else 0
+    if labels and not (min(labels) >= 0 and max(labels) < r):
+        j = next(j for j in labels if not 0 <= j < r)
+        raise DomainError(f"part label {j} out of range for r={r}")
     masks = [0] * r
     for v, j in enumerate(labels):
-        if not 0 <= j < r:
-            raise DomainError(f"part label {j} out of range for r={r}")
         masks[j] |= 1 << v
     return masks
 
@@ -180,6 +182,48 @@ def induced_subgraph(G: Graph, S: int) -> Graph:
 # induced-subgraph search
 
 
+def _extend(seq, masks, hadj, adj, image) -> bool:
+    """Place pattern vertices ``seq`` (rows ``hadj``) into the host rows
+    ``adj``: seq[0] goes onto a vertex of masks[0], masks[i] serves seq[i].
+    Fills ``image`` and returns True on the first induced copy found."""
+    if not seq:
+        return True
+    h, later = seq[0], seq[1:]
+    hrow, cand, rest = hadj[h], masks[0], masks[1:]
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        g = low.bit_length() - 1
+        row = adj[g]
+        anti = ~(row | low)
+        nxt = []
+        for m, h2 in zip(rest, later):
+            m &= row if hrow >> h2 & 1 else anti
+            if not m:
+                break
+            nxt.append(m)
+        else:
+            image[h] = g
+            if _extend(later, nxt, hadj, adj, image):
+                return True
+    return False
+
+
+@lru_cache(maxsize=256)
+def _pin_plan(H: Graph):
+    """H's degree order and one pinned search sequence per Aut(H) orbit:
+    [h, rest of the order] for each orbit's first vertex h in that order.
+    b joins a's orbit when H has an induced copy in itself with a on b."""
+    hadj = H.adj
+    order = tuple(sorted(range(H.n), key=lambda h: -hadj[h].bit_count()))
+    seqs = []
+    for b in order:
+        head = [1 << b] + [(1 << H.n) - 1] * (H.n - 1)
+        if not any(_extend(seq, head, hadj, hadj, [-1] * H.n) for seq in seqs):
+            seqs.append((b, *(x for x in order if x != b)))
+    return order, tuple(seqs)
+
+
 def contains_induced(G, H: Graph, pin: int | None = None):
     """Find an injective map phi with uv in E(H) iff phi(u)phi(v) in E(G).
 
@@ -195,43 +239,23 @@ def contains_induced(G, H: Graph, pin: int | None = None):
     non-neighbours of g as H requires.  A branch ends as soon as a mask
     empties, which cuts only dead branches, so the first witness in this
     order is returned and results are deterministic.
+
+    The pinned search puts each pattern vertex on the pin in degree order,
+    but only the first vertex of each automorphism orbit of H: a later h'
+    with an automorphism from an earlier h succeeds exactly when h does, and
+    h has already failed.  The witness is the one trying every vertex gives.
     """
     n, adj = G if isinstance(G, tuple) else (G.n, G.adj)
     if H.n > n:
         return None
-    hadj = H.adj
     image = [-1] * H.n
-
-    def bt(seq, masks) -> bool:
-        # seq[0] goes onto a vertex of masks[0]; masks[i] serves seq[i]
-        if not seq:
-            return True
-        h, later = seq[0], seq[1:]
-        hrow, cand, rest = hadj[h], masks[0], masks[1:]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            g = low.bit_length() - 1
-            row = adj[g]
-            anti = ~(row | low)
-            nxt = []
-            for m, h2 in zip(rest, later):
-                m &= row if hrow >> h2 & 1 else anti
-                if not m:
-                    break
-                nxt.append(m)
-            else:
-                image[h] = g
-                if bt(later, nxt):
-                    return True
-        return False
-
-    order = sorted(range(H.n), key=lambda h: -hadj[h].bit_count())
-    full = [(1 << n) - 1] * H.n
     if pin is None:
-        return tuple(image) if bt(order, full) else None
-    for h in order:  # h is the pattern vertex placed on the pin
-        if bt([h] + [x for x in order if x != h], [1 << pin] + full[1:]):
+        order = sorted(range(H.n), key=lambda h: -H.adj[h].bit_count())
+        found = _extend(order, [(1 << n) - 1] * H.n, H.adj, adj, image)
+        return tuple(image) if found else None
+    masks = [1 << pin] + [(1 << n) - 1] * (H.n - 1)
+    for seq in _pin_plan(H)[1]:
+        if _extend(seq, masks, H.adj, adj, image):
             return tuple(image)
     return None
 

@@ -54,6 +54,37 @@ def naive_pinned_copy(G: Graph, H: Graph, pin: int):
     return None
 
 
+def ordered_copy(G: Graph, H: Graph, pin=None):
+    """The first induced copy of H in the order of ``contains_induced`` when
+    it tries every pattern vertex on the pin: pattern vertices by descending
+    degree (stable); with ``pin`` set, each of them in turn goes first, onto
+    the pin; every other one goes onto the smallest host vertex consistent
+    with those placed before it."""
+    order = sorted(range(H.n), key=lambda h: -H.adj[h].bit_count())
+    heads = [None] if pin is None else order
+    for head in heads:
+        seq = order if head is None else [head] + [x for x in order if x != head]
+        image = [-1] * H.n
+
+        def place(i):
+            if i == len(seq):
+                return True
+            x = seq[i]
+            for g in (range(G.n) if i or head is None else [pin]):
+                if g not in image and all(
+                        (H.adj[x] >> y & 1) == (G.adj[g] >> image[y] & 1)
+                        for y in seq[:i]):
+                    image[x] = g
+                    if place(i + 1):
+                        return True
+                    image[x] = -1
+            return False
+
+        if place(0):
+            return tuple(image)
+    return None
+
+
 def naive_uk_copy(G: Graph, k: int, parts=None) -> bool:
     """Scan every disjoint pair (A, B) with |B| = k, |A| = 2^k directly."""
     verts = range(G.n)

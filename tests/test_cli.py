@@ -560,6 +560,14 @@ def test_census_k_outside_levels_exits_1(tmp_path, capsys, k):
     assert_one_line_error(rc, err, "--k must lie in 1..64")
 
 
+def test_census_budget_that_is_no_finite_float_exits_1(tmp_path, capsys):
+    spec = write_spec(tmp_path, complete_graph(3))
+    rc, out, err = run(capsys, "census", "--forbidden", spec, "--n-max", "4",
+                       "--certify", "--budget-eps", "-2000")
+    assert out == ""
+    assert_one_line_error(rc, err, "budget n^(1-eps) is not finite for n = 4")
+
+
 # --- census rows -----------------------------------------------------------------
 
 # (count, hrv_lower, certified_fraction) for n = 1..5; P4-free members mostly
@@ -568,9 +576,21 @@ CENSUS_ROWS = {
     "K3": (3, [(0, 1), (1, 2), (0, 2)], [
         ("1", "1", "1/1"), ("2", "2", "1/2"), ("7", "7", "1/7"),
         ("41", "41", "41/41"), ("388", "376", "388/388")]),
+    "C4": (4, [(0, 1), (1, 2), (2, 3), (3, 0)], [
+        ("1", "1", "1/1"), ("2", "2", "1/2"), ("8", "8", "1/8"),
+        ("61", "58", "61/61"), ("834", "632", "834/834")]),
     "P4": (4, [(0, 1), (1, 2), (2, 3)], [
         ("1", "1", "1/1"), ("2", "1", "1/2"), ("8", "1", "1/8"),
         ("52", "1", "26/52"), ("472", "1", "76/472")]),
+    "claw": (4, [(0, 1), (0, 2), (0, 3)], [
+        ("1", "1", "1/1"), ("2", "2", "1/2"), ("8", "7", "1/8"),
+        ("60", "41", "60/60"), ("769", "376", "769/769")]),
+    "K4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], [
+        ("1", "1", "1/1"), ("2", "2", "2/2"), ("8", "8", "5/8"),
+        ("63", "63", "63/63"), ("958", "958", "958/958")]),
+    "C5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], [
+        ("1", "1", "1/1"), ("2", "2", "1/2"), ("8", "8", "1/8"),
+        ("64", "58", "64/64"), ("1012", "632", "1012/1012")]),
 }
 
 

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from hptools import (DomainError, Graph, bits, complement, contains_induced,
                      enumerate_labeled, graph6_decode, graph6_encode,
                      graph_from_edges, induced_subgraph, mask_of, random_graph)
-from hptools.graphs import (edge_mask_of, edgelist_decode, edgelist_encode,
-                            graph_from_edge_mask, greedy_maximal_clique,
-                            k_submasks, max_clique)
+from hptools.graphs import (_pin_plan, edge_mask_of, edgelist_decode,
+                            edgelist_encode, graph_from_edge_mask,
+                            greedy_maximal_clique, k_submasks, max_clique)
 
 from conftest import complete_graph, cycle_graph, path_graph
 from oracles import (is_induced_embedding, naive_contains_induced,
-                     naive_enumerate_labeled, naive_pinned_copy, same_as_checked)
+                     naive_enumerate_labeled, naive_pinned_copy, ordered_copy,
+                     same_as_checked)
 
 
 def test_graph_from_edges_path():
@@ -106,6 +107,7 @@ def test_contains_induced_agrees_with_oracles(G, H):
     phi = contains_induced(G, H)
     found = naive_contains_induced(G, H) is not None
     assert (phi is not None) == found
+    assert phi == ordered_copy(G, H)
     matcher = GraphMatcher(to_networkx(G), to_networkx(H))
     assert matcher.subgraph_is_isomorphic() == found  # networkx tests induced copies
     if phi is not None:
@@ -122,6 +124,33 @@ def test_pinned_contains_induced_agrees_with_oracle(G, H, data):
     if phi is not None:
         assert pin in phi and is_induced_embedding(G, H, phi)
     assert phi == contains_induced(G, H, pin=pin)
+
+
+# every graph on 1..5 vertices, one per isomorphism class
+ATLAS_5 = [graph_from_edges(X.number_of_nodes(), X.edges())
+           for X in nx.graph_atlas_g()[1:53]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(8, min_n=1), st.sampled_from(ATLAS_5), st.data())
+def test_orbit_pruned_search_gives_the_witness_of_trying_every_vertex(G, H, data):
+    pin = data.draw(st.integers(0, G.n - 1))
+    assert contains_induced(G, H, pin=pin) == ordered_copy(G, H, pin)
+
+
+def test_pin_plan_orbits_match_networkx():
+    for X in nx.graph_atlas_g():
+        if X.number_of_nodes() > 6:
+            break
+        H = graph_from_edges(X.number_of_nodes(), X.edges())
+        order, seqs = _pin_plan(H)
+        assert order == tuple(sorted(range(H.n), key=H.degree, reverse=True))
+        assert all(seq[1:] == tuple(x for x in order if x != seq[0])
+                   for seq in seqs)
+        orbits = {frozenset(phi[a] for phi in GraphMatcher(X, X).isomorphisms_iter())
+                  for a in X}
+        reps = sorted((min(O, key=order.index) for O in orbits), key=order.index)
+        assert [seq[0] for seq in seqs] == reps
 
 
 def test_enumeration_counts(k3):
