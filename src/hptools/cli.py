@@ -26,7 +26,7 @@ from .graphs import (MAX_VERTICES, Graph, bits, edgelist_decode, graph6_decode,
                      graph6_encode, mask_of)
 from .hereditary import (abt_bounds, colouring_number, count_hrv,
                          enumerate_property, load_property, speed,
-                         undominated_hrv_patterns, valid_hrv_patterns)
+                         valid_hrv_patterns)
 from .regularity import min_intra_edges_parts
 from .structure import (DecompositionCertificate, PackingPiece, PackingReport,
                         _budget, decompose, extract_universal_packing,
@@ -367,7 +367,7 @@ def cmd_census(args) -> None:
     if chi.degenerate:
         raise DomainError("degenerate property: the one-vertex graph is forbidden")
     r = chi.value
-    patterns = undominated_hrv_patterns(valid_hrv_patterns(spec))
+    patterns = valid_hrv_patterns(spec)
     rows = []
     for n in range(1, args.n_max + 1):
         row = speed(spec, n)

@@ -209,19 +209,23 @@ def _extend(seq, masks, hadj, adj, image) -> bool:
     return False
 
 
+def _degree_order(H: Graph) -> list[int]:
+    """H's vertices by descending degree, ties in vertex order."""
+    return sorted(range(H.n), key=lambda h: -H.adj[h].bit_count())
+
+
 @lru_cache(maxsize=256)
-def _pin_plan(H: Graph):
-    """H's degree order and one pinned search sequence per Aut(H) orbit:
-    [h, rest of the order] for each orbit's first vertex h in that order.
-    b joins a's orbit when H has an induced copy in itself with a on b."""
-    hadj = H.adj
-    order = tuple(sorted(range(H.n), key=lambda h: -hadj[h].bit_count()))
+def _pin_plan(H: Graph) -> tuple:
+    """One pinned search sequence per Aut(H) orbit: (h, rest of the degree
+    order) for each orbit's first vertex h in that order.  b joins a's
+    orbit when H has an induced copy in itself with a on b."""
+    order = _degree_order(H)
     seqs = []
     for b in order:
         head = [1 << b] + [(1 << H.n) - 1] * (H.n - 1)
-        if not any(_extend(seq, head, hadj, hadj, [-1] * H.n) for seq in seqs):
+        if not any(_extend(seq, head, H.adj, H.adj, [-1] * H.n) for seq in seqs):
             seqs.append((b, *(x for x in order if x != b)))
-    return order, tuple(seqs)
+    return tuple(seqs)
 
 
 def contains_induced(G, H: Graph, pin: int | None = None):
@@ -250,11 +254,11 @@ def contains_induced(G, H: Graph, pin: int | None = None):
         return None
     image = [-1] * H.n
     if pin is None:
-        order = sorted(range(H.n), key=lambda h: -H.adj[h].bit_count())
-        found = _extend(order, [(1 << n) - 1] * H.n, H.adj, adj, image)
+        found = _extend(_degree_order(H), [(1 << n) - 1] * H.n, H.adj, adj,
+                        image)
         return tuple(image) if found else None
     masks = [1 << pin] + [(1 << n) - 1] * (H.n - 1)
-    for seq in _pin_plan(H)[1]:
+    for seq in _pin_plan(H):
         if _extend(seq, masks, H.adj, adj, image):
             return tuple(image)
     return None

@@ -206,17 +206,6 @@ def valid_hrv_patterns(spec: PropertySpec, r_max: int = MAX_PATTERN_LENGTH):
     return out
 
 
-def undominated_hrv_patterns(patterns):
-    """The (r, v) of ``patterns`` that no other one dominates.  Parts may be
-    empty, so H(r',v') lies inside H(r,v) whenever v has at least as many
-    ones and at least as many zeros as v'; the max of ``count_hrv`` over
-    these equals the max over all of ``patterns``."""
-    shapes = [(sum(v), r - sum(v)) for r, v in patterns]
-    return [p for p, (o, z) in zip(patterns, shapes)
-            if not any(o2 >= o and z2 >= z and (o2, z2) != (o, z)
-                       for o2, z2 in shapes)]
-
-
 # ---------------------------------------------------------------------------
 # the speed envelope of the structure theorem
 

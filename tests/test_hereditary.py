@@ -10,7 +10,6 @@ from hptools import (ColouringNumber, DomainError, PropertySpec,
                      induced_subgraph, is_member, load_property, random_graph,
                      speed, valid_hrv_patterns)
 from hptools.graphs import edge_mask_of, graph_from_edge_mask, k_submasks
-from hptools.hereditary import undominated_hrv_patterns
 
 from conftest import complete_graph, cycle_graph, path_graph
 from oracles import (brute_chi_c, brute_hrv, naive_enumerate_labeled,
@@ -210,37 +209,6 @@ def test_observation8_finite_inequality(k3, c4):
         for n in range(1, 5):
             lower = max(count_hrv(n, r, v) for r, v in patterns)
             assert speed(spec, n).count >= lower
-
-
-CENSUS_FORBIDDEN = {"K3": complete_graph(3), "C4": cycle_graph(4),
-                    "P4": path_graph(4),
-                    "claw": graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]),
-                    "K4": complete_graph(4), "C5": cycle_graph(5)}
-
-
-def assert_undominated_max_is_max(spec):
-    patterns = valid_hrv_patterns(spec)
-    kept = undominated_hrv_patterns(patterns)
-    assert set(kept) <= set(patterns)
-    for n in range(1, 6):
-        counts = {p: count_hrv(n, *p) for p in patterns}
-        assert max(counts.values(), default=0) == \
-            max((counts[p] for p in kept), default=0)
-
-
-@pytest.mark.parametrize("name", sorted(CENSUS_FORBIDDEN))
-def test_undominated_patterns_keep_the_census_max(name):
-    assert_undominated_max_is_max(spec_of(CENSUS_FORBIDDEN[name]))
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 63)), min_size=1,
-                max_size=2))
-def test_undominated_patterns_keep_the_max(forbidden):
-    # each forbidden graph is (order, edge bitmask), the mask cut to the order
-    assert_undominated_max_is_max(spec_of(*(
-        graph_from_edge_mask(m, e % (1 << (m * (m - 1) // 2)))
-        for m, e in forbidden)))
 
 
 # --- bound envelope ---------------------------------------------------------------
