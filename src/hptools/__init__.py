@@ -8,7 +8,7 @@ from .errors import DomainError, StepError
 from .graphs import (Graph, bits, complement, contains_induced, edgelist_decode,
                      edgelist_encode, enumerate_labeled, graph6_decode,
                      graph6_encode, graph_from_edges, induced_subgraph,
-                     is_isomorphic, mask_of, part_masks, random_graph)
+                     mask_of, part_masks, random_graph)
 from .universal import (BipartiteUniversal, LayeredUniversal, ShatterWitness,
                         TraceFamily, aligned_reverse_shatter,
                         construct_generalized_universal, construct_universal,

@@ -22,8 +22,8 @@ from .freeness import (BipGraph, bipgraph_decode, count_nonshattering_attachment
                        count_uk_free_bipartite, distinguishing_set,
                        extract_clone_classes, max_separated_subset,
                        separated_subset_ceiling)
-from .graphs import (MAX_VERTICES, Graph, bits, edgelist_decode, graph6_decode,
-                     graph6_encode, mask_of)
+from .graphs import (MAX_ENUM_VERTICES, MAX_VERTICES, Graph, bits, edgelist_decode,
+                     graph6_decode, graph6_encode, mask_of)
 from .hereditary import (abt_bounds, colouring_number, count_hrv,
                          enumerate_property, load_property, speed,
                          valid_hrv_patterns)
@@ -362,6 +362,8 @@ def cmd_census(args) -> None:
         # n^(1-eps) is finite for every n in 1..n_max iff it is at n_max;
         # else every decompose would refuse it
         _budget(args.n_max, args.budget_eps)
+    if args.n_max > MAX_ENUM_VERTICES:
+        raise DomainError(f"enumeration capped at n <= {MAX_ENUM_VERTICES}")
     spec = load_property(args.forbidden)
     chi = colouring_number(spec)
     if chi.degenerate:
@@ -440,6 +442,8 @@ def cmd_sparsen(args) -> None:
         return
     G = load_graph(args.graph, args.graph_format)
     parts = _parse_parts(args.parts)
+    if len(parts) != G.n:
+        raise DomainError("parts do not match the graph")
     B = _parse_vertices(args.core, "--core", G.n)
     out = extract_clone_classes(G, parts, B, Fraction(args.alpha), args.t,
                                 args.seed, args.direction)
@@ -665,10 +669,7 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     try:
         args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

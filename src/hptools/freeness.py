@@ -20,8 +20,8 @@ from math import comb
 from .errors import DomainError, StepError
 from .graphs import (MAX_VERTICES, Graph, bits, far_clique, k_submasks, mask_of,
                      part_masks)
-from .universal import (TraceFamily, aligned_reverse_shatter, find_shattered,
-                        first_realizers, reverse_shatter, shatters)
+from .universal import (MAX_TRACE_GROUND, aligned_reverse_shatter, first_realizers,
+                        shatters)
 
 # sides up to 64 so the distinguishing-set harness can run its published
 # parameters (c=8, n=64); rows still fit one machine word
@@ -225,13 +225,13 @@ class BlockTraceReport:
     loose_ceiling: int
 
 
-def trace_count_check(bg: BipGraph, blocks, k: int, verify_free: bool = True):
+def trace_count_check(bg: BipGraph, blocks, k: int):
     """Per-block distinct-trace counts of the A side, with the exact Sauer
     ceiling sum_{i<k} C(|B_j|, i) asserted and the looser k*C(|B_j|, k-1)
     ceiling reported alongside.
 
-    The host must be U(k)-free in cross mode; a ceiling violation proves it
-    is not, so either the upfront verification or the assertion raises.
+    The host must be U(k)-free in cross mode, which is verified first; a
+    ceiling violation would also prove it is not, and raises as well.
     """
     blocks = list(blocks)
     union = 0
@@ -243,10 +243,8 @@ def trace_count_check(bg: BipGraph, blocks, k: int, verify_free: bool = True):
         union |= blk
     if union != (1 << bg.n) - 1:
         raise DomainError("blocks do not cover the B side")
-    if verify_free:
-        bsubs = list(k_submasks((1 << bg.n) - 1, k))
-        if not _free_cross(bg.rows, k, bsubs):
-            raise DomainError("host is not U(k)-free in cross mode")
+    if not _free_cross(bg.rows, k, list(k_submasks((1 << bg.n) - 1, k))):
+        raise DomainError("host is not U(k)-free in cross mode")
     out = []
     for blk in blocks:
         size = blk.bit_count()
@@ -450,55 +448,48 @@ def _part_bipgraph(G: Graph, B_verts, working: int):
     return BipGraph(len(B_verts), len(cols), tuple(rows)), cols
 
 
-def _sparsening_rounds(G: Graph, B_verts, part: int, t: int, rng,
-                       max_rounds: int) -> list[tuple[int, int]]:
+def _sparsening_rounds(G: Graph, B_verts, part: int, t: int,
+                       rng) -> list[tuple[int, int]]:
     """The basic loop on one part: distinguish, find a shattered 2^t-set,
-    reverse-shatter, remove, repeat.  Returns (core_candidate, X) pairs."""
+    reverse-shatter, remove, repeat.  Returns (core_candidate, X) pairs;
+    each round removes its 2^t-set X from the window, so the loop ends."""
     c = len(B_verts)
     B_mask = mask_of(B_verts)
     working = part & ~B_mask
     rounds: list[tuple[int, int]] = []
     size_needed = 1 << t
-    while len(rounds) < max_rounds and working.bit_count() >= size_needed:
+    need = 1 << size_needed
+    while working.bit_count() >= size_needed:
         bip, cols = _part_bipgraph(G, B_verts, working)
-        deltas = [(bip.rows[i] ^ bip.rows[j]).bit_count()
-                  for i in range(c) for j in range(i)]
-        dmin = min(deltas)
+        dmin = min((bip.rows[i] ^ bip.rows[j]).bit_count()
+                   for i in range(c) for j in range(i))
         if dmin == 0:
             break  # remaining window no longer separates the core candidates
-        alpha_pass = Fraction(dmin, bip.n)
         try:
-            ds = distinguishing_set(bip, (1 << c) - 1, alpha_pass,
+            ds = distinguishing_set(bip, (1 << c) - 1, Fraction(dmin, bip.n),
                                     rng.randrange(1 << 30))
         except DomainError:
             break
-        X_local = ds.X
-        X_global = mask_of(cols[i] for i in bits(X_local))
-        family = TraceFamily.from_graph(G, B_mask, X_global)
-        X_star = find_shattered(family, size_needed)
-        if X_star is None:
+        if ds.size > MAX_TRACE_GROUND:  # the cap on any exhaustive trace ground
+            raise DomainError(f"ground set larger than {MAX_TRACE_GROUND}")
+        # the first 2^t-subset of X (colex order) that the core candidates
+        # shatter, with its realizers
+        for X_star in k_submasks(mask_of(cols[i] for i in bits(ds.X)), size_needed):
+            realizers = first_realizers(G.adj, B_mask, X_star, need)
+            if len(realizers) == need:
+                break
+        else:
             break
-        # realizers of every subset of X_star within the core candidates
-        realizers = first_realizers(G.adj, B_mask, X_star,
-                                    1 << X_star.bit_count())
-        u_star = mask_of(realizers.values())
-        core, X_used = reverse_shatter(G, u_star, X_star, t)
+        (core,), X_used = aligned_reverse_shatter(
+            G, [mask_of(realizers.values())], X_star, t)
         rounds.append((core, X_used))
         working &= ~X_used
     return rounds
 
 
-def _class_patterns(G: Graph, core: int, members: int):
-    by_pattern: dict[int, int] = {}
-    for v in bits(members):
-        by_pattern.setdefault(G.adj[v] & core, 0)
-        by_pattern[G.adj[v] & core] |= 1 << v
-    return by_pattern
-
-
 def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
-                          seed: int = 0, direction: str = "to-core",
-                          max_rounds: int = 64) -> SparseningOutput:
+                          seed: int = 0,
+                          direction: str = "to-core") -> SparseningOutput:
     """Desk-scale clone-class pipeline over a pairwise-separated core set.
 
     Repeatedly (i) draws a distinguishing X inside a part, (ii) finds a
@@ -560,32 +551,31 @@ def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
 
     rng = random.Random(seed)
     per_part = []
-    for j in range(r):
-        rounds = _sparsening_rounds(G, B_verts, pmasks[j], t_inner, rng, max_rounds)
+    for j, S in enumerate(pmasks):
+        rounds = _sparsening_rounds(G, B_verts, S, t_inner, rng)
         if not rounds:
             raise StepError("find-shattered",
                             f"no shattered 2^{t_inner}-set recovered in part {j}")
         per_part.append(rounds)
 
-    # joint pigeonhole: one core present in every part's rounds
-    candidates = set(core for core, _ in per_part[0])
-    for rounds in per_part[1:]:
-        candidates &= set(core for core, _ in rounds)
-    if not candidates:
+    # joint pigeonhole: of the cores found in every part, the most frequent
+    # one overall, the lowest mask on ties
+    counts = Counter(cand for rounds in per_part for cand, _ in rounds)
+    shared = set(counts).intersection(*({cand for cand, _ in rounds}
+                                        for rounds in per_part))
+    if not shared:
         raise StepError("pigeonhole", "no core candidate recurs in every part")
-    occurrences = {cand: sum(1 for rounds in per_part for core, _ in rounds
-                             if core == cand) for cand in candidates}
-    top = max(occurrences.values())
-    core = min(c2 for c2, occ in occurrences.items() if occ == top)
+    core = min(shared, key=lambda cand: (-counts[cand], cand))
 
+    # regroup each part's removed sets by their trace on the core
     inner_classes = []
-    for j in range(r):
+    for j, rounds in enumerate(per_part):
         merged: dict[int, int] = {}
-        for cand, X_used in per_part[j]:
-            if cand != core:
-                continue
-            for pattern, members in _class_patterns(G, core, X_used).items():
-                merged[pattern] = merged.get(pattern, 0) | members
+        for cand, X_used in rounds:
+            if cand == core:
+                for v in bits(X_used):
+                    pattern = G.adj[v] & core
+                    merged[pattern] = merged.get(pattern, 0) | 1 << v
         if len(merged) != 1 << t_inner:
             raise StepError("pigeonhole",
                             f"part {j} classes cover {len(merged)} of "
@@ -595,42 +585,27 @@ def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
     if direction == "to-core":
         b_prime, classes = core, tuple(inner_classes)
     else:
-        reps = []
-        for j in range(r):
-            reps.append(mask_of((cm & -cm).bit_length() - 1
-                                for cm in inner_classes[j]))
+        reps = [mask_of((cm & -cm).bit_length() - 1 for cm in part_classes)
+                for part_classes in inner_classes]
         try:
             chosen, b_prime = aligned_reverse_shatter(G, reps, core, t)
         except DomainError as exc:
             raise StepError("aligned-reverse-shatter", str(exc)) from exc
-        classes = []
-        for j in range(r):
-            keep = []
-            for v in bits(chosen[j]):
-                pattern = G.adj[v] & core
-                for cm in inner_classes[j]:
-                    if cm >> v & 1:
-                        keep.append(cm)
-                        break
-            classes.append(tuple(keep))
-        classes = tuple(classes)
+        # keep the class of every chosen representative
+        classes = tuple(tuple(cm for v in bits(chosen_j) for cm in part_classes
+                              if cm >> v & 1)
+                        for chosen_j, part_classes in zip(chosen, inner_classes))
 
-    # conditions (a) and (b): every member of a class carries the class's
-    # exact trace on B'; that single check covers every transversal at once.
-    cond_a = cond_b = True
-    for part_classes in classes:
-        for cm in part_classes:
-            patterns = {G.adj[v] & b_prime for v in bits(cm)}
-            if len(patterns) != 1:
-                cond_a = False
+    # conditions (a) and (b) from the traces on B' of each class: (a) every
+    # member of a class carries the class's one trace, which covers every
+    # transversal at once; (b) to-core: each part's classes carry all 2^t
+    # traces; from-core: B' shatters a transversal
+    traces = [[{G.adj[v] & b_prime for v in bits(cm)} for cm in part_classes]
+              for part_classes in classes]
+    cond_a = all(len(tr) == 1 for part in traces for tr in part)
     if direction == "to-core":
-        pattern_sets = []
-        for part_classes in classes:
-            pattern_sets.append({next(iter({G.adj[v] & b_prime for v in bits(cm)}))
-                                 for cm in part_classes if cm})
-        for ps in pattern_sets:
-            if len(ps) != 1 << t:
-                cond_b = False
+        cond_b = all(len({next(iter(tr)) for tr in part if tr}) == 1 << t
+                     for part in traces)
     else:
         transversal = mask_of((cm & -cm).bit_length() - 1
                               for part_classes in classes for cm in part_classes)
@@ -657,10 +632,9 @@ def planted_clone_instance(r: int, t: int, copies: int):
     npat = 1 << t
     csize = 1 << npat
     n = csize + r * npat * copies
-    if n > 64:
+    if n > MAX_VERTICES:
         raise DomainError("planted instance does not fit in 64 vertices")
     adj = [0] * n
-    labels = []
     offset = csize
     for _ in range(r):
         for j in range(npat):

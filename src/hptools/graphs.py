@@ -264,12 +264,6 @@ def contains_induced(G, H: Graph, pin: int | None = None):
     return None
 
 
-def is_isomorphic(G: Graph, H: Graph) -> bool:
-    if G.n != H.n or G.edge_count() != H.edge_count():
-        return False
-    return contains_induced(G, H) is not None
-
-
 # ---------------------------------------------------------------------------
 # labeled enumeration
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from .errors import DomainError
 from .graphs import Graph, bits, mask_of, part_masks
@@ -119,7 +120,6 @@ def verify_bbs_partition(G: Graph, bbs: BBSPartition) -> BBSReport:
     gamma * m^2 where m is the total number of blocks)."""
     report = BBSReport(ok=True)
     pmasks = part_masks(bbs.parts)
-    r = len(pmasks)
     m = len(bbs.blocks)
     union = 0
     for i, blk in enumerate(bbs.blocks):
@@ -187,7 +187,7 @@ def greedy_turan_transversal(G: Graph, blocks, eps,
         pi = mask_of(v for b in blocks[i] for v in bits(b))
         pj = mask_of(v for b in blocks[j] for v in bits(b))
         cross += sum((G.adj[v] & pj).bit_count() for v in bits(pi))
-    feas_edges = cross >= (1 - eps) * (r * (r - 1) / 2) * n * n
+    feas_edges = cross >= (1 - eps) * comb(r, 2) * n * n
     feas_param = eps * r ** 3 * t ** 3 < 1
     if require_feasible and not (feas_edges and feas_param):
         raise DomainError(

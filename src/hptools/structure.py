@@ -360,9 +360,10 @@ def _budget(n: int, eps: float) -> float:
 
 
 def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
-              eps_out: float = 0.5, bad_mode: str = "auto") -> DecompositionCertificate:
+              eps_out: float = 0.5) -> DecompositionCertificate:
     """Full pipeline: maximal (2 alpha)-bad set, alpha-adjustment, universal
-    packing, then A = B union packed and S_j = S'_j minus A.
+    packing, then A = B union packed and S_j = S'_j minus A.  The bad set
+    is exact up to ``MAX_BAD_EXACT`` vertices and greedy above.
 
     ``alpha`` (a float, a Fraction or a string such as "1/4") must lie in
     (0, 1).  Each final part is verified U(k)-free before returning.  The
@@ -383,8 +384,7 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
         raise DomainError("parts hint does not match the graph")
     if any(not 0 <= j < r for j in parts):
         raise DomainError("parts hint uses a label outside 0..r-1")
-    if bad_mode == "auto":
-        bad_mode = "exact" if G.n <= MAX_BAD_EXACT else "greedy"
+    bad_mode = "exact" if G.n <= MAX_BAD_EXACT else "greedy"
     bad = max_bad_set(G, parts, 2 * alpha, bad_mode, r)
     adj = alpha_adjust(G, parts, bad.vertices, alpha, r)
     packing = extract_universal_packing(G, adj.labels, k, r)

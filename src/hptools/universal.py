@@ -37,10 +37,6 @@ class TraceFamily:
             if t & ~self.ground:
                 raise DomainError("trace not contained in the ground set")
 
-    @classmethod
-    def from_graph(cls, G: Graph, A: int, B: int) -> "TraceFamily":
-        return cls(B, frozenset(G.adj[a] & B for a in bits(A)))
-
 
 def sauer_bound(g: int, k: int) -> int:
     """sum_{i<k} C(g, i): families above this size must shatter a k-set."""

@@ -19,7 +19,7 @@ from hptools.cli import (build_parser, certificate_to_dict, main,
                          packing_to_dict)
 from hptools.freeness import bipgraph_encode, planted_clone_instance, random_bipgraph
 
-from conftest import complete_graph
+from conftest import complete_graph, path_graph
 
 
 def run(capsys, *argv):
@@ -423,6 +423,10 @@ def test_pack_parts_must_match_graph(tmp_path, capsys):
       "--alpha", "0.25"], "--r exceeds the 64-part cap"),
     (["sparsen", "--graph", "{g}", "--parts", "0,0,0,1,1,64", "--core", "0,3",
       "--t", "1", "--alpha", "0.25"], "--parts lists a label outside 0..63"),
+    (["sparsen", "--graph", "{g}", "--parts", "", "--core", "0,3", "--t", "1",
+      "--alpha", "0.25"], "parts do not match the graph"),
+    (["sparsen", "--graph", "{g}", "--parts", "0,0,0,1,1,1,1", "--core", "0,3",
+      "--t", "1", "--alpha", "0.25"], "parts do not match the graph"),
 ])
 def test_malformed_list_options_exit_1(tmp_path, capsys, argv, needle):
     gpath = tmp_path / "g.g6"
@@ -566,6 +570,18 @@ def test_census_budget_that_is_no_finite_float_exits_1(tmp_path, capsys):
                        "--certify", "--budget-eps", "-2000")
     assert out == ""
     assert_one_line_error(rc, err, "budget n^(1-eps) is not finite for n = 4")
+
+
+def test_census_above_the_enumeration_cap_exits_before_enumerating(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("census enumerated before checking --n-max")
+
+    monkeypatch.setattr(hptools.cli, "speed", refuse)
+    spec = write_spec(tmp_path, path_graph(4))
+    rc, out, err = run(capsys, "census", "--forbidden", spec, "--n-max", "9")
+    assert out == ""
+    assert_one_line_error(rc, err, "enumeration capped at n <= 8")
 
 
 # --- census rows -----------------------------------------------------------------

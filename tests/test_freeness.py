@@ -8,7 +8,7 @@ from hptools import (BipGraph, DomainError, StepError, bipgraph_decode,
                      count_sparse_bipartite, count_uk_free_bipartite,
                      distinguishing_set, extract_clone_classes, find_uk_copy,
                      graph_from_edges, is_uk_free, mask_of, max_separated_subset,
-                     planted_clone_instance, random_bipgraph,
+                     planted_clone_instance, random_bipgraph, random_graph,
                      separated_subset_ceiling, separation_profile, shatters,
                      trace_count_check)
 from hptools.universal import construct_universal
@@ -378,6 +378,87 @@ def test_clone_classes_from_core():
     assert out.condition_a and out.condition_b
     w = mask_of((c & -c).bit_length() - 1 for part in out.classes for c in part)
     assert shatters(G, out.b_prime, w) is not None
+
+
+# Exact outputs on fixed inputs: (b_prime, classes, delta, condition_a,
+# condition_b), or the StepError message, which starts with its step.  "planted" is
+# planted_clone_instance(r, t, copies) with its core; "random" is
+# random_graph(n, 1/2, seed) with parts v mod r and core {0, 1, 2, 3}.
+# alpha is 1/n throughout.
+CLONE_TABLE = [
+    (("planted", 1, 1, 4), 0, "to-core", (0, 1), (15, ((4080,),), 2 / 3, True, True)),
+    (("planted", 1, 1, 4), 1, "to-core", (0, 1),
+     (2, ((3840, 240),), 1 / 3, True, True)),
+    (("planted", 1, 1, 4), 1, "from-core", (0, 1),
+     "core-selection: need |B| >= 2^(2^2) = 16 trace patterns, have 4"),
+    (("planted", 1, 1, 4), 2, "to-core", (0, 1),
+     "core-selection: need |B| >= 2^(2^2) = 16 trace patterns, have 4"),
+    (("planted", 1, 2, 3), 0, "from-core", (0, 1),
+     (65535, ((268369920,),), 3 / 7, True, True)),
+    (("planted", 1, 2, 3), 1, "from-core", (0, 1),
+     (40, ((3670016,),), 3 / 28, True, True)),
+    (("planted", 1, 2, 3), 2, "to-core", (0, 1),
+     (40, ((234881024, 3670016, 29360128, 458752),), 3 / 28, True, True)),
+    (("planted", 1, 2, 3), 2, "from-core", (0, 1),
+     "core-selection: need |B| >= 2^(2^(2^2)) trace patterns, more than the "
+     "64-vertex cap allows; have 16"),
+    (("planted", 2, 1, 3), 0, "from-core", (0, 1),
+     (15, ((1008,), (64512,)), 3 / 8, True, True)),
+    (("planted", 2, 1, 3), 1, "to-core", (0, 1),
+     (2, ((896, 112), (57344, 7168)), 3 / 16, True, True)),
+    (("planted", 2, 1, 3), 1, "from-core", (0, 1),
+     "core-selection: need |B| >= 2^(2^(2^2)) trace patterns, more than the "
+     "64-vertex cap allows; have 4"),
+    (("planted", 2, 2, 1), 2, "to-core", (0, 1),
+     (40, ((524288, 131072, 262144, 65536), (8388608, 2097152, 4194304, 1048576)),
+      1 / 24, True, True)),
+    (("planted", 2, 2, 2), 1, "to-core", (0, 1),
+     (2, ((786432, 196608), (201326592, 50331648)), 1 / 16, True, True)),
+    # two cores tie on frequency; the lower mask wins
+    (("random", 16, 1, 1), 1, "to-core", (0, 1), (4, ((32, 16),), 1 / 16, True, True)),
+    (("random", 16, 2, 0), 1, "to-core", (0, 1),
+     "find-shattered: no shattered 2^1-set recovered in part 1"),
+    (("random", 20, 2, 1), 1, "to-core", (0, 1),
+     (4, ((65536, 16), (524288, 2048)), 1 / 20, True, True)),
+    (("random", 20, 2, 3), 1, "to-core", (0, 1),
+     "pigeonhole: no core candidate recurs in every part"),
+    (("random", 24, 1, 3), 1, "to-core", (0,),
+     (2, ((524416, 65568),), 1 / 12, True, True)),
+    (("random", 24, 1, 3), 1, "to-core", (1,),
+     (8, ((8389632, 32896),), 1 / 12, True, True)),
+]
+
+
+def _clone_instance(kind, *args):
+    if kind == "planted":
+        return planted_clone_instance(*args)
+    n, r, seed = args
+    return random_graph(n, 0.5, seed=seed), tuple(v % r for v in range(n)), 0b1111
+
+
+@pytest.mark.parametrize("instance, t, direction, seeds, expected", CLONE_TABLE)
+def test_clone_classes_pinned_outputs(instance, t, direction, seeds, expected):
+    G, parts, core = _clone_instance(*instance)
+    for seed in seeds:
+        if isinstance(expected, str):
+            with pytest.raises(StepError) as err:
+                extract_clone_classes(G, parts, core, Fraction(1, G.n), t, seed,
+                                      direction)
+            assert str(err.value) == expected
+            assert expected.startswith(err.value.step + ": ")
+            continue
+        out = extract_clone_classes(G, parts, core, Fraction(1, G.n), t, seed,
+                                    direction)
+        assert (out.b_prime, out.classes, out.params.delta, out.condition_a,
+                out.condition_b) == expected
+
+
+def test_clone_classes_window_over_the_trace_ground_cap():
+    # a sparse host leaves the core candidates close, so the distinguishing
+    # window is the whole 34-column part: more than the 30-vertex ground cap
+    G = random_graph(38, 0.1, seed=0)
+    with pytest.raises(DomainError, match="ground set larger than 30"):
+        extract_clone_classes(G, (0,) * 38, 0b1111, Fraction(1, 38), 1)
 
 
 def test_clone_classes_structured_errors():

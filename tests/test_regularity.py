@@ -234,6 +234,18 @@ def test_turan_one_missing_edge():
     assert G.adj[v1] >> v2 & 1
 
 
+def test_turan_feasibility_is_exact_at_the_bound():
+    # 23 of 25 cross edges meet (1 - 2/25) C(2,2) 5^2 = 23 exactly; a float
+    # product reads 23.000000000000004 and refused this host
+    G0 = complete_multipartite(2, 5)
+    edges = [e for e in G0.edges() if e not in ((0, 5), (1, 6))]
+    G = graph_from_edges(10, edges)
+    chosen = greedy_turan_transversal(G, grid_blocks(2, 1, 5), Fraction(2, 25))
+    assert chosen is not None
+    (_, _, v1), (_, _, v2) = chosen
+    assert G.adj[v1] >> v2 & 1
+
+
 def test_turan_infeasible_raises_and_honest_failure():
     # one block totally isolated: greedy must fail honestly
     G0 = complete_multipartite(2, 2)
