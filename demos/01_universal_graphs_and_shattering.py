@@ -25,9 +25,9 @@ for k in range(1, 5):
 
 uni = construct_universal(3)
 w = shatters(uni.graph, uni.A, uni.B)
-print(f"\nA shatters B: every one of the {len(w.realizers)} subsets of B is "
+print(f"\nA shatters B: every one of the {len(w)} subsets of B is "
       "some vertex's exact neighbourhood trace:")
-for trace, vertex in sorted(w.realizers.items())[:4]:
+for trace, vertex in sorted(w.items())[:4]:
     print(f"  trace {show(trace)} realized by vertex {vertex}")
 print("  ...")
 

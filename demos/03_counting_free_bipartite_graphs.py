@@ -3,9 +3,8 @@ counting arguments: per-block trace ceilings, non-shattering attachments,
 and sparse-graph counts.
 """
 
-from hptools import (BipGraph, count_nonshattering_attachments,
-                     count_sparse_bipartite, count_uk_free_bipartite,
-                     random_bipgraph, trace_count_check)
+from hptools import (count_nonshattering_attachments, count_sparse_bipartite,
+                     count_uk_free_bipartite, random_bipgraph, trace_count_check)
 from hptools.errors import DomainError
 
 print("=" * 64)

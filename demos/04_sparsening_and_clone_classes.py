@@ -54,10 +54,12 @@ for j, cls in enumerate(out.classes[0]):
     print(f"  class {j}: vertices {sorted(bits(cls))} "
           f"(all share one neighbourhood pattern on B')")
 W = mask_of((cls & -cls).bit_length() - 1 for cls in out.classes[0])
-print(f"conditions: same-trace per class = {out.condition_a}; "
+same_trace = all(len({G.adj[v] & out.b_prime for v in bits(cls)}) == 1
+                 for cls in out.classes[0])
+print(f"conditions: same-trace per class = {same_trace}; "
       f"a transversal {sorted(bits(W))} shatters B' = "
       f"{shatters(G, W, out.b_prime) is not None}")
-print(f"declared class density delta = {out.params.delta:.3f}")
+print(f"declared class density delta = {out.delta:.3f}")
 
 print()
 print("=" * 64)

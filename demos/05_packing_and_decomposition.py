@@ -7,13 +7,11 @@ U(k)-free.  The certificate records the whole pipeline and re-verifies.
 """
 
 import json
-import random
 from fractions import Fraction
 
-from hptools import (bits, decompose, extract_universal_packing,
-                     graph_from_edges, random_graph, speed, PropertySpec,
-                     verify_decomposition, verify_packing_maximality,
-                     verify_packing_report)
+from hptools import (PropertySpec, bits, decompose, extract_universal_packing,
+                     graph_from_edges, random_graph, verify_decomposition,
+                     verify_packing_maximality, verify_packing_report)
 from hptools.cli import certificate_to_dict
 from hptools.hereditary import enumerate_property
 from hptools.regularity import min_intra_edges_parts

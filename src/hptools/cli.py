@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -270,7 +271,8 @@ def emit(args, results: dict, seed=None, rows=None) -> None:
         "tool": "hptools",
         "version": __version__,
         "command": args.command,
-        "params": {k: v for k, v in sorted(vars(args).items())
+        "params": {k: float(v) if isinstance(v, Fraction) else v
+                   for k, v in sorted(vars(args).items())
                    if k not in ("command", "func", "_t0") and v is not None},
         "seed": seed,
         "results": results,
@@ -334,7 +336,7 @@ def cmd_shatter(args) -> None:
     results = {"shatters": w is not None}
     if w is not None:
         results["realizers"] = {str(sorted(_vlist(tr))): v
-                                for tr, v in sorted(w.realizers.items())}
+                                for tr, v in sorted(w.items())}
     emit(args, results)
 
 
@@ -416,9 +418,9 @@ def cmd_count_attach(args) -> None:
 
 def cmd_separated(args) -> None:
     bg = load_bipgraph(args.bipgraph)
-    res = max_separated_subset(bg, args.side, args.x, args.mode)
-    results = {"vertices": _vlist(res.vertices), "size": res.size,
-               "exact": res.exact}
+    best = max_separated_subset(bg, args.side, args.x, args.mode)
+    results = {"vertices": _vlist(best), "size": best.bit_count(),
+               "exact": args.mode == "exact"}
     if args.k is not None:
         n_side = bg.n if args.side == "A" else bg.m
         m_side = bg.m if args.side == "A" else bg.n
@@ -436,31 +438,25 @@ def cmd_sparsen(args) -> None:
         bg = load_bipgraph(args.bipgraph)
         u_sub = (_parse_vertices(args.usub, "--usub", bg.m) if args.usub
                  else (1 << bg.m) - 1)
-        ds = distinguishing_set(bg, u_sub, Fraction(args.alpha), args.seed)
-        emit(args, {"X": _vlist(ds.X), "size": ds.size,
+        ds = distinguishing_set(bg, u_sub, args.alpha, args.seed)
+        emit(args, {"X": _vlist(ds.X), "size": ds.X.bit_count(),
                     "attempts": ds.attempts}, seed=args.seed)
         return
     G = load_graph(args.graph, args.graph_format)
     parts = _parse_parts(args.parts)
-    if len(parts) != G.n:
-        raise DomainError("parts do not match the graph")
     B = _parse_vertices(args.core, "--core", G.n)
-    out = extract_clone_classes(G, parts, B, Fraction(args.alpha), args.t,
-                                args.seed, args.direction)
+    out = extract_clone_classes(G, parts, B, args.alpha, args.t, args.seed,
+                                args.direction)
     emit(args, {
         "b_prime": _vlist(out.b_prime),
         "classes": [[_vlist(c) for c in part] for part in out.classes],
-        "delta": out.params.delta,
-        "condition_a": out.condition_a,
-        "condition_b": out.condition_b,
+        "delta": out.delta,
     }, seed=args.seed)
 
 
 def cmd_pack(args) -> None:
     G = load_graph(args.graph, args.graph_format)
     parts = _parse_parts(args.parts)
-    if len(parts) != G.n:
-        raise DomainError("parts do not match the graph")
     report = extract_universal_packing(G, parts, _level(args.k, "--k"))
     problems = verify_packing_report(G, parts, report)
     data = packing_to_dict(report, G, parts)
@@ -535,21 +531,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _finite(text: str) -> float:
-    """A float option value other than NaN or an infinity."""
+def _rational(text: str, unit: bool = False) -> Fraction:
+    """An exact option value such as 0.1 or 1/10 that is a finite float;
+    with ``unit``, strictly between 0 and 1.  A decimal exponent beyond any
+    float's is refused before Fraction would expand it into an integer."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
-
-
-def _alpha(text: str) -> float:
-    """An --alpha value: a finite float strictly between 0 and 1."""
-    value = _finite(text)
-    if not 0 < value < 1:
+        if "/" not in text and not -400 < Decimal(text).adjusted() < 400:
+            raise ValueError(text)
+        value = Fraction(text)
+        float(value)
+    except (ArithmeticError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite number") from None
+    if unit and not 0 < value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} does not lie in (0, 1)")
     return value
 
@@ -594,10 +588,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("census", cmd_census, help="per-n speed/entropy/bound table")
     p.add_argument("--forbidden", required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--eps", type=_finite, default=0.5)
-    p.add_argument("--alpha", type=_alpha, default=0.25)
+    p.add_argument("--eps", type=_rational, default=0.5)
+    p.add_argument("--alpha", type=functools.partial(_rational, unit=True),
+                   default=0.25)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--budget-eps", type=_finite, default=0.5)
+    p.add_argument("--budget-eps", type=_rational, default=0.5)
     p.add_argument("--certify", action=argparse.BooleanOptionalAction,
                    default=False,
                    help="also decompose every member and report the "
@@ -630,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "graph6", "edgelist"))
     p.add_argument("--parts", help="part label per vertex, comma-separated")
     p.add_argument("--core", help="core vertex set B")
-    p.add_argument("--alpha", type=_finite, required=True)
+    p.add_argument("--alpha", type=_rational, required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--direction", choices=("to-core", "from-core"),
                    default="to-core")
@@ -649,16 +644,17 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "graph6", "edgelist"))
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=_alpha, required=True)
+    p.add_argument("--alpha", type=functools.partial(_rational, unit=True),
+                   required=True)
     p.add_argument("--parts")
-    p.add_argument("--eps-out", type=_finite, default=0.5)
+    p.add_argument("--eps-out", type=_rational, default=0.5)
 
     p = add("verify", cmd_verify, help="re-verify an emitted certificate")
     p.add_argument("--certificate", required=True)
     p.add_argument("--graph", help="optional cross-check graph file")
     p.add_argument("--graph-format", default="auto",
                    choices=("auto", "graph6", "edgelist"))
-    p.add_argument("--budget-eps", type=_finite)
+    p.add_argument("--budget-eps", type=_rational)
 
     return top
 

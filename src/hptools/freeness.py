@@ -20,8 +20,7 @@ from math import comb
 from .errors import DomainError, StepError
 from .graphs import (MAX_VERTICES, Graph, bits, far_clique, k_submasks, mask_of,
                      part_masks)
-from .universal import (MAX_TRACE_GROUND, aligned_reverse_shatter, first_realizers,
-                        shatters)
+from .universal import MAX_TRACE_GROUND, aligned_reverse_shatter, first_realizers
 
 # sides up to 64 so the distinguishing-set harness can run its published
 # parameters (c=8, n=64); rows still fit one machine word
@@ -321,27 +320,20 @@ def separation_profile(bg: BipGraph, side: str = "A") -> list[list[int]]:
     return [[(x ^ y).bit_count() for y in vecs] for x in vecs]
 
 
-@dataclass(frozen=True)
-class SeparatedSet:
-    vertices: int
-    size: int
-    exact: bool
-
-
 def max_separated_subset(bg: BipGraph, side: str, x: int,
-                         mode: str = "exact") -> SeparatedSet:
-    """Largest subset of one side with all pairwise distances >= x.
+                         mode: str = "exact") -> int:
+    """The mask of a largest subset of one side with all pairwise distances
+    >= x.
 
     Exact mode solves maximum clique in the auxiliary graph joining far
-    pairs (side size <= 20); greedy mode returns a maximal subset flagged
-    as a lower bound.
+    pairs (side size <= 20); greedy mode returns a maximal subset, a lower
+    bound.
     """
     vecs = _side_vectors(bg, side)
     if mode == "exact" and len(vecs) > 20:
         raise DomainError("exact mode capped at side size 20")
     # the single mask -1 keeps every bit of the distance
-    best = far_clique(vecs, (-1,), x, mode)
-    return SeparatedSet(best, best.bit_count(), mode == "exact")
+    return far_clique(vecs, (-1,), x, mode)
 
 
 def separated_subset_ceiling(n: int, x: int, k: int, m: int) -> float:
@@ -357,9 +349,7 @@ def separated_subset_ceiling(n: int, x: int, k: int, m: int) -> float:
 @dataclass(frozen=True)
 class DistinguishingSet:
     X: int
-    size: int
     attempts: int
-    seed: int
 
 
 def distinguishing_set(bg: BipGraph, u_sub: int, alpha: float, seed: int,
@@ -391,7 +381,7 @@ def distinguishing_set(bg: BipGraph, u_sub: int, alpha: float, seed: int,
     if size >= n:
         X = (1 << n) - 1
         if len({row & X for row in rows}) == c:
-            return DistinguishingSet(X, n, 1, seed)
+            return DistinguishingSet(X, 1)
         raise DomainError("even the full B side does not distinguish u_sub")
     if max_attempts < 1:
         raise DomainError("max_attempts must be positive")
@@ -399,7 +389,7 @@ def distinguishing_set(bg: BipGraph, u_sub: int, alpha: float, seed: int,
     for attempt in range(1, max_attempts + 1):
         X = mask_of(rng.sample(range(n), size))
         if len({row & X for row in rows}) == c:
-            return DistinguishingSet(X, size, attempt, seed)
+            return DistinguishingSet(X, attempt)
     raise DomainError(
         f"no distinguishing set of size {size} found in {max_attempts} attempts "
         f"(c={c}, n={n}, alpha={float(alpha_f):.4f})")
@@ -410,17 +400,9 @@ def distinguishing_set(bg: BipGraph, u_sub: int, alpha: float, seed: int,
 
 
 @dataclass(frozen=True)
-class SparseningParams:
-    alpha: float
-    t: int
-    delta: float
-    direction: str
-    seed: int
-
-
-@dataclass(frozen=True)
 class SparseningOutput:
-    """Core vertices B' plus, per part, trace-aligned classes.
+    """Core vertices B' plus, per part, trace-aligned classes, and the
+    smallest class size over n.
 
     In direction ``to-core`` (the basic loop, per part) there are 2^t
     classes per part, all members of a class sharing a neighbourhood
@@ -431,9 +413,7 @@ class SparseningOutput:
 
     b_prime: int
     classes: tuple[tuple[int, ...], ...]
-    params: SparseningParams
-    condition_a: bool
-    condition_b: bool
+    delta: float
 
 
 def _part_bipgraph(G: Graph, B_verts, working: int):
@@ -470,7 +450,7 @@ def _sparsening_rounds(G: Graph, B_verts, part: int, t: int,
                                     rng.randrange(1 << 30))
         except DomainError:
             break
-        if ds.size > MAX_TRACE_GROUND:  # the cap on any exhaustive trace ground
+        if ds.X.bit_count() > MAX_TRACE_GROUND:  # the cap on exhaustive trace grounds
             raise DomainError(f"ground set larger than {MAX_TRACE_GROUND}")
         # the first 2^t-subset of X (colex order) that the core candidates
         # shatter, with its realizers
@@ -507,6 +487,8 @@ def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
     tower-type constants of the source analysis are far out of reach and
     structured StepErrors name whichever stage starves.
     """
+    if len(parts) != G.n:
+        raise DomainError("parts do not match the graph")
     if direction not in ("to-core", "from-core"):
         raise DomainError("direction must be 'to-core' or 'from-core'")
     if t < 0:
@@ -532,9 +514,7 @@ def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
         # degenerate convenience case: no structure requested
         classes = tuple((S & ~B,) for S in pmasks)
         dmin = min((m[0].bit_count() for m in classes), default=0)
-        params = SparseningParams(float(alpha_f), 0, dmin / n if n else 0.0,
-                                  direction, seed)
-        return SparseningOutput(B, classes, params, True, True)
+        return SparseningOutput(B, classes, dmin / n if n else 0.0)
 
     # |B| <= 64 < 2^(2^3), so an inner t of 3 or more always starves; decide
     # that from t and r*t before forming 2^(rt) or the tower 2^(2^t_inner)
@@ -567,7 +547,8 @@ def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
         raise StepError("pigeonhole", "no core candidate recurs in every part")
     core = min(shared, key=lambda cand: (-counts[cand], cand))
 
-    # regroup each part's removed sets by their trace on the core
+    # regroup each part's removed sets by their trace on the core, so each
+    # class has one trace on B', which is the core or a subset of it
     inner_classes = []
     for j, rounds in enumerate(per_part):
         merged: dict[int, int] = {}
@@ -587,6 +568,7 @@ def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
     else:
         reps = [mask_of((cm & -cm).bit_length() - 1 for cm in part_classes)
                 for part_classes in inner_classes]
+        # asserts that B' shatters the union of the chosen representatives
         try:
             chosen, b_prime = aligned_reverse_shatter(G, reps, core, t)
         except DomainError as exc:
@@ -596,24 +578,8 @@ def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
                               if cm >> v & 1)
                         for chosen_j, part_classes in zip(chosen, inner_classes))
 
-    # conditions (a) and (b) from the traces on B' of each class: (a) every
-    # member of a class carries the class's one trace, which covers every
-    # transversal at once; (b) to-core: each part's classes carry all 2^t
-    # traces; from-core: B' shatters a transversal
-    traces = [[{G.adj[v] & b_prime for v in bits(cm)} for cm in part_classes]
-              for part_classes in classes]
-    cond_a = all(len(tr) == 1 for part in traces for tr in part)
-    if direction == "to-core":
-        cond_b = all(len({next(iter(tr)) for tr in part if tr}) == 1 << t
-                     for part in traces)
-    else:
-        transversal = mask_of((cm & -cm).bit_length() - 1
-                              for part_classes in classes for cm in part_classes)
-        cond_b = shatters(G, b_prime, transversal) is not None
-
     dmin = min(cm.bit_count() for part_classes in classes for cm in part_classes)
-    params = SparseningParams(float(alpha_f), t, dmin / n, direction, seed)
-    return SparseningOutput(b_prime, classes, params, cond_a, cond_b)
+    return SparseningOutput(b_prime, classes, dmin / n)
 
 
 # ---------------------------------------------------------------------------

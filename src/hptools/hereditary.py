@@ -39,6 +39,9 @@ class PropertySpec:
 
     def __post_init__(self):
         for i, F in enumerate(self.forbidden):
+            if not 1 <= F.n <= MAX_FORBIDDEN_ORDER:
+                raise DomainError(
+                    f"forbidden graphs must have 1..{MAX_FORBIDDEN_ORDER} vertices")
             for j, K in enumerate(self.forbidden):
                 if i != j and contains_induced(F, K) is not None:
                     raise DomainError("forbidden family is not minimal")
@@ -98,10 +101,6 @@ def enumerate_property(spec: PropertySpec, n: int):
                 return False
         return True
 
-    if n == 0:
-        if is_member(spec, Graph(0, ())):
-            yield Graph(0, ())
-        return
     for rows in grow_rows(n, clean):
         yield Graph._trusted(n, tuple(rows))
 

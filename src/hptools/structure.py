@@ -44,24 +44,17 @@ def is_alpha_clone(G: Graph, u: int, v: int, A: int, alpha) -> bool:
     return ((G.adj[u] ^ G.adj[v]) & A).bit_count() <= clone_cutoff(alpha, G.n)
 
 
-@dataclass(frozen=True)
-class BadSetResult:
-    vertices: int
-    size: int
-    exact: bool
-
-
 def max_bad_set(G: Graph, parts, alpha, mode: str = "exact",
-                r: int | None = None) -> BadSetResult:
-    """Largest vertex set pairwise far apart inside every part: maximum
-    clique of the far-pair auxiliary graph (exact, n <= 24) or a greedy
-    maximal set flagged as a lower bound.  An explicit ``r`` admits empty
-    parts, which kill every bad pair once the cutoff is positive."""
+                r: int | None = None) -> int:
+    """The mask of a largest vertex set pairwise far apart inside every
+    part: maximum clique of the far-pair auxiliary graph (exact, n <= 24),
+    or in greedy mode a maximal set, a lower bound.  An explicit ``r``
+    admits empty parts, which kill every bad pair once the cutoff is
+    positive."""
     pmasks = part_masks(parts, r)
     if mode == "exact" and G.n > MAX_BAD_EXACT:
         raise DomainError(f"exact mode capped at {MAX_BAD_EXACT} vertices")
-    best = far_clique(G.adj, pmasks, clone_cutoff(alpha, G.n), mode)
-    return BadSetResult(best, best.bit_count(), mode == "exact")
+    return far_clique(G.adj, pmasks, clone_cutoff(alpha, G.n), mode)
 
 
 def _clone_part(adj, pmasks, bad, cutoff: int, v: int) -> int:
@@ -241,9 +234,11 @@ def extract_universal_packing(G: Graph, parts, k: int,
     """The packing loop: for t from r+1 down to 2, repeatedly take the first
     placeable t-level copy, remove its vertices, and continue.  Levels too
     large to fit simply contribute no pieces."""
+    parts = tuple(parts)
+    if len(parts) != G.n:
+        raise DomainError("parts do not match the graph")
     if G.n > MAX_UK_HOST:
         raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
-    parts = tuple(parts)
     pmasks = part_masks(parts, r)
     r = len(pmasks)
     pieces = []
@@ -350,9 +345,10 @@ def default_parts(G: Graph, r: int) -> tuple[int, ...]:
     return min_intra_edges_parts(G, r)
 
 
-def _budget(n: int, eps: float) -> float:
-    """The |A| budget n^(1-eps), refused when it is no finite float."""
+def _budget(n: int, eps) -> float:
+    """The |A| budget n^(1-eps) in floats, refused when it is not finite."""
     try:
+        eps = float(eps)
         return n ** (1 - eps)
     except (OverflowError, ZeroDivisionError):
         raise DomainError(f"budget n^(1-eps) is not finite for n = {n}, "
@@ -386,9 +382,9 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
         raise DomainError("parts hint uses a label outside 0..r-1")
     bad_mode = "exact" if G.n <= MAX_BAD_EXACT else "greedy"
     bad = max_bad_set(G, parts, 2 * alpha, bad_mode, r)
-    adj = alpha_adjust(G, parts, bad.vertices, alpha, r)
+    adj = alpha_adjust(G, parts, bad, alpha, r)
     packing = extract_universal_packing(G, adj.labels, k, r)
-    A = bad.vertices | packing.packed_mask()
+    A = bad | packing.packed_mask()
     new_masks = part_masks(adj.labels, r)
     final_parts = tuple(S & ~A for S in new_masks)
     for j, S in enumerate(final_parts):
@@ -398,9 +394,9 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
                             f"part {j} still contains a U({k}) copy after packing")
     return DecompositionCertificate(
         n=G.n, r=r, k=k, exceptional=A, parts=final_parts,
-        bad_set=bad.vertices, adjusted_labels=adj.labels,
+        bad_set=bad, adjusted_labels=adj.labels,
         adjustment_ok=adj.is_adjustment, packing=packing,
-        alpha=float(alpha), eps_out=eps_out, budget=budget,
+        alpha=float(alpha), eps_out=float(eps_out), budget=budget,
         budget_ok=A.bit_count() <= budget)
 
 

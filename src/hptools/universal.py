@@ -86,22 +86,9 @@ def sauer_find_shattered(family: TraceFamily, k: int) -> int:
 # shattering between vertex sets
 
 
-@dataclass(frozen=True)
-class ShatterWitness:
-    """For each subset S of ``shattered``, a distinct vertex whose trace is S."""
-
-    shattered: int
-    realizers: dict[int, int]
-
-    def realizer_mask(self) -> int:
-        m = 0
-        for v in self.realizers.values():
-            m |= 1 << v
-        return m
-
-
-def shatters(G: Graph, A: int, B: int):
-    """Witness that A shatters B, or None.  Exhaustive: no false negatives."""
+def shatters(G: Graph, A: int, B: int) -> dict[int, int] | None:
+    """The realizers {trace: vertex} witnessing that A shatters B, one for
+    each subset of B, or None.  Exhaustive: no false negatives."""
     if A & B:
         raise DomainError("A and B overlap")
     k = B.bit_count()
@@ -111,7 +98,7 @@ def shatters(G: Graph, A: int, B: int):
     if A.bit_count() < need:
         return None
     realizers = first_realizers(G.adj, A, B, need)
-    return ShatterWitness(B, realizers) if len(realizers) == need else None
+    return realizers if len(realizers) == need else None
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +258,7 @@ def aligned_reverse_shatter(G: Graph, A_list, B: int, t: int):
     for j in range(r):
         a_prime = 0
         for i in range(j * t, (j + 1) * t):
-            a_prime |= 1 << witnesses[j].realizers[faces[i]]
+            a_prime |= 1 << witnesses[j][faces[i]]
         out.append(a_prime)
         union |= a_prime
     check = shatters(G, B0, union)

@@ -362,3 +362,51 @@ def nonshattering_by_inclusion_exclusion(a: int, n: int) -> int:
     total = 1 << a
     return sum((-1) ** (j + 1) * comb(total, j) * (total - j) ** n
                for j in range(1, total + 1))
+
+
+def realizes_every_trace(G: Graph, W, B) -> bool:
+    """Do the vertices W, disjoint from B, have every subset of B as the
+    trace of a neighbourhood on B?  The definition of "W shatters B"."""
+    B = set(B)
+    traces = {frozenset(b for b in B if G.adj[w] >> b & 1) for w in W}
+    return not B & set(W) and len(traces) == 2 ** len(B)
+
+
+def clone_class_failures(G: Graph, parts, t: int, direction: str, out) -> list[str]:
+    """Conditions (a) and (b) of a clone-class result with t >= 1, checked
+    from the definitions.  (a): every class lies in its part outside B' and
+    all its members have one trace on B'.  (b), to-core: |B'| = t, each part
+    has 2^t classes with distinct traces, and every transversal of a part's
+    classes shatters B'.  (b), from-core: |B'| = 2^(rt), each part has t
+    classes, and B' shatters the transversal of lowest class vertices."""
+    problems = []
+    r = max(parts) + 1
+    bp = [b for b in range(G.n) if out.b_prime >> b & 1]
+    members = [[[v for v in range(G.n) if cm >> v & 1] for cm in part]
+               for part in out.classes]
+    if len(members) != r:
+        problems.append(f"{len(members)} class lists for {r} parts")
+    for j, part in enumerate(members):
+        for i, cls in enumerate(part):
+            if not cls or any(parts[v] != j or v in bp for v in cls):
+                problems.append(f"class {i} of part {j} is empty or leaves "
+                                "its part minus B'")
+            if len({G.adj[v] & out.b_prime for v in cls}) != 1:
+                problems.append(f"class {i} of part {j} has several traces on B'")
+    if direction == "to-core":
+        if len(bp) != t:
+            problems.append(f"|B'| = {len(bp)}, not t = {t}")
+        for j, part in enumerate(members):
+            if len({G.adj[cls[0]] & out.b_prime for cls in part if cls}) != 2 ** t:
+                problems.append(f"part {j} lacks 2^t distinct class traces")
+            if not all(realizes_every_trace(G, W, bp) for W in product(*part)):
+                problems.append(f"a transversal of part {j} does not shatter B'")
+    else:
+        if len(bp) != 2 ** (r * t):
+            problems.append(f"|B'| = {len(bp)}, not 2^(rt) = {2 ** (r * t)}")
+        if any(len(part) != t for part in members):
+            problems.append("a part does not have t classes")
+        lowest = [cls[0] for part in members for cls in part if cls]
+        if not realizes_every_trace(G, bp, lowest):
+            problems.append("B' does not shatter the lowest-vertex transversal")
+    return problems

@@ -40,7 +40,7 @@ def test_criterion_1_universal_constructions():
         assert uni.B.bit_count() == k
         assert uni.graph.edge_count() == k * (1 << (k - 1))
         w = shatters(uni.graph, uni.A, uni.B)
-        assert w is not None and len(w.realizers) == 1 << k
+        assert w is not None and len(w) == 1 << k
     dt = time.time() - t0
     assert dt < 1.0
     report(1, f"U(k) sizes/edges/shattering for k=1..4 in {dt:.3f}s")
@@ -263,7 +263,7 @@ def test_criterion_9_separated_subset_ceiling():
             continue
         done += 1
         for x in (4, 6, 8):
-            size = max_separated_subset(bg, "A", x).size
+            size = max_separated_subset(bg, "A", x).bit_count()
             assert size <= separated_subset_ceiling(12, x, 3, 12)
     report(9, "100 verified U(3)-free 12x12 hosts stay under the "
               "(n/x)^2 * 27 * (ln m)^2 ceiling for x in {4,6,8}")
@@ -287,7 +287,7 @@ def test_criterion_10_distinguishing_success_rate():
         try:
             ds = distinguishing_set(bg, (1 << c) - 1, alpha,
                                     seed=rng.randrange(1 << 30), max_attempts=1)
-            assert ds.size == math.ceil(5 * math.log(c) / float(alpha))
+            assert ds.X.bit_count() == math.ceil(5 * math.log(c) / float(alpha))
             successes += 1
         except DomainError:
             pass

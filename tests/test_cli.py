@@ -1,11 +1,14 @@
+import argparse
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,9 +18,10 @@ from hypothesis import strategies as st
 import hptools
 from hptools import (decompose, extract_universal_packing, graph6_encode,
                      graph_from_edges, random_graph)
-from hptools.cli import (build_parser, certificate_to_dict, main,
+from hptools.cli import (_rational, build_parser, certificate_to_dict, main,
                          packing_to_dict)
-from hptools.freeness import bipgraph_encode, planted_clone_instance, random_bipgraph
+from hptools.freeness import (BipGraph, bipgraph_encode, planted_clone_instance,
+                              random_bipgraph)
 
 from conftest import complete_graph, path_graph
 
@@ -112,6 +116,78 @@ def test_sparsen_distinguishing(tmp_path, capsys):
         assert len(rep["results"]["X"]) == rep["results"]["size"]
     else:
         assert rc == 1  # separation precondition can fail for a random draw
+
+
+def test_result_keys_of_mask_and_witness_reports(tmp_path, capsys):
+    G, parts, core = planted_clone_instance(1, 1, copies=4)
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph6_encode(G) + b"\n")
+    bgpath = tmp_path / "bg.txt"
+    bgpath.write_text(bipgraph_encode(BipGraph(2, 8, (0, 0b11111111))))
+    clone = ["sparsen", "--graph", str(gpath), "--parts", ",".join(map(str, parts)),
+             "--core", "0,1,2,3", "--alpha", "1/3", "--t", "1"]
+    cases = [
+        (clone, {"b_prime", "classes", "delta"}),
+        (clone + ["--direction", "from-core", "--t", "0"],
+         {"b_prime", "classes", "delta"}),
+        (["sparsen", "--bipgraph", str(bgpath), "--alpha", "1/4"],
+         {"X", "size", "attempts"}),
+        (["separated", "--bipgraph", str(bgpath), "--x", "3"],
+         {"vertices", "size", "exact"}),
+        (["separated", "--bipgraph", str(bgpath), "--x", "3", "--k", "2",
+          "--mode", "greedy"], {"vertices", "size", "exact", "ceiling"}),
+        (["shatter", "--graph", str(gpath), "--A", "0,1,2,3", "--B", "4,8"],
+         {"shatters", "realizers"}),
+        (["shatter", "--graph", str(gpath), "--A", "0,1", "--B", "4,8"],
+         {"shatters"}),
+    ]
+    for argv, keys in cases:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert set(parse(out)["results"]) == keys, argv
+
+
+def test_rational_options_are_exact(tmp_path, capsys):
+    # core pair (0, 1) at distance 1 = alpha * n exactly; the float 0.1 lies
+    # above 1/10, so it once refused the pair as too close
+    gpath = tmp_path / "e.txt"
+    gpath.write_text("10\n0 2\n")
+    reports = []
+    for alpha in ("0.1", "1/10"):
+        rc, out, err = run(capsys, "sparsen", "--graph", str(gpath), "--parts",
+                           ",".join("0" * 10), "--core", "0,1", "--t", "0",
+                           "--alpha", alpha)
+        assert (rc, err) == (0, "")
+        reports.append(out.split('"timing_ms"')[0])
+    assert reports[0] == reports[1]
+    assert '"alpha": 0.1,' in reports[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha", "{a}",
+     "--eps-out", "{e}"],
+    ["census", "--forbidden", "{s}", "--n-max", "4", "--certify", "--alpha",
+     "{a}", "--eps", "{e}", "--budget-eps", "{e}"],
+    ["verify", "--certificate", "{c}", "--budget-eps", "{e}"],
+])
+def test_fraction_options_report_as_their_decimals(tmp_path, capsys, argv):
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph6_encode(random_graph(8, 0.5, seed=2)) + b"\n")
+    cpath = tmp_path / "cert.json"
+    cpath.write_text(json.dumps(DECOMPOSITION))
+    spec = write_spec(tmp_path, complete_graph(3))
+    outs = []
+    for a, e in (("0.25", "0.5"), ("1/4", "1/2")):
+        rc, out, err = run(capsys, *(x.format(g=gpath, s=spec, c=cpath, a=a, e=e)
+                                     for x in argv))
+        assert (rc, err) == (0, "")
+        outs.append(out.split('"timing_ms"')[0])
+    assert outs[0] == outs[1]
+    # each option is a JSON number, as it was when parsed as a float
+    params = parse(out)["params"]
+    assert {params[key] for key in ("alpha", "eps", "eps_out", "budget_eps")
+            if key in params} <= {0.25, 0.5}
+    assert all(type(params[key]) is float for key in params if "eps" in key)
 
 
 @pytest.mark.parametrize("t, direction", [("2", "from-core"), ("3", "to-core"),
@@ -529,6 +605,15 @@ def test_python_m_hptools_runs_the_cli():
     (["verify", "--certificate", "{c}", "--budget-eps", "nan"], "--budget-eps"),
     (["sparsen", "--graph", "{g}", "--parts", "0,0,0,1,1,1", "--core", "0,3",
       "--t", "1", "--alpha", "nan"], "--alpha"),
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha", "1/0"],
+     "--alpha"),
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha", "4/4"],
+     "--alpha"),
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha", "1/4",
+      "--eps-out", "1e400"], "--eps-out"),
+    (["census", "--forbidden", "{s}", "--n-max", "3", "--eps", "-1/0"], "--eps"),
+    (["sparsen", "--graph", "{g}", "--parts", "0,0,0,1,1,1", "--core", "0,3",
+      "--t", "1", "--alpha", "1e-1000000000"], "--alpha"),
 ])
 def test_non_finite_or_out_of_range_options_exit_2(tmp_path, capsys, argv, option):
     gpath = tmp_path / "g.g6"
@@ -542,6 +627,19 @@ def test_non_finite_or_out_of_range_options_exit_2(tmp_path, capsys, argv, optio
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert f"error: argument {option}: " in err
+
+
+@given(st.one_of(st.text(max_size=12), st.from_regex(
+    r"[-+]?[0-9]{0,4}(\.[0-9]{0,4})?([eE][-+]?[0-9]{1,7})?(/[0-9]{1,4})?",
+    fullmatch=True)))
+@settings(max_examples=300, deadline=2000)
+def test_rational_option_is_a_finite_fraction_or_a_usage_error(text):
+    # an exponent of 10^7 once took Fraction 10 s to expand
+    try:
+        value = _rational(text)
+    except argparse.ArgumentTypeError:
+        return
+    assert isinstance(value, Fraction) and math.isfinite(float(value))
 
 
 @pytest.mark.parametrize("n, eps_out", [(10, "-2000"), (0, "2")])

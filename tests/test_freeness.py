@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from hptools import (BipGraph, DomainError, StepError, bipgraph_decode,
-                     bipgraph_encode, count_nonshattering_attachments,
+from hptools import (BipGraph, DomainError, SparseningOutput, StepError,
+                     bipgraph_decode, bipgraph_encode,
+                     count_nonshattering_attachments,
                      count_sparse_bipartite, count_uk_free_bipartite,
                      distinguishing_set, extract_clone_classes, find_uk_copy,
                      graph_from_edges, is_uk_free, mask_of, max_separated_subset,
@@ -13,7 +14,7 @@ from hptools import (BipGraph, DomainError, StepError, bipgraph_decode,
                      trace_count_check)
 from hptools.universal import construct_universal
 
-from oracles import (brute_max_far_subset, naive_uk_copy,
+from oracles import (brute_max_far_subset, clone_class_failures, naive_uk_copy,
                      nonshattering_by_inclusion_exclusion, numpy_count_uk_free)
 
 
@@ -239,8 +240,8 @@ def test_separation_profile_axioms():
 
 def test_separated_identity_matching():
     bg = BipGraph(4, 4, (1, 2, 4, 8))
-    assert max_separated_subset(bg, "A", 2).size == 4
-    assert max_separated_subset(bg, "A", 3).size == 1
+    assert max_separated_subset(bg, "A", 2) == 0b1111
+    assert max_separated_subset(bg, "A", 3).bit_count() == 1
 
 
 def test_separated_exact_matches_brute_force():
@@ -251,9 +252,9 @@ def test_separated_exact_matches_brute_force():
         for side, vecs in (("A", bg.rows), ("B", bg.cols())):
             x = rng.randint(1, 4)
             exact = max_separated_subset(bg, side, x, "exact")
-            assert exact.size == brute_max_far_subset(list(vecs), x)
+            assert exact.bit_count() == brute_max_far_subset(list(vecs), x)
             greedy = max_separated_subset(bg, side, x, "greedy")
-            assert greedy.size <= exact.size
+            assert greedy.bit_count() <= exact.bit_count()
 
 
 def test_separated_bound_sampled():
@@ -267,7 +268,7 @@ def test_separated_bound_sampled():
             continue
         checked += 1
         for x in (4, 6, 8):
-            got = max_separated_subset(bg, "A", x).size
+            got = max_separated_subset(bg, "A", x).bit_count()
             assert got <= separated_subset_ceiling(12, x, 3, 12)
 
 
@@ -276,7 +277,7 @@ def test_separated_bound_sampled():
 def test_distinguishing_complement_rows():
     bg = BipGraph(2, 1, (0b0, 0b1))
     ds = distinguishing_set(bg, 0b11, 1, seed=0)
-    assert ds.size == 1 and ds.X == 0b1
+    assert ds.X == 0b1 and ds.attempts == 1
 
 
 def test_distinguishing_full_side_fallback():
@@ -327,8 +328,9 @@ def test_clone_classes_trivial_t0():
     G, parts, core = planted_clone_instance(1, 1, copies=2)
     single = 1 << ((core & -core).bit_length() - 1)
     out = extract_clone_classes(G, parts, single | 2, Fraction(1, G.n), 0)
+    # no structure requested: the core, and each part minus it as one class
     assert out.b_prime == single | 2
-    assert out.condition_a and out.condition_b
+    assert out.classes == ((G.vertex_mask & ~(single | 2),),)
 
 
 def test_clone_classes_planted_recovery():
@@ -337,9 +339,10 @@ def test_clone_classes_planted_recovery():
     assert out.b_prime.bit_count() == 1
     sizes = [c.bit_count() for part in out.classes for c in part]
     assert sizes == [4, 4]  # full planted classes recovered
-    assert out.condition_a and out.condition_b
-    assert out.params.delta * G.n >= 4
-    # the basic form's condition (b), spelled out: a transversal shatters B'
+    assert clone_class_failures(G, parts, 1, "to-core", out) == []
+    assert out.delta * G.n >= 4
+    # the basic form's condition (b), through the library: a transversal
+    # shatters B'
     W = mask_of((c & -c).bit_length() - 1 for c in out.classes[0])
     assert shatters(G, W, out.b_prime) is not None
 
@@ -351,14 +354,7 @@ def test_clone_classes_two_parts():
     for part in out.classes:
         assert len(part) == 2
         assert all(c.bit_count() >= 1 for c in part)
-    assert out.condition_a and out.condition_b
-    # spec form of condition (b): a sampled transversal shatters B'
-    W = mask_of((c & -c).bit_length() - 1 for part in out.classes for c in part[:1])
-    # one vertex per aligned class index, drawn across the parts
-    W = 0
-    for j in range(2):
-        W |= 1 << ((out.classes[0][j] & -out.classes[0][j]).bit_length() - 1)
-    assert shatters(G, W, out.b_prime) is not None
+    assert clone_class_failures(G, parts, 1, "to-core", out) == []
 
 
 def test_clone_classes_t2():
@@ -366,7 +362,7 @@ def test_clone_classes_t2():
     out = extract_clone_classes(G, parts, core, Fraction(3, G.n), 2, seed=1)
     assert out.b_prime.bit_count() == 2
     assert len(out.classes[0]) == 4
-    assert out.condition_a and out.condition_b
+    assert clone_class_failures(G, parts, 2, "to-core", out) == []
 
 
 def test_clone_classes_from_core():
@@ -375,57 +371,57 @@ def test_clone_classes_from_core():
                                 seed=2, direction="from-core")
     assert out.b_prime.bit_count() == 2  # 2^(r t) = 2
     assert len(out.classes[0]) == 1
-    assert out.condition_a and out.condition_b
+    assert clone_class_failures(G, parts, 1, "from-core", out) == []
     w = mask_of((c & -c).bit_length() - 1 for part in out.classes for c in part)
     assert shatters(G, out.b_prime, w) is not None
 
 
-# Exact outputs on fixed inputs: (b_prime, classes, delta, condition_a,
-# condition_b), or the StepError message, which starts with its step.  "planted" is
+# Exact outputs on fixed inputs: (b_prime, classes, delta), or the StepError
+# message, which starts with its step.  "planted" is
 # planted_clone_instance(r, t, copies) with its core; "random" is
 # random_graph(n, 1/2, seed) with parts v mod r and core {0, 1, 2, 3}.
 # alpha is 1/n throughout.
 CLONE_TABLE = [
-    (("planted", 1, 1, 4), 0, "to-core", (0, 1), (15, ((4080,),), 2 / 3, True, True)),
+    (("planted", 1, 1, 4), 0, "to-core", (0, 1), (15, ((4080,),), 2 / 3)),
     (("planted", 1, 1, 4), 1, "to-core", (0, 1),
-     (2, ((3840, 240),), 1 / 3, True, True)),
+     (2, ((3840, 240),), 1 / 3)),
     (("planted", 1, 1, 4), 1, "from-core", (0, 1),
      "core-selection: need |B| >= 2^(2^2) = 16 trace patterns, have 4"),
     (("planted", 1, 1, 4), 2, "to-core", (0, 1),
      "core-selection: need |B| >= 2^(2^2) = 16 trace patterns, have 4"),
     (("planted", 1, 2, 3), 0, "from-core", (0, 1),
-     (65535, ((268369920,),), 3 / 7, True, True)),
+     (65535, ((268369920,),), 3 / 7)),
     (("planted", 1, 2, 3), 1, "from-core", (0, 1),
-     (40, ((3670016,),), 3 / 28, True, True)),
+     (40, ((3670016,),), 3 / 28)),
     (("planted", 1, 2, 3), 2, "to-core", (0, 1),
-     (40, ((234881024, 3670016, 29360128, 458752),), 3 / 28, True, True)),
+     (40, ((234881024, 3670016, 29360128, 458752),), 3 / 28)),
     (("planted", 1, 2, 3), 2, "from-core", (0, 1),
      "core-selection: need |B| >= 2^(2^(2^2)) trace patterns, more than the "
      "64-vertex cap allows; have 16"),
     (("planted", 2, 1, 3), 0, "from-core", (0, 1),
-     (15, ((1008,), (64512,)), 3 / 8, True, True)),
+     (15, ((1008,), (64512,)), 3 / 8)),
     (("planted", 2, 1, 3), 1, "to-core", (0, 1),
-     (2, ((896, 112), (57344, 7168)), 3 / 16, True, True)),
+     (2, ((896, 112), (57344, 7168)), 3 / 16)),
     (("planted", 2, 1, 3), 1, "from-core", (0, 1),
      "core-selection: need |B| >= 2^(2^(2^2)) trace patterns, more than the "
      "64-vertex cap allows; have 4"),
     (("planted", 2, 2, 1), 2, "to-core", (0, 1),
      (40, ((524288, 131072, 262144, 65536), (8388608, 2097152, 4194304, 1048576)),
-      1 / 24, True, True)),
+      1 / 24)),
     (("planted", 2, 2, 2), 1, "to-core", (0, 1),
-     (2, ((786432, 196608), (201326592, 50331648)), 1 / 16, True, True)),
+     (2, ((786432, 196608), (201326592, 50331648)), 1 / 16)),
     # two cores tie on frequency; the lower mask wins
-    (("random", 16, 1, 1), 1, "to-core", (0, 1), (4, ((32, 16),), 1 / 16, True, True)),
+    (("random", 16, 1, 1), 1, "to-core", (0, 1), (4, ((32, 16),), 1 / 16)),
     (("random", 16, 2, 0), 1, "to-core", (0, 1),
      "find-shattered: no shattered 2^1-set recovered in part 1"),
     (("random", 20, 2, 1), 1, "to-core", (0, 1),
-     (4, ((65536, 16), (524288, 2048)), 1 / 20, True, True)),
+     (4, ((65536, 16), (524288, 2048)), 1 / 20)),
     (("random", 20, 2, 3), 1, "to-core", (0, 1),
      "pigeonhole: no core candidate recurs in every part"),
     (("random", 24, 1, 3), 1, "to-core", (0,),
-     (2, ((524416, 65568),), 1 / 12, True, True)),
+     (2, ((524416, 65568),), 1 / 12)),
     (("random", 24, 1, 3), 1, "to-core", (1,),
-     (8, ((8389632, 32896),), 1 / 12, True, True)),
+     (8, ((8389632, 32896),), 1 / 12)),
 ]
 
 
@@ -449,8 +445,38 @@ def test_clone_classes_pinned_outputs(instance, t, direction, seeds, expected):
             continue
         out = extract_clone_classes(G, parts, core, Fraction(1, G.n), t, seed,
                                     direction)
-        assert (out.b_prime, out.classes, out.params.delta, out.condition_a,
-                out.condition_b) == expected
+        assert (out.b_prime, out.classes, out.delta) == expected
+        if t:  # t = 0 asks for no structure and carries none
+            assert clone_class_failures(G, parts, t, direction, out) == []
+
+
+def test_clone_class_checker_flags_doctored_results():
+    G, parts, core = planted_clone_instance(2, 1, copies=3)
+    out = extract_clone_classes(G, parts, core, Fraction(3, G.n), 1, seed=5)
+    assert clone_class_failures(G, parts, 1, "to-core", out) == []
+    (c0, c1), rest = out.classes[0], out.classes[1:]
+    low = c0 & -c0
+    doctored = [
+        ((c0 ^ low, c1 | low),) + rest,  # a member moved to the other class
+        ((c0 | c1,),) + rest,             # the two classes merged
+        ((c0, c1 | out.b_prime),) + rest,  # B' inside a class
+    ]
+    for classes in doctored:
+        bad = SparseningOutput(out.b_prime, classes, out.delta)
+        assert clone_class_failures(G, parts, 1, "to-core", bad) != []
+    wide = SparseningOutput(core, out.classes, out.delta)
+    assert clone_class_failures(G, parts, 1, "to-core", wide) != []
+    assert clone_class_failures(G, parts, 1, "from-core", out) != []
+
+
+@pytest.mark.parametrize("extra", [6, -1, -12])
+def test_clone_classes_parts_must_match_the_graph(extra):
+    # six extra labels once put vertices 12..17 of a 12-vertex graph into
+    # the classes
+    G, parts, core = planted_clone_instance(1, 1, copies=4)
+    parts = parts + (0,) * extra if extra > 0 else parts[:extra]
+    with pytest.raises(DomainError, match="^parts do not match the graph$"):
+        extract_clone_classes(G, parts, core, Fraction(1, 12), 0)
 
 
 def test_clone_classes_window_over_the_trace_ground_cap():

@@ -39,6 +39,10 @@ def test_spec_rejects_bad_orders():
         spec_of(graph_from_edges(0, []))
     with pytest.raises(DomainError):
         spec_of(random_graph(11, 0.5, seed=1))
+    # built directly, a spec forbidding the empty graph once had 0 members
+    # on 0 vertices but 2 on 2, though every graph contains the empty graph
+    with pytest.raises(DomainError, match="1..10 vertices"):
+        PropertySpec((graph_from_edges(0, []),))
 
 
 def test_spec_file_roundtrip(tmp_path):
@@ -78,6 +82,13 @@ def test_speed_known_values(k3, c4):
 def test_speed_degenerate_spec():
     one = graph_from_edges(1, [])
     assert speed(spec_of(one), 3).count == 0
+
+
+def test_the_empty_graph_is_the_one_member_on_zero_vertices(k3):
+    # no forbidden graph has 0 vertices, so none is contained in it
+    for forbidden in (graph_from_edges(1, []), complete_graph(2), k3):
+        assert speed(spec_of(forbidden), 0).count == 1
+    assert [G.n for G in enumerate_property(spec_of(k3), 0)] == [0]
 
 
 def test_pruned_enumeration_matches_plain_filter(k3, c4):

@@ -1,4 +1,5 @@
-"""Every module-level import in the package and the tests is read somewhere.
+"""Every module-level import in the package, the tests and the demos is read
+somewhere.
 
 No linter ships with the project, so this scan stands in for its
 unused-import rule.  ``__future__`` imports and the re-exports of the
@@ -12,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "hptools").glob("*.py")) + \
-    sorted((ROOT / "tests").glob("*.py"))
+    sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -94,8 +94,7 @@ def test_decompose_reads_alpha_exactly():
 
 def test_bad_set_empty_graph():
     G = graph_from_edges(6, [])
-    res = max_bad_set(G, (0, 0, 0, 1, 1, 1), Fraction(1, 3))
-    assert res.size == 1 and res.exact
+    assert max_bad_set(G, (0, 0, 0, 1, 1, 1), Fraction(1, 3)).bit_count() == 1
 
 
 def test_bad_set_planted():
@@ -106,8 +105,8 @@ def test_bad_set_planted():
         edges += [(i, 12 + 2 * i), (i, 13 + 2 * i)]     # inside part 1
     G = graph_from_edges(20, edges)
     parts = tuple([0] * 12 + [1] * 8)
-    res = max_bad_set(G, parts, Fraction(1, 5))  # cutoff 4 = planted distance
-    assert res.vertices == 0b1111
+    # cutoff 4 = planted distance
+    assert max_bad_set(G, parts, Fraction(1, 5)) == 0b1111
 
 
 def test_bad_set_alpha_one_proper_parts():
@@ -116,9 +115,9 @@ def test_bad_set_alpha_one_proper_parts():
         n = rng.randint(2, 8)
         G = random_graph(n, rng.random(), seed=rng.random())
         parts = tuple(v % 2 for v in range(n)) if n > 1 else (0,)
-        res = max_bad_set(G, parts, Fraction(99, 100))
+        B = max_bad_set(G, parts, Fraction(99, 100))
         if n >= 3:
-            assert res.size == 1
+            assert B.bit_count() == 1
 
 
 def test_bad_set_exact_vs_greedy_and_brute():
@@ -132,7 +131,7 @@ def test_bad_set_exact_vs_greedy_and_brute():
         alpha = Fraction(rng.randint(1, n), 2 * n)
         exact = max_bad_set(G, parts, alpha, "exact")
         greedy = max_bad_set(G, parts, alpha, "greedy")
-        assert greedy.size <= exact.size
+        assert greedy.bit_count() <= exact.bit_count()
         # brute force over subsets
         cutoff = clone_cutoff(alpha, n)
         pm = part_masks(parts)
@@ -142,7 +141,7 @@ def test_bad_set_exact_vs_greedy_and_brute():
                 if all(all(((G.adj[u] ^ G.adj[v]) & S).bit_count() >= cutoff
                            for S in pm) for u, v in combinations(sub, 2)):
                     best = max(best, size)
-        assert exact.size == best
+        assert exact.bit_count() == best
 
 
 # --- clone index and adjustment -------------------------------------------------
@@ -179,7 +178,7 @@ def test_clone_index_never_fails_on_max_bad_set():
         G = random_graph(n, rng.random(), seed=rng.random())
         parts = tuple(v % 2 for v in range(n))
         alpha = Fraction(1, 4)
-        B = max_bad_set(G, parts, 2 * alpha).vertices
+        B = max_bad_set(G, parts, 2 * alpha)
         for v in range(n):
             clone_index(G, parts, B, 2 * alpha, v)  # must not raise
 
@@ -187,7 +186,7 @@ def test_clone_index_never_fails_on_max_bad_set():
 def test_alpha_adjust_identity_when_settled():
     G = graph_from_edges(4, [])
     parts = (0, 0, 1, 1)
-    B = max_bad_set(G, parts, Fraction(1, 2)).vertices
+    B = max_bad_set(G, parts, Fraction(1, 2))
     rep = alpha_adjust(G, parts, B, Fraction(1, 4))
     # every vertex clones B everywhere; first part wins for all
     assert all(s <= clone_cutoff(Fraction(1, 4), 4) or True for s in rep.sym_diffs)
@@ -203,7 +202,7 @@ def test_alpha_adjust_labels_are_clone_indices(graph_parts, maximal, B, alpha):
     G, parts = graph_parts
     r = max(parts) + 1
     two_alpha = 2 * Fraction(alpha)
-    B = (max_bad_set(G, parts, two_alpha, r=r).vertices if maximal
+    B = (max_bad_set(G, parts, two_alpha, r=r) if maximal
          else B & G.vertex_mask)
     assert outcome(lambda: alpha_adjust(G, parts, B, alpha, r).labels) == \
         outcome(lambda: tuple(clone_index(G, parts, B, two_alpha, v, r)
@@ -241,6 +240,14 @@ def test_packing_empty_when_no_copy():
     rep = extract_universal_packing(G, (0, 0, 0, 0, 1, 1, 1, 1), 1)
     assert rep.pieces == ()
     assert rep.residual == (0b00001111, 0b11110000)
+
+
+@pytest.mark.parametrize("labels", [12, 8, 0])
+def test_packing_parts_must_match_the_graph(labels):
+    # too many labels once raised IndexError, too few packed a part of G
+    G = random_graph(10, 0.5, seed=1)
+    with pytest.raises(DomainError, match="^parts do not match the graph$"):
+        extract_universal_packing(G, tuple(v % 2 for v in range(labels)), 1)
 
 
 def test_packing_planted_single_piece():

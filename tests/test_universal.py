@@ -29,10 +29,10 @@ def test_universal_identity_realizers():
     w = shatters(uni.graph, uni.A, uni.B)
     assert w is not None
     b_verts = list(bits(uni.B))
-    for trace, a in w.realizers.items():
+    for trace, a in w.items():
         # the vertex labeled by a subset realizes exactly that subset
         assert mask_of(b_verts[j] for j in range(3) if a >> j & 1) == trace
-    assert len(set(w.realizers.values())) == 8
+    assert len(set(w.values())) == 8
 
 
 def test_universal_domain():
@@ -46,7 +46,7 @@ def test_universal_domain():
 def test_shatters_path_example():
     G = graph_from_edges(3, [(0, 1)])
     w = shatters(G, 0b101, 0b010)
-    assert w is not None and set(w.realizers) == {0, 0b010}
+    assert w is not None and set(w) == {0, 0b010}
 
 
 def test_shatters_empty_graph():
@@ -79,7 +79,7 @@ def test_shatters_monotone(rnd):
     sub_B = mask_of(v for v in bits(uni.B) if rnd.random() < 0.6)
     assert shatters(G, uni.A, sub_B) is not None
     # dropping non-realizer vertices of A keeps the witness
-    keep = set(w.realizers.values())
+    keep = set(w.values())
     A2 = mask_of(v for v in bits(uni.A) if v in keep or rnd.random() < 0.5)
     assert shatters(G, A2, uni.B) is not None
 
