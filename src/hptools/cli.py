@@ -533,17 +533,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational(text: str, unit: bool = False) -> Fraction:
     """An exact option value such as 0.1 or 1/10 that is a finite float;
-    with ``unit``, strictly between 0 and 1.  A decimal exponent beyond any
-    float's is refused before Fraction would expand it into an integer."""
+    with ``unit``, one whose float, which reports print, lies strictly
+    between 0 and 1 (rounding is monotone, so the exact value does too).  A
+    decimal exponent beyond any float's is refused before Fraction would
+    expand it into an integer."""
     try:
         if "/" not in text and not -400 < Decimal(text).adjusted() < 400:
             raise ValueError(text)
         value = Fraction(text)
-        float(value)
+        number = float(value)
     except (ArithmeticError, ValueError):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a finite number") from None
-    if unit and not 0 < value < 1:
+    if unit and not 0 < number < 1:
         raise argparse.ArgumentTypeError(f"{text!r} does not lie in (0, 1)")
     return value
 

@@ -142,28 +142,18 @@ def is_uk_free(G: Graph, k: int, parts=None) -> bool:
 # exact counting of U(k)-free bipartite graphs
 
 
-def _free_cross(rows, k: int, subsets) -> bool:
-    """No k-subset of the B side realizes all 2^k traces among the rows."""
+def _side_coverable(rows, k: int, subsets, spare: bool = False) -> bool:
+    """Can some k-subset of this side have every trace pattern realized by
+    the rows of the opposite side?  With ``spare`` (whole mode, when this
+    side has more than k vertices) the empty pattern may also come from a
+    leftover vertex of this side."""
     need = 1 << k
-    if len(rows) < need:
-        return True
-    pool = (1 << len(rows)) - 1
-    return all(len(first_realizers(rows, pool, sub, need)) < need
-               for sub in subsets)
-
-
-def _side_coverable(rows, side_size: int, k: int, subsets) -> bool:
-    """Whole-graph helper: can some k-subset of this side have every trace
-    pattern realized?  Nonempty patterns need realizers on the opposite
-    side (rows); the empty pattern may also come from a leftover vertex of
-    this side, which exists when the side has more than k vertices."""
-    need = 1 << k
-    if len(rows) < need - 1:
+    if len(rows) < need - spare:
         return False
     pool = (1 << len(rows)) - 1
     for sub in subsets:
         found = first_realizers(rows, pool, sub, need)
-        if len(found) + (side_size > k and 0 not in found) == need:
+        if len(found) == need or spare and len(found) == need - 1 and 0 not in found:
             return True
     return False
 
@@ -190,14 +180,14 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     count = 0
     for rows in combinations_with_replacement(range(1 << n), m):
         if mode == "cross":
-            free = _free_cross(rows, k, bsubs)
+            free = not _side_coverable(rows, k, bsubs)
         else:
             cols = [0] * n
             for a, row in enumerate(rows):
                 for b in bits(row):
                     cols[b] |= 1 << a
-            free = not (_side_coverable(rows, n, k, bsubs)
-                        or _side_coverable(cols, m, k, asubs))
+            free = not (_side_coverable(rows, k, bsubs, n > k)
+                        or _side_coverable(cols, k, asubs, m > k))
         if free:
             count += _orderings(rows)
     return count
@@ -242,7 +232,7 @@ def trace_count_check(bg: BipGraph, blocks, k: int):
         union |= blk
     if union != (1 << bg.n) - 1:
         raise DomainError("blocks do not cover the B side")
-    if not _free_cross(bg.rows, k, list(k_submasks((1 << bg.n) - 1, k))):
+    if _side_coverable(bg.rows, k, list(k_submasks((1 << bg.n) - 1, k))):
         raise DomainError("host is not U(k)-free in cross mode")
     out = []
     for blk in blocks:
@@ -491,8 +481,8 @@ def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
         raise DomainError("parts do not match the graph")
     if direction not in ("to-core", "from-core"):
         raise DomainError("direction must be 'to-core' or 'from-core'")
-    if t < 0:
-        raise DomainError("t must be non-negative")
+    if t < 1:
+        raise DomainError("t must be at least 1")
     pmasks = part_masks(parts)
     r = len(pmasks)
     n = G.n
@@ -509,12 +499,6 @@ def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
                     raise DomainError(
                         f"core pair ({B_verts[i1]},{B_verts[i2]}) closer than "
                         f"alpha*n within part {j}")
-
-    if t == 0:
-        # degenerate convenience case: no structure requested
-        classes = tuple((S & ~B,) for S in pmasks)
-        dmin = min((m[0].bit_count() for m in classes), default=0)
-        return SparseningOutput(B, classes, dmin / n if n else 0.0)
 
     # |B| <= 64 < 2^(2^3), so an inner t of 3 or more always starves; decide
     # that from t and r*t before forming 2^(rt) or the tower 2^(2^t_inner)

@@ -296,25 +296,23 @@ def toy_szemeredi_partition(G: Graph, m: int, eps) -> tuple[int, ...]:
 
 def toy_bbs_parts(G: Graph, r: int) -> tuple[int, ...]:
     """Group the toy partitioner's blocks into r parts with the fewest grey
-    block pairs inside parts.  Test-fixture plumbing, n <= 12; graphs with
-    fewer vertices than parts get one singleton part per vertex."""
+    block pairs inside parts, the first such assignment in lexicographic
+    order.  Test-fixture plumbing, n <= 12, at most min(2r, 4, n) blocks;
+    graphs with fewer vertices than parts get one singleton part per
+    vertex."""
     if G.n <= r:
         return tuple(range(G.n))
     m = min(2 * r, 4, G.n)
+    if r > m:
+        raise DomainError(f"cannot group {m} toy blocks into {r} parts")
     block_labels = toy_szemeredi_partition(G, m, Fraction(1, 2))
     masks = part_masks(block_labels, m)
-    best = None
-    best_bad = None
-    for assign in product(range(r), repeat=m):
-        if len(set(assign)) != r:
-            continue
-        bad = 0
-        for i, j in combinations(range(m), 2):
-            if assign[i] == assign[j] and masks[i] and masks[j]:
-                if is_grey(G, masks[i], masks[j], Fraction(1, 2), Fraction(1, 10)):
-                    bad += 1
-        if best_bad is None or bad < best_bad:
-            best, best_bad = assign, bad
+    grey = [(i, j) for i, j in combinations(range(m), 2)
+            if masks[i] and masks[j]
+            and is_grey(G, masks[i], masks[j], Fraction(1, 2), Fraction(1, 10))]
+    best = min((assign for assign in product(range(r), repeat=m)
+                if len(set(assign)) == r),
+               key=lambda assign: sum(assign[i] == assign[j] for i, j in grey))
     labels = [0] * G.n
     for b, part in enumerate(best):
         for v in bits(masks[b]):

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
-from .errors import DomainError, StepError
+from .errors import DomainError
 from .freeness import MAX_UK_HOST, find_uk_copy
 from .graphs import (Graph, bits, far_clique, induced_subgraph, k_submasks,
                      mask_of, part_masks)
@@ -44,17 +44,14 @@ def is_alpha_clone(G: Graph, u: int, v: int, A: int, alpha) -> bool:
     return ((G.adj[u] ^ G.adj[v]) & A).bit_count() <= clone_cutoff(alpha, G.n)
 
 
-def max_bad_set(G: Graph, parts, alpha, mode: str = "exact",
-                r: int | None = None) -> int:
+def max_bad_set(G: Graph, parts, alpha, r: int | None = None) -> int:
     """The mask of a largest vertex set pairwise far apart inside every
-    part: maximum clique of the far-pair auxiliary graph (exact, n <= 24),
-    or in greedy mode a maximal set, a lower bound.  An explicit ``r``
-    admits empty parts, which kill every bad pair once the cutoff is
-    positive."""
-    pmasks = part_masks(parts, r)
-    if mode == "exact" and G.n > MAX_BAD_EXACT:
-        raise DomainError(f"exact mode capped at {MAX_BAD_EXACT} vertices")
-    return far_clique(G.adj, pmasks, clone_cutoff(alpha, G.n), mode)
+    part: a maximum clique of the far-pair auxiliary graph up to
+    ``MAX_BAD_EXACT`` vertices, a maximal one (a lower bound) above.  An
+    explicit ``r`` admits empty parts, which kill every bad pair once the
+    cutoff is positive."""
+    mode = "exact" if G.n <= MAX_BAD_EXACT else "greedy"
+    return far_clique(G.adj, part_masks(parts, r), clone_cutoff(alpha, G.n), mode)
 
 
 def _clone_part(adj, pmasks, bad, cutoff: int, v: int) -> int:
@@ -176,43 +173,25 @@ def _find_placed_copy(G: Graph, pmasks, X: int, k: int, t: int):
         if j == t:
             return True
         pool = pmasks[placement[j]] & ~X & ~used
-        size = sizes[j]
         if j == 0:
-            for first in k_submasks(pool, size):
-                layers.append(first)
-                if place(layers, used | first, placement):
-                    return True
-                layers.pop()
-            return False
-        prefix = 0
-        for m in layers:
-            prefix |= m
-        classes: dict[int, list[int]] = {}
-        for a in bits(pool):
-            classes.setdefault(G.adj[a] & prefix, []).append(a)
-        # size = 2^|prefix|: the layer takes one realizer of every trace
-        if len(classes) < size:
-            return False
-        ordered = sorted(classes)
-        if j == t - 1:
-            # last layer: any trace-complete choice works; take the lowest
-            layer = mask_of(classes[tr][0] for tr in ordered)
-            layers.append(layer)
-            return True
-
-        def pick(idx: int, acc: int) -> bool:
-            if idx == size:
-                layers.append(acc)
-                if place(layers, used | acc, placement):
-                    return True
-                layers.pop()
+            choices = k_submasks(pool, sizes[0])
+        else:
+            # used is the union of the earlier layers, and sizes[j] is
+            # 2^|used|: the layer takes one realizer of every trace on it,
+            # the last trace varying fastest
+            classes: dict[int, list[int]] = {}
+            for a in bits(pool):
+                classes.setdefault(G.adj[a] & used, []).append(a)
+            if len(classes) < sizes[j]:
                 return False
-            for a in classes[ordered[idx]]:
-                if pick(idx + 1, acc | 1 << a):
-                    return True
-            return False
-
-        return pick(0, 0)
+            ordered = [classes[tr] for tr in sorted(classes)]
+            choices = map(mask_of, product(*ordered))
+        for layer in choices:
+            layers.append(layer)
+            if place(layers, used | layer, placement):
+                return True
+            layers.pop()
+        return False
 
     for p in range(r):
         if free[p] < sum(sizes[:2]):
@@ -233,7 +212,8 @@ def extract_universal_packing(G: Graph, parts, k: int,
                               r: int | None = None) -> PackingReport:
     """The packing loop: for t from r+1 down to 2, repeatedly take the first
     placeable t-level copy, remove its vertices, and continue.  Levels too
-    large to fit simply contribute no pieces."""
+    large to fit simply contribute no pieces.  A 2-level copy is a U(k)
+    copy inside one part, so every residual part is U(k)-free."""
     parts = tuple(parts)
     if len(parts) != G.n:
         raise DomainError("parts do not match the graph")
@@ -357,14 +337,17 @@ def _budget(n: int, eps) -> float:
 
 def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
               eps_out: float = 0.5) -> DecompositionCertificate:
-    """Full pipeline: maximal (2 alpha)-bad set, alpha-adjustment, universal
-    packing, then A = B union packed and S_j = S'_j minus A.  The bad set
-    is exact up to ``MAX_BAD_EXACT`` vertices and greedy above.
+    """Full pipeline: maximal (2 alpha)-bad set (``max_bad_set``),
+    alpha-adjustment, universal packing, then A = B union packed and S_j =
+    S'_j minus A, the packing's residual part minus B.
 
     ``alpha`` (a float, a Fraction or a string such as "1/4") must lie in
-    (0, 1).  Each final part is verified U(k)-free before returning.  The
-    |A| budget n^(1-eps_out) is reported, never asserted: it holds for
-    almost all graphs of a property, not for every input.
+    (0, 1).  Each final part is U(k)-free by construction: the packing
+    loop stops only when its 2-level search, a U(k) search inside each
+    part, finds nothing, and ``verify_decomposition`` checks it again
+    independently.  The |A| budget n^(1-eps_out) is reported, never
+    asserted: it holds for almost all graphs of a property, not for every
+    input.
     """
     if r < 1:
         raise DomainError("need at least one part")
@@ -380,20 +363,13 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
         raise DomainError("parts hint does not match the graph")
     if any(not 0 <= j < r for j in parts):
         raise DomainError("parts hint uses a label outside 0..r-1")
-    bad_mode = "exact" if G.n <= MAX_BAD_EXACT else "greedy"
-    bad = max_bad_set(G, parts, 2 * alpha, bad_mode, r)
+    bad = max_bad_set(G, parts, 2 * alpha, r)
     adj = alpha_adjust(G, parts, bad, alpha, r)
     packing = extract_universal_packing(G, adj.labels, k, r)
     A = bad | packing.packed_mask()
-    new_masks = part_masks(adj.labels, r)
-    final_parts = tuple(S & ~A for S in new_masks)
-    for j, S in enumerate(final_parts):
-        sub = induced_subgraph(G, S)
-        if sub.n >= (1 << k) + k and find_uk_copy(sub, k) is not None:
-            raise StepError("packing",
-                            f"part {j} still contains a U({k}) copy after packing")
     return DecompositionCertificate(
-        n=G.n, r=r, k=k, exceptional=A, parts=final_parts,
+        n=G.n, r=r, k=k, exceptional=A,
+        parts=tuple(S & ~bad for S in packing.residual),
         bad_set=bad, adjusted_labels=adj.labels,
         adjustment_ok=adj.is_adjustment, packing=packing,
         alpha=float(alpha), eps_out=float(eps_out), budget=budget,

@@ -209,12 +209,6 @@ def construct_universal_star(r: int, k: int, v) -> LayeredUniversal:
 def reverse_shatter(G: Graph, A: int, B: int, t: int):
     """From A -> B with |B| >= 2^t, produce (A', B') with B' -> A', |A'| = t:
     the aligned reverse construction with the single set A."""
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    if B.bit_count() < 1 << t:
-        raise DomainError("need |B| >= 2^t")
-    if shatters(G, A, B) is None:
-        raise DomainError("A does not shatter B")
     (a_prime,), B0 = aligned_reverse_shatter(G, [A], B, t)
     return a_prime, B0
 

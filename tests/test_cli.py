@@ -126,10 +126,16 @@ def test_result_keys_of_mask_and_witness_reports(tmp_path, capsys):
     bgpath.write_text(bipgraph_encode(BipGraph(2, 8, (0, 0b11111111))))
     clone = ["sparsen", "--graph", str(gpath), "--parts", ",".join(map(str, parts)),
              "--core", "0,1,2,3", "--alpha", "1/3", "--t", "1"]
+    G2, parts2, core2 = planted_clone_instance(1, 2, copies=3)
+    g2path = tmp_path / "g2.g6"
+    g2path.write_bytes(graph6_encode(G2) + b"\n")
+    from_core = ["sparsen", "--graph", str(g2path),
+                 "--parts", ",".join(map(str, parts2)),
+                 "--core", ",".join(str(v) for v in range(G2.n) if core2 >> v & 1),
+                 "--alpha", f"1/{G2.n}", "--t", "1", "--direction", "from-core"]
     cases = [
         (clone, {"b_prime", "classes", "delta"}),
-        (clone + ["--direction", "from-core", "--t", "0"],
-         {"b_prime", "classes", "delta"}),
+        (from_core, {"b_prime", "classes", "delta"}),
         (["sparsen", "--bipgraph", str(bgpath), "--alpha", "1/4"],
          {"X", "size", "attempts"}),
         (["separated", "--bipgraph", str(bgpath), "--x", "3"],
@@ -149,18 +155,18 @@ def test_result_keys_of_mask_and_witness_reports(tmp_path, capsys):
 
 def test_rational_options_are_exact(tmp_path, capsys):
     # core pair (0, 1) at distance 1 = alpha * n exactly; the float 0.1 lies
-    # above 1/10, so it once refused the pair as too close
+    # above 1/10, so it once refused the pair as too close.  Read exactly,
+    # both spellings pass the separation check and stop at the next step,
+    # where two core vertices are too few for t = 1.
     gpath = tmp_path / "e.txt"
     gpath.write_text("10\n0 2\n")
-    reports = []
     for alpha in ("0.1", "1/10"):
         rc, out, err = run(capsys, "sparsen", "--graph", str(gpath), "--parts",
-                           ",".join("0" * 10), "--core", "0,1", "--t", "0",
+                           ",".join("0" * 10), "--core", "0,1", "--t", "1",
                            "--alpha", alpha)
-        assert (rc, err) == (0, "")
-        reports.append(out.split('"timing_ms"')[0])
-    assert reports[0] == reports[1]
-    assert '"alpha": 0.1,' in reports[0]
+        assert out == ""
+        assert_one_line_error(rc, err, "core-selection: need |B| >= 2^(2^1) = 4 "
+                                       "trace patterns, have 2")
 
 
 @pytest.mark.parametrize("argv", [
@@ -614,6 +620,11 @@ def test_python_m_hptools_runs_the_cli():
     (["census", "--forbidden", "{s}", "--n-max", "3", "--eps", "-1/0"], "--eps"),
     (["sparsen", "--graph", "{g}", "--parts", "0,0,0,1,1,1", "--core", "0,3",
       "--t", "1", "--alpha", "1e-500"], "--alpha"),
+    # exact values inside (0, 1) whose floats, which reports print, are 0 and 1
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha",
+      "1e-330"], "--alpha"),
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha",
+      "0.99999999999999999"], "--alpha"),
 ])
 def test_non_finite_or_out_of_range_options_exit_2(tmp_path, capsys, argv, option):
     gpath = tmp_path / "g.g6"

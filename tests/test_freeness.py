@@ -325,12 +325,11 @@ def test_distinguishing_attempt_cap(monkeypatch):
 # --- clone classes ------------------------------------------------------------------------
 
 def test_clone_classes_trivial_t0():
+    # t = 0 asks for no structure: a part minus the core is no clone class
     G, parts, core = planted_clone_instance(1, 1, copies=2)
     single = 1 << ((core & -core).bit_length() - 1)
-    out = extract_clone_classes(G, parts, single | 2, Fraction(1, G.n), 0)
-    # no structure requested: the core, and each part minus it as one class
-    assert out.b_prime == single | 2
-    assert out.classes == ((G.vertex_mask & ~(single | 2),),)
+    with pytest.raises(DomainError, match="t must be at least 1"):
+        extract_clone_classes(G, parts, single | 2, Fraction(1, G.n), 0)
 
 
 def test_clone_classes_planted_recovery():
@@ -376,21 +375,21 @@ def test_clone_classes_from_core():
     assert shatters(G, out.b_prime, w) is not None
 
 
-# Exact outputs on fixed inputs: (b_prime, classes, delta), or the StepError
-# message, which starts with its step.  "planted" is
+# Exact outputs on fixed inputs: (b_prime, classes, delta), the StepError
+# message, which starts with its step, or REFUSED for t = 0.  "planted" is
 # planted_clone_instance(r, t, copies) with its core; "random" is
 # random_graph(n, 1/2, seed) with parts v mod r and core {0, 1, 2, 3}.
 # alpha is 1/n throughout.
+REFUSED = DomainError("t must be at least 1")
 CLONE_TABLE = [
-    (("planted", 1, 1, 4), 0, "to-core", (0, 1), (15, ((4080,),), 2 / 3)),
+    (("planted", 1, 1, 4), 0, "to-core", (0, 1), REFUSED),
     (("planted", 1, 1, 4), 1, "to-core", (0, 1),
      (2, ((3840, 240),), 1 / 3)),
     (("planted", 1, 1, 4), 1, "from-core", (0, 1),
      "core-selection: need |B| >= 2^(2^2) = 16 trace patterns, have 4"),
     (("planted", 1, 1, 4), 2, "to-core", (0, 1),
      "core-selection: need |B| >= 2^(2^2) = 16 trace patterns, have 4"),
-    (("planted", 1, 2, 3), 0, "from-core", (0, 1),
-     (65535, ((268369920,),), 3 / 7)),
+    (("planted", 1, 2, 3), 0, "from-core", (0, 1), REFUSED),
     (("planted", 1, 2, 3), 1, "from-core", (0, 1),
      (40, ((3670016,),), 3 / 28)),
     (("planted", 1, 2, 3), 2, "to-core", (0, 1),
@@ -398,8 +397,7 @@ CLONE_TABLE = [
     (("planted", 1, 2, 3), 2, "from-core", (0, 1),
      "core-selection: need |B| >= 2^(2^(2^2)) trace patterns, more than the "
      "64-vertex cap allows; have 16"),
-    (("planted", 2, 1, 3), 0, "from-core", (0, 1),
-     (15, ((1008,), (64512,)), 3 / 8)),
+    (("planted", 2, 1, 3), 0, "from-core", (0, 1), REFUSED),
     (("planted", 2, 1, 3), 1, "to-core", (0, 1),
      (2, ((896, 112), (57344, 7168)), 3 / 16)),
     (("planted", 2, 1, 3), 1, "from-core", (0, 1),
@@ -436,18 +434,17 @@ def _clone_instance(kind, *args):
 def test_clone_classes_pinned_outputs(instance, t, direction, seeds, expected):
     G, parts, core = _clone_instance(*instance)
     for seed in seeds:
-        if isinstance(expected, str):
-            with pytest.raises(StepError) as err:
+        if isinstance(expected, (str, DomainError)):
+            with pytest.raises(StepError if t else DomainError) as err:
                 extract_clone_classes(G, parts, core, Fraction(1, G.n), t, seed,
                                       direction)
-            assert str(err.value) == expected
-            assert expected.startswith(err.value.step + ": ")
+            assert str(err.value) == str(expected)
+            assert not t or expected.startswith(err.value.step + ": ")
             continue
         out = extract_clone_classes(G, parts, core, Fraction(1, G.n), t, seed,
                                     direction)
         assert (out.b_prime, out.classes, out.delta) == expected
-        if t:  # t = 0 asks for no structure and carries none
-            assert clone_class_failures(G, parts, t, direction, out) == []
+        assert clone_class_failures(G, parts, t, direction, out) == []
 
 
 def test_clone_class_checker_flags_doctored_results():

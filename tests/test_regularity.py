@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hptools import (BBSPartition, DomainError, bits, graph_from_edges,
                      greedy_turan_transversal, is_epsilon_regular, is_grey,
                      mask_of, min_intra_edges_parts, pair_density, random_graph,
-                     toy_bbs_parts, toy_szemeredi_partition,
+                     regularity, toy_bbs_parts, toy_szemeredi_partition,
                      verify_bbs_partition)
 from hptools.graphs import complement, part_masks
 
@@ -303,6 +303,25 @@ def test_toy_bbs_parts_uses_all_parts():
     G = random_graph(9, 0.5, seed=13)
     labels = toy_bbs_parts(G, 2)
     assert set(labels) == {0, 1}
+
+
+def test_toy_bbs_parts_judges_each_block_pair_once(monkeypatch):
+    G = random_graph(9, 0.5, seed=13)
+    labels = toy_bbs_parts(G, 2)
+    calls = []
+
+    def counted(G, A, B, eps, delta):
+        calls.append((A, B))
+        return is_grey(G, A, B, eps, delta)
+
+    monkeypatch.setattr(regularity, "is_grey", counted)
+    assert toy_bbs_parts(G, 2) == labels
+    assert len(calls) == len(set(calls)) == 6  # the C(4, 2) pairs of 4 blocks
+
+
+def test_toy_bbs_parts_refuses_more_parts_than_blocks():
+    with pytest.raises(DomainError, match="cannot group 4 toy blocks into 5 parts"):
+        toy_bbs_parts(random_graph(8, 0.5, seed=1), 5)
 
 
 def test_min_intra_edges_bipartite_exact():

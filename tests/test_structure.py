@@ -13,10 +13,10 @@ from hptools import (DomainError, PackingPiece, PackingReport, alpha_adjust,
                      is_alpha_clone, mask_of, max_bad_set,
                      random_graph, shatters, verify_decomposition,
                      verify_packing_maximality, verify_packing_report)
-from hptools.graphs import part_masks
-from hptools.structure import _cutoffs, clone_cutoff
+from hptools.graphs import far_clique, part_masks
+from hptools.structure import MAX_BAD_EXACT, _cutoffs, clone_cutoff
 
-from oracles import naive_extract_universal_packing
+from oracles import naive_extract_universal_packing, naive_uk_copy
 
 
 @st.composite
@@ -129,12 +129,12 @@ def test_bad_set_exact_vs_greedy_and_brute():
         if len(set(parts)) < 2:
             parts = tuple(v % 2 for v in range(n))
         alpha = Fraction(rng.randint(1, n), 2 * n)
-        exact = max_bad_set(G, parts, alpha, "exact")
-        greedy = max_bad_set(G, parts, alpha, "greedy")
-        assert greedy.bit_count() <= exact.bit_count()
-        # brute force over subsets
+        exact = max_bad_set(G, parts, alpha)
         cutoff = clone_cutoff(alpha, n)
         pm = part_masks(parts)
+        greedy = far_clique(G.adj, pm, cutoff, "greedy")
+        assert greedy.bit_count() <= exact.bit_count()
+        # brute force over subsets
         best = 1
         for size in range(2, n + 1):
             for sub in combinations(range(n), size):
@@ -142,6 +142,26 @@ def test_bad_set_exact_vs_greedy_and_brute():
                            for S in pm) for u, v in combinations(sub, 2)):
                     best = max(best, size)
         assert exact.bit_count() == best
+
+
+def test_bad_set_above_the_exact_cap_is_maximal():
+    # above MAX_BAD_EXACT vertices the set is greedy: pairwise far, and every
+    # other vertex close to one of its members in some part
+    G = random_graph(28, 0.5, seed=7)
+    parts = tuple(v % 2 for v in range(28))
+    alpha = Fraction(1, 3)
+    assert G.n > MAX_BAD_EXACT
+    B = max_bad_set(G, parts, alpha)
+    cutoff = clone_cutoff(alpha, G.n)
+    pm = part_masks(parts)
+
+    def far(u, v):
+        return all(((G.adj[u] ^ G.adj[v]) & S).bit_count() >= cutoff for S in pm)
+
+    assert B.bit_count() >= 2
+    assert all(far(u, v) for u, v in combinations(bits(B), 2))
+    assert all(not all(far(u, b) for b in bits(B))
+               for u in range(G.n) if not B >> u & 1)
 
 
 # --- clone index and adjustment -------------------------------------------------
@@ -426,8 +446,8 @@ def test_verify_decomposition_budget():
 
 
 def test_decompose_beyond_the_exact_bad_set_cap():
-    # n = 30 takes the greedy bad set, and the final U(k) check must accept
-    # every host the packing accepts
+    # n = 30 takes the greedy bad set, and the verifier's U(k) check accepts
+    # the part the packing leaves
     G = graph_from_edges(30, [])
     cert = decompose(G, 1, 2, Fraction(1, 4))
     assert cert.parts == (G.vertex_mask & ~cert.exceptional,)
@@ -438,3 +458,17 @@ def test_decompose_default_parts():
     G = random_graph(10, 0.5, seed=9)
     cert = decompose(G, 2, 1, Fraction(1, 4))
     assert verify_decomposition(G, cert)
+
+
+@given(partitioned_graphs(13, 3), st.sampled_from([1, 2]), st.booleans(),
+       st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3)]))
+@settings(max_examples=120, deadline=None)
+def test_decompose_final_parts_are_uk_free_by_oracle(graph_parts, k, hinted,
+                                                     alpha):
+    # decompose runs no U(k) search of its own on the final parts; an
+    # independent scan of every (A, B) pair inside each part finds none
+    G, parts = graph_parts
+    r = max(parts) + 1
+    cert = decompose(G, r, k, alpha, parts_hint=parts if hinted else None)
+    for S in cert.parts:
+        assert not naive_uk_copy(G, k, (S, S))
