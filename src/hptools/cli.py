@@ -19,12 +19,12 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError
-from .freeness import (BipGraph, bipgraph_decode, count_nonshattering_attachments,
-                       count_uk_free_bipartite, distinguishing_set,
-                       extract_clone_classes, max_separated_subset,
-                       separated_subset_ceiling)
-from .graphs import (MAX_ENUM_VERTICES, MAX_VERTICES, Graph, bits, edgelist_decode,
-                     graph6_decode, graph6_encode, mask_of)
+from .freeness import (MAX_UK_LEVEL, BipGraph, bipgraph_decode,
+                       count_nonshattering_attachments, count_uk_free_bipartite,
+                       distinguishing_set, extract_clone_classes,
+                       max_separated_subset, separated_subset_ceiling)
+from .graphs import (MAX_ENUM_VERTICES, MAX_EXACT_CLIQUE, MAX_VERTICES, Graph, bits,
+                     edgelist_decode, graph6_decode, graph6_encode, mask_of)
 from .hereditary import (abt_bounds, colouring_number, count_hrv,
                          enumerate_property, load_property, speed,
                          valid_hrv_patterns)
@@ -77,16 +77,11 @@ def read_text(path: str) -> str:
                           f"{exc.start}") from None
 
 
-def load_graph(path: str, fmt: str = "auto") -> Graph:
-    text = read_text(path)
-    if fmt == "auto":
-        first = text.strip().splitlines()[0].strip() if text.strip() else ""
-        fmt = "edgelist" if first.isdigit() else "graph6"
-    if fmt == "graph6":
-        return graph6_decode(text.strip())
-    if fmt == "edgelist":
-        return edgelist_decode(text)
-    raise DomainError(f"unknown graph format {fmt!r}")
+def load_graph(path: str) -> Graph:
+    """A graph6 or edge-list file.  An edge list starts with its vertex
+    count, and no graph6 byte (63..126) is a digit."""
+    text = read_text(path).strip()
+    return edgelist_decode(text) if text[:1].isdigit() else graph6_decode(text)
 
 
 def load_bipgraph(path: str) -> BipGraph:
@@ -169,11 +164,12 @@ def _vertex_sets(data: dict, key: str, n: int, where: str = "") -> tuple[int, ..
 
 
 def _level(k: int, name: str) -> int:
-    """The universal level k of a packing or decomposition.  A U(k) copy
-    has 2^k + k vertices, so no graph within the vertex cap holds one for
-    k beyond it."""
-    if not 1 <= k <= MAX_VERTICES:
-        raise DomainError(f"{name} must lie in 1..{MAX_VERTICES}")
+    """The universal level k of a packing, a decomposition or a separated
+    ceiling, bounded where a command starts by ``MAX_UK_LEVEL``, the level
+    at which the exhaustive U(k) search stops: a decomposition ends in that
+    search, so a larger k would fail only after the whole pipeline."""
+    if not 1 <= k <= MAX_UK_LEVEL:
+        raise DomainError(f"{name} must lie in 1..{MAX_UK_LEVEL}")
     return k
 
 
@@ -329,7 +325,7 @@ def cmd_construct(args) -> None:
 
 
 def cmd_shatter(args) -> None:
-    G = load_graph(args.graph, args.graph_format)
+    G = load_graph(args.graph)
     A = _parse_vertices(args.A, "--A", G.n)
     B = _parse_vertices(args.B, "--B", G.n)
     w = shatters(G, A, B)
@@ -418,14 +414,15 @@ def cmd_count_attach(args) -> None:
 
 def cmd_separated(args) -> None:
     bg = load_bipgraph(args.bipgraph)
-    best = max_separated_subset(bg, args.side, args.x, args.mode)
-    results = {"vertices": _vlist(best), "size": best.bit_count(),
-               "exact": args.mode == "exact"}
+    # the side's vertex count, and the length of each vertex's vector
+    count, length = (bg.m, bg.n) if args.side == "A" else (bg.n, bg.m)
+    results = {}
     if args.k is not None:
-        n_side = bg.n if args.side == "A" else bg.m
-        m_side = bg.m if args.side == "A" else bg.n
-        results["ceiling"] = _log2_str(
-            separated_subset_ceiling(n_side, args.x, args.k, m_side))
+        results["ceiling"] = _log2_str(separated_subset_ceiling(
+            length, args.x, _level(args.k, "--k"), count))
+    best = max_separated_subset(bg, args.side, args.x)
+    results.update(vertices=_vlist(best), size=best.bit_count(),
+                   exact=count <= MAX_EXACT_CLIQUE)
     emit(args, results)
 
 
@@ -442,7 +439,7 @@ def cmd_sparsen(args) -> None:
         emit(args, {"X": _vlist(ds.X), "size": ds.X.bit_count(),
                     "attempts": ds.attempts}, seed=args.seed)
         return
-    G = load_graph(args.graph, args.graph_format)
+    G = load_graph(args.graph)
     parts = _parse_parts(args.parts)
     B = _parse_vertices(args.core, "--core", G.n)
     out = extract_clone_classes(G, parts, B, args.alpha, args.t, args.seed,
@@ -455,7 +452,7 @@ def cmd_sparsen(args) -> None:
 
 
 def cmd_pack(args) -> None:
-    G = load_graph(args.graph, args.graph_format)
+    G = load_graph(args.graph)
     parts = _parse_parts(args.parts)
     report = extract_universal_packing(G, parts, _level(args.k, "--k"))
     problems = verify_packing_report(G, parts, report)
@@ -466,7 +463,7 @@ def cmd_pack(args) -> None:
 
 
 def cmd_decompose(args) -> None:
-    G = load_graph(args.graph, args.graph_format)
+    G = load_graph(args.graph)
     if args.r > MAX_VERTICES:
         raise DomainError(f"--r exceeds the {MAX_VERTICES}-part cap")
     hint = _parse_parts(args.parts) if args.parts else None
@@ -495,7 +492,7 @@ def _cross_check_graph(args, G: Graph) -> Graph:
     """The --graph file when given, which must have the certificate's order."""
     if not args.graph:
         return G
-    H = load_graph(args.graph, args.graph_format)
+    H = load_graph(args.graph)
     if H.n != G.n:
         raise DomainError(f"--graph has {H.n} vertices but the certificate's "
                           f"graph has {G.n}")
@@ -574,8 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("shatter", cmd_shatter, help="test whether A shatters B")
     p.add_argument("--graph", required=True)
-    p.add_argument("--graph-format", default="auto",
-                   choices=("auto", "graph6", "edgelist"))
     p.add_argument("--A", required=True, help="comma-separated vertices")
     p.add_argument("--B", required=True)
 
@@ -615,7 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bipgraph", required=True)
     p.add_argument("--side", choices=("A", "B"), default="A")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.add_argument("--k", type=int, help="report the U(k)-free ceiling too")
 
     p = add("sparsen", cmd_sparsen,
@@ -623,8 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bipgraph")
     p.add_argument("--usub", help="A-side vertices to distinguish")
     p.add_argument("--graph")
-    p.add_argument("--graph-format", default="auto",
-                   choices=("auto", "graph6", "edgelist"))
     p.add_argument("--parts", help="part label per vertex, comma-separated")
     p.add_argument("--core", help="core vertex set B")
     p.add_argument("--alpha", type=_rational, required=True)
@@ -635,15 +627,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("pack", cmd_pack, help="extract a universal packing")
     p.add_argument("--graph", required=True)
-    p.add_argument("--graph-format", default="auto",
-                   choices=("auto", "graph6", "edgelist"))
     p.add_argument("--parts", required=True)
     p.add_argument("--k", type=int, required=True)
 
     p = add("decompose", cmd_decompose, help="decomposition certificate")
     p.add_argument("--graph", required=True)
-    p.add_argument("--graph-format", default="auto",
-                   choices=("auto", "graph6", "edgelist"))
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=functools.partial(_rational, unit=True),
@@ -654,8 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, help="re-verify an emitted certificate")
     p.add_argument("--certificate", required=True)
     p.add_argument("--graph", help="optional cross-check graph file")
-    p.add_argument("--graph-format", default="auto",
-                   choices=("auto", "graph6", "edgelist"))
     p.add_argument("--budget-eps", type=_rational)
 
     return top

@@ -189,15 +189,10 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
             free = not (_side_coverable(rows, k, bsubs, n > k)
                         or _side_coverable(cols, k, asubs, m > k))
         if free:
-            count += _orderings(rows)
-    return count
-
-
-def _orderings(items) -> int:
-    """Number of distinct orderings of a multiset: len! / prod(mult!)."""
-    count = math.factorial(len(items))
-    for mult in Counter(items).values():
-        count //= math.factorial(mult)
+            orderings = math.factorial(m)
+            for mult in Counter(rows).values():
+                orderings //= math.factorial(mult)
+            count += orderings
     return count
 
 
@@ -260,12 +255,8 @@ def count_nonshattering_attachments(a: int, n: int) -> tuple[int, int, int]:
     at every scale (a=1, n=2 already has exact count 2 > 1)."""
     if not (1 <= a <= 3 and 1 <= n <= 6):
         raise DomainError("caps: a <= 3 and n <= 6")
-    need = 1 << a
-    count = 0
-    # whether B shatters A depends only on the multiset of B's traces on A
-    for cols in combinations_with_replacement(range(need), n):
-        if len(first_realizers(cols, (1 << n) - 1, need - 1, need)) < need:
-            count += _orderings(cols)
+    # B shatters A when its rows realize every trace on A: a cross U(a) copy
+    count = count_uk_free_bipartite(n, a, a, "cross")
     printed = (2 ** a - 1) ** n
     corrected = 2 ** a * printed
     return count, printed, corrected
@@ -310,25 +301,20 @@ def separation_profile(bg: BipGraph, side: str = "A") -> list[list[int]]:
     return [[(x ^ y).bit_count() for y in vecs] for x in vecs]
 
 
-def max_separated_subset(bg: BipGraph, side: str, x: int,
-                         mode: str = "exact") -> int:
-    """The mask of a largest subset of one side with all pairwise distances
-    >= x.
-
-    Exact mode solves maximum clique in the auxiliary graph joining far
-    pairs (side size <= 20); greedy mode returns a maximal subset, a lower
-    bound.
-    """
-    vecs = _side_vectors(bg, side)
-    if mode == "exact" and len(vecs) > 20:
-        raise DomainError("exact mode capped at side size 20")
+def max_separated_subset(bg: BipGraph, side: str, x: int) -> int:
+    """The mask of a subset of one side with all pairwise distances >= x:
+    a largest one up to ``MAX_EXACT_CLIQUE`` vertices on the side, a
+    maximal one (a lower bound) above (``far_clique``)."""
     # the single mask -1 keeps every bit of the distance
-    return far_clique(vecs, (-1,), x, mode)
+    return far_clique(_side_vectors(bg, side), (-1,), x)
 
 
 def separated_subset_ceiling(n: int, x: int, k: int, m: int) -> float:
     """(n/x)^(k-1) * 3^k * (ln m)^(k-1): the separated-subset ceiling for a
     U(k)-free bipartite host.  Natural logarithm throughout."""
+    if x < 1 or k < 1 or m < 1:
+        raise DomainError(f"separated-subset ceiling needs x, k, m >= 1; "
+                          f"got x = {x}, k = {k}, m = {m}")
     return (n / x) ** (k - 1) * 3 ** k * math.log(m) ** (k - 1)
 
 

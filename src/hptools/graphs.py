@@ -445,14 +445,16 @@ def edgelist_decode(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# exact maximum clique (used for bad sets and separated subsets)
+# maximum and maximal cliques (used for bad sets and separated subsets)
+
+MAX_EXACT_CLIQUE = 24
 
 
 def max_clique(n: int, adj) -> int:
     """Exact maximum clique of the graph given by bit rows; returns a mask.
 
-    Branch and bound with a popcount bound; intended for n <= 24 auxiliary
-    graphs, where it is comfortably fast.
+    Branch and bound with a popcount bound; comfortably fast up to
+    ``MAX_EXACT_CLIQUE`` vertices, the size ``far_clique`` runs it at.
     """
     best_mask = 0
     best_size = 0
@@ -490,12 +492,10 @@ def greedy_maximal_clique(n: int, adj) -> int:
     return cur
 
 
-def far_clique(vecs, masks, cutoff: int, mode: str) -> int:
+def far_clique(vecs, masks, cutoff: int) -> int:
     """Indices of vectors pairwise far apart: |(x_u ^ x_v) & S| >= cutoff
-    for every mask S.  ``exact`` takes a maximum clique of the far-pair
-    graph, ``greedy`` a maximal one; callers cap the exact size."""
-    if mode not in ("exact", "greedy"):
-        raise DomainError("mode must be 'exact' or 'greedy'")
+    for every mask S.  A maximum clique of the far-pair graph up to
+    ``MAX_EXACT_CLIQUE`` vectors, a maximal one (a lower bound) above."""
     n = len(vecs)
     adj = [0] * n
     for u in range(n):
@@ -504,4 +504,4 @@ def far_clique(vecs, masks, cutoff: int, mode: str) -> int:
             if all((x & S).bit_count() >= cutoff for S in masks):
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-    return (max_clique if mode == "exact" else greedy_maximal_clique)(n, adj)
+    return (max_clique if n <= MAX_EXACT_CLIQUE else greedy_maximal_clique)(n, adj)

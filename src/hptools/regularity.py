@@ -17,6 +17,8 @@ from .errors import DomainError
 from .graphs import Graph, bits, mask_of, part_masks
 
 MAX_REGULAR_SIDE = 12
+MAX_TOY_VERTICES = 12
+MAX_TOY_BLOCKS = 4
 
 
 def _frac(x) -> Fraction:
@@ -229,7 +231,7 @@ def greedy_turan_transversal(G: Graph, blocks, eps,
 
 def toy_szemeredi_partition(G: Graph, m: int, eps) -> tuple[int, ...]:
     """Exhaustive search over near-equal partitions into m blocks minimizing
-    the number of irregular pairs.  n <= 12, m <= 4 only.
+    the number of irregular pairs.  n <= ``MAX_TOY_VERTICES``, m <= ``MAX_TOY_BLOCKS``.
 
     Returns the lexicographically first minimizing labeling among all m^n
     labelings.  Because ``is_epsilon_regular`` is symmetric in its two
@@ -240,8 +242,9 @@ def toy_szemeredi_partition(G: Graph, m: int, eps) -> tuple[int, ...]:
     order; it caches each pair verdict and stops scoring a partition once
     it cannot beat the best so far.
     """
-    if G.n > 12 or m > 4 or m < 1:
-        raise DomainError("toy partitioner capped at n <= 12, m <= 4")
+    if G.n > MAX_TOY_VERTICES or m > MAX_TOY_BLOCKS or m < 1:
+        raise DomainError(f"toy partitioner capped at n <= {MAX_TOY_VERTICES}, "
+                          f"m <= {MAX_TOY_BLOCKS}")
     if m > G.n:
         raise DomainError("more blocks than vertices")
     eps = _frac(eps)
@@ -297,12 +300,12 @@ def toy_szemeredi_partition(G: Graph, m: int, eps) -> tuple[int, ...]:
 def toy_bbs_parts(G: Graph, r: int) -> tuple[int, ...]:
     """Group the toy partitioner's blocks into r parts with the fewest grey
     block pairs inside parts, the first such assignment in lexicographic
-    order.  Test-fixture plumbing, n <= 12, at most min(2r, 4, n) blocks;
-    graphs with fewer vertices than parts get one singleton part per
-    vertex."""
+    order.  Test-fixture plumbing within the toy partitioner's limits, at
+    most min(2r, ``MAX_TOY_BLOCKS``, n) blocks; graphs with fewer vertices
+    than parts get one singleton part per vertex."""
     if G.n <= r:
         return tuple(range(G.n))
-    m = min(2 * r, 4, G.n)
+    m = min(2 * r, MAX_TOY_BLOCKS, G.n)
     if r > m:
         raise DomainError(f"cannot group {m} toy blocks into {r} parts")
     block_labels = toy_szemeredi_partition(G, m, Fraction(1, 2))

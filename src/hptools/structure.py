@@ -16,10 +16,9 @@ from .errors import DomainError
 from .freeness import MAX_UK_HOST, find_uk_copy
 from .graphs import (Graph, bits, far_clique, induced_subgraph, k_submasks,
                      mask_of, part_masks)
-from .regularity import min_intra_edges_parts, toy_bbs_parts
+from .regularity import (MAX_TOY_BLOCKS, MAX_TOY_VERTICES, min_intra_edges_parts,
+                         toy_bbs_parts)
 from .universal import shatters, universal_layer_sizes
-
-MAX_BAD_EXACT = 24
 
 
 def _cutoffs(alpha, n: int) -> tuple[int, int, int]:
@@ -45,13 +44,11 @@ def is_alpha_clone(G: Graph, u: int, v: int, A: int, alpha) -> bool:
 
 
 def max_bad_set(G: Graph, parts, alpha, r: int | None = None) -> int:
-    """The mask of a largest vertex set pairwise far apart inside every
-    part: a maximum clique of the far-pair auxiliary graph up to
-    ``MAX_BAD_EXACT`` vertices, a maximal one (a lower bound) above.  An
-    explicit ``r`` admits empty parts, which kill every bad pair once the
-    cutoff is positive."""
-    mode = "exact" if G.n <= MAX_BAD_EXACT else "greedy"
-    return far_clique(G.adj, part_masks(parts, r), clone_cutoff(alpha, G.n), mode)
+    """The mask of a vertex set pairwise far apart inside every part: a
+    largest one up to ``MAX_EXACT_CLIQUE`` vertices, a maximal one (a lower
+    bound) above (``far_clique``).  An explicit ``r`` admits empty parts,
+    which kill every bad pair once the cutoff is positive."""
+    return far_clique(G.adj, part_masks(parts, r), clone_cutoff(alpha, G.n))
 
 
 def _clone_part(adj, pmasks, bad, cutoff: int, v: int) -> int:
@@ -316,12 +313,9 @@ class DecompositionCertificate:
 
 def default_parts(G: Graph, r: int) -> tuple[int, ...]:
     """Partition hint when none is supplied: the toy block-based partition
-    at n <= 12, otherwise the minimum-intra-edge partition."""
-    if G.n <= 12 and r <= 4:
-        try:
-            return toy_bbs_parts(G, r)
-        except DomainError:
-            pass
+    within the toy partitioner's limits, the minimum-intra-edge one above."""
+    if G.n <= MAX_TOY_VERTICES and r <= MAX_TOY_BLOCKS:
+        return toy_bbs_parts(G, r)
     return min_intra_edges_parts(G, r)
 
 

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hptools
-from hptools import (decompose, extract_universal_packing, graph6_encode,
-                     graph_from_edges, random_graph)
+from hptools import (decompose, edgelist_encode, extract_universal_packing,
+                     graph6_encode, graph_from_edges, random_graph)
 from hptools.cli import (_rational, build_parser, certificate_to_dict, main,
                          packing_to_dict)
 from hptools.freeness import (BipGraph, bipgraph_encode, planted_clone_instance,
@@ -140,8 +140,8 @@ def test_result_keys_of_mask_and_witness_reports(tmp_path, capsys):
          {"X", "size", "attempts"}),
         (["separated", "--bipgraph", str(bgpath), "--x", "3"],
          {"vertices", "size", "exact"}),
-        (["separated", "--bipgraph", str(bgpath), "--x", "3", "--k", "2",
-          "--mode", "greedy"], {"vertices", "size", "exact", "ceiling"}),
+        (["separated", "--bipgraph", str(bgpath), "--x", "3", "--k", "2"],
+         {"vertices", "size", "exact", "ceiling"}),
         (["shatter", "--graph", str(gpath), "--A", "0,1,2,3", "--B", "4,8"],
          {"shatters", "realizers"}),
         (["shatter", "--graph", str(gpath), "--A", "0,1", "--B", "4,8"],
@@ -387,7 +387,7 @@ def _mutated(data, path, value):
     (DECOMPOSITION, ("provenance", "alpha"), "1/4", "'provenance.alpha'"),
     (PACKING, ("graph6",), 5, "'graph6' must be a string"),
     (PACKING, ("graph6",), "é", "out-of-range"),
-    (PACKING, ("k",), 0, "'k' must lie in 1..64"),
+    (PACKING, ("k",), 0, "'k' must lie in 1..4"),
     (PACKING, ("parts",), [0, 1], "labels 2 vertices"),
     (PACKING, ("r",), 3, "do not use all r = 3 labels"),
     (PACKING, ("pieces", 0, "placement", 0), 2,
@@ -401,6 +401,7 @@ def _mutated(data, path, value):
      "'provenance.alpha' must be a finite number"),
     (DECOMPOSITION, ("provenance", "eps_out"), float("-inf"),
      "'provenance.eps_out' must be a finite number"),
+    (DECOMPOSITION, ("k",), 5, "'k' must lie in 1..4"),
 ])
 def test_verify_rejects_malformed_fields(data, path, value, needle):
     rc, out, err = verify_text(json.dumps(_mutated(data, path, value)))
@@ -468,7 +469,7 @@ def test_pack_parts_must_match_graph(tmp_path, capsys):
     assert_one_line_error(rc, err, "parts do not match the graph")
     rc, _, err = run(capsys, "pack", "--graph", str(gpath),
                      "--parts", "0,1,0,1,0,1", "--k", "0")
-    assert_one_line_error(rc, err, "--k must lie in 1..64")
+    assert_one_line_error(rc, err, "--k must lie in 1..4")
 
 
 # --- vertex, label and pattern options -----------------------------------------
@@ -509,13 +510,21 @@ def test_pack_parts_must_match_graph(tmp_path, capsys):
       "--alpha", "0.25"], "parts do not match the graph"),
     (["sparsen", "--graph", "{g}", "--parts", "0,0,0,1,1,1,1", "--core", "0,3",
       "--t", "1", "--alpha", "0.25"], "parts do not match the graph"),
+    (["separated", "--bipgraph", "{bg}", "--x", "0", "--k", "2"],
+     "ceiling needs x, k, m >= 1; got x = 0"),
+    (["separated", "--bipgraph", "{bg}", "--x", "2", "--k", "100000"],
+     "--k must lie in 1..4"),
+    (["separated", "--bipgraph", "{bg0}", "--side", "A", "--x", "1", "--k", "2"],
+     "ceiling needs x, k, m >= 1; got x = 1, k = 2, m = 0"),
 ])
 def test_malformed_list_options_exit_1(tmp_path, capsys, argv, needle):
     gpath = tmp_path / "g.g6"
     gpath.write_bytes(graph6_encode(random_graph(6, 0.5, seed=2)) + b"\n")
     bgpath = tmp_path / "bg.txt"
     bgpath.write_text(bipgraph_encode(random_bipgraph(5, 4, 0.5, seed=1)))
-    argv = [a.format(g=gpath, bg=bgpath) for a in argv]
+    bg0path = tmp_path / "bg0.txt"
+    bg0path.write_text("0 3\n")
+    argv = [a.format(g=gpath, bg=bgpath, bg0=bg0path) for a in argv]
     rc, out, err = run(capsys, *argv)
     assert out == ""
     assert_one_line_error(rc, err, needle)
@@ -534,8 +543,7 @@ def test_cached_parser_parses_like_a_fresh_one():
         census_argv + ["--certify"],
         census_argv + ["--no-certify"],
         census_argv,
-        *(["pack", "--graph", "g", "--graph-format", fmt, "--parts", "0",
-           "--k", "1"] for fmt in ("graph6", "edgelist", "auto")),
+        ["pack", "--graph", "g", "--parts", "0", "--k", "1"],
         ["pack", "--graph", "g", "--parts", "0", "--k", "1", "--format", "csv"],
         ["verify", "--certificate", "c", "--budget-eps", "0.5"],
         ["verify", "--certificate", "c"],
@@ -545,6 +553,60 @@ def test_cached_parser_parses_like_a_fresh_one():
     for argv in argvs:
         fresh = build_parser.__wrapped__()
         assert vars(cached.parse_args(argv)) == vars(fresh.parse_args(argv))
+
+
+# Every option of every subcommand, so that a new option shows up as a test
+# change.  What the input decides, such as the graph format or an exact or
+# greedy search, has no option.
+OPTIONS = {
+    "construct": {"--k", "--r", "--v"},
+    "shatter": {"--graph", "--A", "--B"},
+    "chi-c": {"--forbidden", "--r-max"},
+    "speed": {"--forbidden", "--n"},
+    "census": {"--forbidden", "--n-max", "--eps", "--alpha", "--k",
+               "--budget-eps", "--certify", "--no-certify"},
+    "count-free": {"--m", "--n", "--k", "--mode"},
+    "count-attach": {"--a", "--n"},
+    "separated": {"--bipgraph", "--side", "--x", "--k"},
+    "sparsen": {"--bipgraph", "--usub", "--graph", "--parts", "--core",
+                "--alpha", "--t", "--direction", "--seed"},
+    "pack": {"--graph", "--parts", "--k"},
+    "decompose": {"--graph", "--r", "--k", "--alpha", "--parts", "--eps-out"},
+    "verify": {"--certificate", "--graph", "--budget-eps"},
+}
+
+
+def test_option_inventory_is_pinned():
+    top = build_parser()
+    (sub,) = [a for a in top._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    found = {name: {opt for action in parser._actions
+                    for opt in action.option_strings} - {"-h", "--help", "--format"}
+             for name, parser in sub.choices.items()}
+    assert found == OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["shatter", "--graph", "{g}", "--A", "0,1,2,3", "--B", "4,5"],
+    ["pack", "--graph", "{g}", "--parts", "0,1,0,1,0,1,0,1,0,1", "--k", "1"],
+    ["decompose", "--graph", "{g}", "--r", "2", "--k", "1", "--alpha", "0.25"],
+    ["verify", "--certificate", "{c}", "--graph", "{g}"],
+])
+def test_edge_list_and_graph6_files_give_identical_results(tmp_path, capsys,
+                                                           argv):
+    G = random_graph(10, 0.4, seed=6)
+    cpath = tmp_path / "cert.json"
+    cpath.write_text(json.dumps(DECOMPOSITION))
+    g6path = tmp_path / "g.g6"
+    g6path.write_bytes(graph6_encode(G) + b"\n")
+    elpath = tmp_path / "g.txt"
+    elpath.write_text("\n" + edgelist_encode(G))
+    results = []
+    for gpath in (g6path, elpath):
+        rc, out, err = run(capsys, *(a.format(g=gpath, c=cpath) for a in argv))
+        assert (rc, err) == (0, "")
+        results.append(parse(out)["results"])
+    assert results[0] == results[1]
 
 
 def test_repeated_main_calls_emit_the_same_report(tmp_path, capsys):
@@ -670,7 +732,33 @@ def test_census_k_outside_levels_exits_1(tmp_path, capsys, k):
     rc, out, err = run(capsys, "census", "--forbidden", spec, "--n-max", "4",
                        "--certify", "--k", k)
     assert out == ""
-    assert_one_line_error(rc, err, "--k must lie in 1..64")
+    assert_one_line_error(rc, err, "--k must lie in 1..4")
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["pack", "--graph", "{g}", "--parts", "{p}", "--k", "5"],
+     "extract_universal_packing"),
+    (["decompose", "--graph", "{g}", "--r", "2", "--k", "5", "--alpha", "0.25"],
+     "decompose"),
+    (["census", "--forbidden", "{s}", "--n-max", "5", "--certify", "--k", "5"],
+     "speed"),
+])
+def test_level_above_the_uk_search_cap_exits_1_at_entry(tmp_path, capsys,
+                                                        monkeypatch, argv, stage):
+    # U(5) has 37 vertices: a 40-vertex graph could hold one, but the U(k)
+    # search that would check it stops at level 4, so k = 5 exits first
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{stage} ran before --k was checked")
+
+    monkeypatch.setattr(hptools.cli, stage, refuse)
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph6_encode(random_graph(40, 0.5, seed=2)) + b"\n")
+    spec = write_spec(tmp_path, complete_graph(3))
+    argv = [a.format(g=gpath, s=spec, p=",".join(str(v % 2) for v in range(40)))
+            for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert out == ""
+    assert_one_line_error(rc, err, "--k must lie in 1..4")
 
 
 def test_census_budget_that_is_no_finite_float_exits_1(tmp_path, capsys):

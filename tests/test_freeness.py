@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from hptools import (BipGraph, DomainError, SparseningOutput, StepError,
@@ -12,6 +14,7 @@ from hptools import (BipGraph, DomainError, SparseningOutput, StepError,
                      planted_clone_instance, random_bipgraph, random_graph,
                      separated_subset_ceiling, separation_profile, shatters,
                      trace_count_check)
+from hptools.graphs import MAX_EXACT_CLIQUE, bits
 from hptools.universal import construct_universal
 
 from oracles import (brute_max_far_subset, clone_class_failures, naive_uk_copy,
@@ -251,10 +254,36 @@ def test_separated_exact_matches_brute_force():
                              rng.random(), seed=rng.random())
         for side, vecs in (("A", bg.rows), ("B", bg.cols())):
             x = rng.randint(1, 4)
-            exact = max_separated_subset(bg, side, x, "exact")
+            exact = max_separated_subset(bg, side, x)
             assert exact.bit_count() == brute_max_far_subset(list(vecs), x)
-            greedy = max_separated_subset(bg, side, x, "greedy")
-            assert greedy.bit_count() <= exact.bit_count()
+    # above MAX_EXACT_CLIQUE vectors the subset is greedy: pairwise far, and
+    # every other vector closer than x to one of its members
+    for size in range(MAX_EXACT_CLIQUE + 1, 31):
+        bg = random_bipgraph(12, size, 0.5, seed=rng.random())
+        x = rng.randint(4, 7)
+        vecs = bg.cols()
+        greedy = max_separated_subset(bg, "B", x)
+
+        def far(u, v):
+            return (vecs[u] ^ vecs[v]).bit_count() >= x
+
+        assert all(far(u, v) for u, v in combinations(bits(greedy), 2))
+        assert all(not all(far(u, v) for v in bits(greedy))
+                   for u in range(size) if not greedy >> u & 1)
+
+
+def test_separated_exact_between_20_and_the_cap_matches_networkx():
+    # sides of 21..24 vectors, once refused, get a maximum clique
+    rng = random.Random(7)
+    for size in range(21, MAX_EXACT_CLIQUE + 1):
+        bg = random_bipgraph(size, 12, 0.5, seed=rng.random())
+        x = 6
+        H = nx.Graph()
+        H.add_nodes_from(range(size))
+        H.add_edges_from((u, v) for u, v in combinations(range(size), 2)
+                         if (bg.rows[u] ^ bg.rows[v]).bit_count() >= x)
+        _, largest = nx.max_weight_clique(H, weight=None)
+        assert max_separated_subset(bg, "A", x).bit_count() == largest
 
 
 def test_separated_bound_sampled():

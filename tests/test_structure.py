@@ -13,8 +13,8 @@ from hptools import (DomainError, PackingPiece, PackingReport, alpha_adjust,
                      is_alpha_clone, mask_of, max_bad_set,
                      random_graph, shatters, verify_decomposition,
                      verify_packing_maximality, verify_packing_report)
-from hptools.graphs import far_clique, part_masks
-from hptools.structure import MAX_BAD_EXACT, _cutoffs, clone_cutoff
+from hptools.graphs import MAX_EXACT_CLIQUE, greedy_maximal_clique, part_masks
+from hptools.structure import _cutoffs, clone_cutoff
 
 from oracles import naive_extract_universal_packing, naive_uk_copy
 
@@ -132,25 +132,31 @@ def test_bad_set_exact_vs_greedy_and_brute():
         exact = max_bad_set(G, parts, alpha)
         cutoff = clone_cutoff(alpha, n)
         pm = part_masks(parts)
-        greedy = far_clique(G.adj, pm, cutoff, "greedy")
+
+        def far(u, v):
+            return all(((G.adj[u] ^ G.adj[v]) & S).bit_count() >= cutoff
+                       for S in pm)
+
+        far_rows = [mask_of(v for v in range(n) if v != u and far(u, v))
+                    for u in range(n)]
+        greedy = greedy_maximal_clique(n, far_rows)
         assert greedy.bit_count() <= exact.bit_count()
         # brute force over subsets
         best = 1
         for size in range(2, n + 1):
             for sub in combinations(range(n), size):
-                if all(all(((G.adj[u] ^ G.adj[v]) & S).bit_count() >= cutoff
-                           for S in pm) for u, v in combinations(sub, 2)):
+                if all(far(u, v) for u, v in combinations(sub, 2)):
                     best = max(best, size)
         assert exact.bit_count() == best
 
 
 def test_bad_set_above_the_exact_cap_is_maximal():
-    # above MAX_BAD_EXACT vertices the set is greedy: pairwise far, and every
-    # other vertex close to one of its members in some part
+    # above MAX_EXACT_CLIQUE vertices the set is greedy: pairwise far, and
+    # every other vertex close to one of its members in some part
     G = random_graph(28, 0.5, seed=7)
     parts = tuple(v % 2 for v in range(28))
     alpha = Fraction(1, 3)
-    assert G.n > MAX_BAD_EXACT
+    assert G.n > MAX_EXACT_CLIQUE
     B = max_bad_set(G, parts, alpha)
     cutoff = clone_cutoff(alpha, G.n)
     pm = part_masks(parts)
