@@ -1,9 +1,9 @@
 """Batch command-line surface: every analysis as a reproducible report.
 
-One invocation produces one self-describing report (json, csv, or text).
-Exit status: 0 success, 1 domain error, 2 usage error.  Reports echo every
-parameter and the seed, and are byte-reproducible apart from the timing
-field.
+One invocation prints one report, a line of strict JSON (no NaN or
+infinities) that echoes every parameter and the seed.  Exit status: 0
+success, 1 domain error, 2 usage error.  Reports are byte-reproducible
+apart from the timing field.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def load_bipgraph(path: str) -> BipGraph:
 
 
 # ---------------------------------------------------------------------------
-# certificate schemas (version 1)
+# certificate schemas (packing report 1, decomposition certificate 2)
 
 
 def _pieces_to_list(pieces) -> list[dict]:
@@ -118,7 +118,8 @@ def packing_to_dict(report: PackingReport, G: Graph, parts) -> dict:
 # DomainError naming the field, so the verifiers only see well-formed input.
 
 _KINDS = {str: "a string", int: "an integer", bool: "true or false",
-          list: "a list", dict: "an object", (int, float): "a number"}
+          list: "a list", dict: "an object", (int, float): "a number",
+          (str, int, float): "a rational string or a number"}
 
 
 def _typed(value, kind, name: str):
@@ -151,6 +152,16 @@ def _number(data: dict, key: str, where: str = ""):
         raise DomainError(f"certificate field {where + key!r} must be a "
                           "finite number")
     return value
+
+
+def _alpha(data: dict, where: str) -> Fraction:
+    """Alpha as --alpha reads it: "3/10" in schema 2, a number in 1."""
+    value = _need(data, "alpha", (str, int, float), where)
+    try:
+        return _rational(str(value), unit=True)
+    except argparse.ArgumentTypeError:
+        raise DomainError(f"certificate field {where + 'alpha'!r} must be a "
+                          "rational in (0, 1)") from None
 
 
 def _int_list(data: dict, key: str, lo: int, hi: int, where: str = "") -> list[int]:
@@ -207,7 +218,7 @@ def certificate_to_dict(cert: DecompositionCertificate, G: Graph,
                         hint_parts) -> dict:
     return {
         "type": "decomposition-certificate",
-        "schema_version": 1,
+        "schema_version": 2,
         "graph6": graph6_encode(G).decode("ascii"),
         "n": cert.n,
         "r": cert.r,
@@ -216,7 +227,7 @@ def certificate_to_dict(cert: DecompositionCertificate, G: Graph,
         "parts": [_vlist(m) for m in cert.parts],
         "provenance": {
             "bad_set": _vlist(cert.bad_set),
-            "alpha": cert.alpha,
+            "alpha": str(cert.alpha),
             "eps_out": cert.eps_out,
             "hint_parts": list(hint_parts) if hint_parts is not None else None,
             "adjusted_labels": list(cert.adjusted_labels),
@@ -251,7 +262,7 @@ def certificate_from_dict(data: dict) -> tuple[Graph, DecompositionCertificate]:
         bad_set=mask_of(_int_list(prov, "bad_set", 0, n, at)),
         adjusted_labels=tuple(_int_list(prov, "adjusted_labels", 0, r, at)),
         adjustment_ok=_need(prov, "adjustment_ok", bool, at),
-        packing=packing, alpha=_number(prov, "alpha", at),
+        packing=packing, alpha=_alpha(prov, at),
         eps_out=_number(prov, "eps_out", at),
         budget=_number(data, "budget"),
         budget_ok=_need(data, "budget_ok", bool))
@@ -262,7 +273,7 @@ def certificate_from_dict(data: dict) -> tuple[Graph, DecompositionCertificate]:
 # report emission
 
 
-def emit(args, results: dict, seed=None, rows=None) -> None:
+def emit(args, results: dict, seed=None) -> None:
     report = {
         "tool": "hptools",
         "version": __version__,
@@ -274,19 +285,7 @@ def emit(args, results: dict, seed=None, rows=None) -> None:
         "results": results,
         "timing_ms": round((time.perf_counter() - args._t0) * 1000, 3),
     }
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, default=str))
-    elif fmt == "csv":
-        if rows is None:
-            rows = [results]
-        cols = sorted({key for row in rows for key in row})
-        print(",".join(cols))
-        for row in rows:
-            print(",".join(str(row.get(c, "")) for c in cols))
-    else:
-        for key in sorted(results):
-            print(f"{key}: {results[key]}")
+    print(json.dumps(report, sort_keys=True, default=str, allow_nan=False))
 
 
 def _log2_str(x: float) -> str:
@@ -395,10 +394,9 @@ def cmd_census(args) -> None:
                     continue
                 if verify_decomposition(G, cert) and cert.budget_ok:
                     good += 1
-            entry["certified_fraction"] = (f"{good}/{total}"
-                                           if total else "0/0")
+            entry["certified_fraction"] = f"{good}/{total}"
         rows.append(entry)
-    emit(args, {"rows": rows, "colouring_number": r}, rows=rows)
+    emit(args, {"rows": rows, "colouring_number": r})
 
 
 def cmd_count_free(args) -> None:
@@ -560,8 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=fn)
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default="json")
         return p
 
     p = add("construct", cmd_construct, help="build a universal graph")

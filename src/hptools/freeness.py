@@ -83,6 +83,8 @@ def bipgraph_decode(text: str) -> BipGraph:
         m, n = map(int, lines[0].split())
     except ValueError as exc:
         raise DomainError(f"malformed header: {exc}") from exc
+    if n == 0:  # every row is empty, a blank line dropped above
+        lines += [""] * m
     if len(lines) != m + 1:
         raise DomainError(f"expected {m} rows, found {len(lines) - 1}")
     rows = []
@@ -171,6 +173,8 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     """
     if mode not in ("whole", "cross"):
         raise DomainError("mode must be 'whole' or 'cross'")
+    if m < 0 or n < 0:
+        raise DomainError(f"sides must be non-negative; got m = {m}, n = {n}")
     if m * n > MAX_COUNT_CELLS:
         raise DomainError(f"enumeration capped at m*n <= {MAX_COUNT_CELLS}")
     if not 1 <= k <= MAX_UK_LEVEL:
@@ -518,31 +522,26 @@ def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
     core = min(shared, key=lambda cand: (-counts[cand], cand))
 
     # regroup each part's removed sets by their trace on the core, so each
-    # class has one trace on B', which is the core or a subset of it
+    # class has one trace on B'; the core's own round shattered it, so every
+    # part gets all 2^t_inner traces
     inner_classes = []
-    for j, rounds in enumerate(per_part):
+    for rounds in per_part:
         merged: dict[int, int] = {}
         for cand, X_used in rounds:
             if cand == core:
                 for v in bits(X_used):
                     pattern = G.adj[v] & core
                     merged[pattern] = merged.get(pattern, 0) | 1 << v
-        if len(merged) != 1 << t_inner:
-            raise StepError("pigeonhole",
-                            f"part {j} classes cover {len(merged)} of "
-                            f"{1 << t_inner} patterns on the core")
         inner_classes.append(tuple(merged[p] for p in sorted(merged)))
 
     if direction == "to-core":
         b_prime, classes = core, tuple(inner_classes)
     else:
+        # one vertex per class: each part's reps shatter the core, lie
+        # outside B in disjoint parts, and |core| = 2^(rt), as the call needs
         reps = [mask_of((cm & -cm).bit_length() - 1 for cm in part_classes)
                 for part_classes in inner_classes]
-        # asserts that B' shatters the union of the chosen representatives
-        try:
-            chosen, b_prime = aligned_reverse_shatter(G, reps, core, t)
-        except DomainError as exc:
-            raise StepError("aligned-reverse-shatter", str(exc)) from exc
+        chosen, b_prime = aligned_reverse_shatter(G, reps, core, t)
         # keep the class of every chosen representative
         classes = tuple(tuple(cm for v in bits(chosen_j) for cm in part_classes
                               if cm >> v & 1)

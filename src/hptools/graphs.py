@@ -474,11 +474,7 @@ def max_clique(n: int, adj) -> int:
                 elif size + 1 > best_size:
                     best_mask, best_size = ncur, size + 1
 
-    if n == 0:
-        return 0
-    expand((1 << n) - 1, 0, 0)
-    if best_size == 0:
-        best_mask = 1  # isolated vertex is a clique of size 1
+    expand((1 << n) - 1, 0, 0)  # for n >= 1 its first leaf sets best_size
     return best_mask
 
 

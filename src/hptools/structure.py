@@ -21,17 +21,17 @@ from .regularity import (MAX_TOY_BLOCKS, MAX_TOY_VERTICES, min_intra_edges_parts
 from .universal import shatters, universal_layer_sizes
 
 
-def _cutoffs(alpha, n: int) -> tuple[int, int, int]:
-    """floor(c * alpha * n) for c = 1, 2, 3, by integer floor division of
-    one numerator/denominator pair: a float is read by its exact binary
-    value, a string such as "1/4" through Fraction.  For alpha >= 0 this is
+def _cutoffs(alpha, n: int) -> tuple[int, int]:
+    """floor(c * alpha * n) for c = 1, 2, by integer floor division of one
+    numerator/denominator pair: a float is read by its exact binary value,
+    a string such as "1/4" through Fraction.  For alpha >= 0 this is
     truncation; below 0 every cutoff is negative, which no bit count meets
     under either rounding."""
     if isinstance(alpha, str):
         alpha = Fraction(alpha)
     p, q = alpha.as_integer_ratio()
     pn = p * n
-    return pn // q, 2 * pn // q, 3 * pn // q
+    return pn // q, 2 * pn // q
 
 
 def clone_cutoff(alpha, n: int) -> int:
@@ -81,28 +81,22 @@ def alpha_adjust(G: Graph, parts, B: int, alpha,
     """Move every vertex to the first part where it clones a bad vertex
     (clone threshold 2*alpha, matching a maximal (2 alpha)-bad B), then
     report whether the result is an alpha-adjustment: every part moved by
-    at most alpha*n, and every vertex a (3 alpha)-clone of some b in B with
-    respect to its new part.  Violations are diagnosed, never asserted."""
+    at most alpha*n (diagnosed, never asserted).  That bound also makes
+    each vertex a (3 alpha)-clone of B in its new part S'_j, unchecked: it
+    lies within floor(2 alpha n) of some b in B inside its old part S_j,
+    and |S_j ^ S'_j| <= floor(alpha n)."""
     parts = tuple(parts)
     if r is None:
         r = max(parts) + 1 if parts else 0
     n = G.n
     old_masks = part_masks(parts, r)
     bad = list(bits(B))
-    budget, cutoff2, cutoff3 = _cutoffs(alpha, n)
+    budget, cutoff2 = _cutoffs(alpha, n)
     labels = tuple(_clone_part(G.adj, old_masks, bad, cutoff2, v) for v in range(n))
     new_masks = part_masks(labels, r)
     sym = tuple((old_masks[j] ^ new_masks[j]).bit_count() for j in range(r))
-    issues = []
-    for j in range(r):
-        if sym[j] > budget:
-            issues.append(f"part {j} moved by {sym[j]} > alpha*n = {budget}")
-    for j in range(r):
-        for v in bits(new_masks[j]):
-            if not any(((G.adj[v] ^ G.adj[b]) & new_masks[j]).bit_count() <= cutoff3
-                       for b in bad):
-                issues.append(
-                    f"vertex {v} is no (3 alpha)-clone of B within new part {j}")
+    issues = [f"part {j} moved by {sym[j]} > alpha*n = {budget}"
+              for j in range(r) if sym[j] > budget]
     return AdjustmentReport(labels, sym, not issues, issues)
 
 
@@ -305,7 +299,7 @@ class DecompositionCertificate:
     adjusted_labels: tuple[int, ...]
     adjustment_ok: bool
     packing: PackingReport
-    alpha: float
+    alpha: Fraction
     eps_out: float
     budget: float
     budget_ok: bool
@@ -345,6 +339,8 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
     """
     if r < 1:
         raise DomainError("need at least one part")
+    if G.n > MAX_UK_HOST:
+        raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
     try:
         alpha = Fraction(alpha)
     except (ValueError, OverflowError):  # NaN, an infinity, a bad string
@@ -366,7 +362,7 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
         parts=tuple(S & ~bad for S in packing.residual),
         bad_set=bad, adjusted_labels=adj.labels,
         adjustment_ok=adj.is_adjustment, packing=packing,
-        alpha=float(alpha), eps_out=float(eps_out), budget=budget,
+        alpha=alpha, eps_out=float(eps_out), budget=budget,
         budget_ok=A.bit_count() <= budget)
 
 

@@ -397,8 +397,9 @@ def clone_class_failures(G: Graph, parts, t: int, direction: str, out) -> list[s
         if len(bp) != t:
             problems.append(f"|B'| = {len(bp)}, not t = {t}")
         for j, part in enumerate(members):
-            if len({G.adj[cls[0]] & out.b_prime for cls in part if cls}) != 2 ** t:
-                problems.append(f"part {j} lacks 2^t distinct class traces")
+            traces = {G.adj[cls[0]] & out.b_prime for cls in part if cls}
+            if len(part) != 2 ** t or len(traces) != 2 ** t:
+                problems.append(f"part {j} lacks 2^t classes with distinct traces")
             if not all(realizes_every_trace(G, W, bp) for W in product(*part)):
                 problems.append(f"a transversal of part {j} does not shatter B'")
     else:

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import hptools
 from hptools import (decompose, edgelist_encode, extract_universal_packing,
                      graph6_encode, graph_from_edges, random_graph)
-from hptools.cli import (_rational, build_parser, certificate_to_dict, main,
-                         packing_to_dict)
+from hptools.cli import (_rational, build_parser, certificate_from_dict,
+                         certificate_to_dict, main, packing_to_dict)
 from hptools.freeness import (BipGraph, bipgraph_encode, planted_clone_instance,
                               random_bipgraph)
 
@@ -227,6 +227,20 @@ def test_pack_and_verify_roundtrip(tmp_path, capsys):
     assert parse(out)["results"]["valid"] is True
 
 
+def test_certificate_records_the_exact_alpha(tmp_path, capsys):
+    # the float 0.3 lies below 3/10: floor(0.3 * 10) would read 2, where the
+    # run used floor(3/10 * 10) = 3
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph6_encode(random_graph(10, 0.4, seed=6)) + b"\n")
+    rc, out, err = run(capsys, "decompose", "--graph", str(gpath), "--r", "2",
+                       "--k", "1", "--alpha", "0.3")
+    assert (rc, err) == (0, "")
+    res = parse(out)["results"]
+    assert res["schema_version"] == 2
+    assert res["provenance"]["alpha"] == "3/10"
+    assert certificate_from_dict(res)[1].alpha == Fraction(3, 10)
+
+
 def test_decompose_and_verify_roundtrip(tmp_path, capsys):
     G = random_graph(10, 0.4, seed=6)
     gpath = tmp_path / "g.g6"
@@ -293,16 +307,6 @@ def test_determinism_modulo_timing(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_csv_format(tmp_path, capsys):
-    spec = write_spec(tmp_path, complete_graph(3))
-    rc, out, _ = run(capsys, "census", "--forbidden", spec, "--n-max", "3",
-                     "--format", "csv")
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0].split(",")[0] == "abt_log2_lower"
-    assert len(lines) == 4
-
-
 # --- verify on malformed certificates -------------------------------------------
 
 def _certificates():
@@ -317,6 +321,9 @@ def _certificates():
 
 
 DECOMPOSITION, PACKING = _certificates()
+# schema 1 wrote alpha as a number
+SCHEMA_1 = {**DECOMPOSITION, "schema_version": 1,
+            "provenance": {**DECOMPOSITION["provenance"], "alpha": 0.25}}
 
 
 def verify_text(text) -> tuple[int, str, str]:
@@ -339,7 +346,7 @@ def assert_one_line_error(rc, err, needle=""):
     assert needle in err
 
 
-@pytest.mark.parametrize("data", [DECOMPOSITION, PACKING])
+@pytest.mark.parametrize("data", [DECOMPOSITION, PACKING, SCHEMA_1])
 def test_verify_accepts_emitted_certificates(data):
     rc, out, _ = verify_text(json.dumps(data))
     assert rc == 0 and parse(out)["results"]["valid"] is True
@@ -384,7 +391,8 @@ def _mutated(data, path, value):
     (DECOMPOSITION, ("parts",), [[0, 1]], "1 parts but r = 2"),
     (DECOMPOSITION, ("A",), [10], "'A' must list integers in 0..9"),
     (DECOMPOSITION, ("provenance",), [], "'provenance' must be an object"),
-    (DECOMPOSITION, ("provenance", "alpha"), "1/4", "'provenance.alpha'"),
+    (DECOMPOSITION, ("provenance", "alpha"), "5/4",
+     "'provenance.alpha' must be a rational in (0, 1)"),
     (PACKING, ("graph6",), 5, "'graph6' must be a string"),
     (PACKING, ("graph6",), "é", "out-of-range"),
     (PACKING, ("k",), 0, "'k' must lie in 1..4"),
@@ -398,10 +406,15 @@ def _mutated(data, path, value):
     (PACKING, ("r",), 65, "'r' exceeds the 64-part cap"),
     (DECOMPOSITION, ("budget",), float("nan"), "'budget' must be a finite number"),
     (DECOMPOSITION, ("provenance", "alpha"), float("inf"),
-     "'provenance.alpha' must be a finite number"),
+     "'provenance.alpha' must be a rational in (0, 1)"),
     (DECOMPOSITION, ("provenance", "eps_out"), float("-inf"),
      "'provenance.eps_out' must be a finite number"),
     (DECOMPOSITION, ("k",), 5, "'k' must lie in 1..4"),
+    (DECOMPOSITION, ("provenance", "alpha"), "1/x",
+     "'provenance.alpha' must be a rational in (0, 1)"),
+    (SCHEMA_1, ("provenance", "alpha"), 0, "'provenance.alpha' must be a rational"),
+    (DECOMPOSITION, ("provenance", "alpha"), True,
+     "'provenance.alpha' must be a rational string or a number"),
 ])
 def test_verify_rejects_malformed_fields(data, path, value, needle):
     rc, out, err = verify_text(json.dumps(_mutated(data, path, value)))
@@ -516,6 +529,10 @@ def test_pack_parts_must_match_graph(tmp_path, capsys):
      "--k must lie in 1..4"),
     (["separated", "--bipgraph", "{bg0}", "--side", "A", "--x", "1", "--k", "2"],
      "ceiling needs x, k, m >= 1; got x = 1, k = 2, m = 0"),
+    (["count-free", "--m", "-1", "--n", "3", "--k", "1"],
+     "sides must be non-negative; got m = -1, n = 3"),
+    (["count-free", "--m", "3", "--n", "-1", "--k", "1"],
+     "sides must be non-negative; got m = 3, n = -1"),
 ])
 def test_malformed_list_options_exit_1(tmp_path, capsys, argv, needle):
     gpath = tmp_path / "g.g6"
@@ -544,7 +561,6 @@ def test_cached_parser_parses_like_a_fresh_one():
         census_argv + ["--no-certify"],
         census_argv,
         ["pack", "--graph", "g", "--parts", "0", "--k", "1"],
-        ["pack", "--graph", "g", "--parts", "0", "--k", "1", "--format", "csv"],
         ["verify", "--certificate", "c", "--budget-eps", "0.5"],
         ["verify", "--certificate", "c"],
     ]
@@ -576,12 +592,57 @@ OPTIONS = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is no JSON number")
+
+
+def test_every_subcommand_prints_one_strict_json_report(tmp_path, capsys):
+    G = random_graph(10, 0.4, seed=6)
+    g = tmp_path / "g.g6"
+    g.write_bytes(graph6_encode(G) + b"\n")
+    bg = tmp_path / "bg.txt"
+    bg.write_text(bipgraph_encode(BipGraph(2, 8, (0, 0b11111111))))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(DECOMPOSITION))
+    spec = write_spec(tmp_path, complete_graph(3))
+    argvs = {
+        "construct": ["--k", "2"],
+        "shatter": ["--graph", g, "--A", "0,1,2,3", "--B", "4,5"],
+        "chi-c": ["--forbidden", spec],
+        "speed": ["--forbidden", spec, "--n", "4"],
+        "census": ["--forbidden", spec, "--n-max", "3", "--certify"],
+        "count-free": ["--m", "2", "--n", "2", "--k", "1"],
+        "count-attach": ["--a", "2", "--n", "3"],
+        "separated": ["--bipgraph", bg, "--x", "3", "--k", "2"],
+        "sparsen": ["--bipgraph", bg, "--alpha", "1/4"],
+        "pack": ["--graph", g, "--parts", "0,1,0,1,0,1,0,1,0,1", "--k", "1"],
+        "decompose": ["--graph", g, "--r", "2", "--k", "1", "--alpha", "0.25"],
+        "verify": ["--certificate", cert],
+    }
+    assert set(argvs) == set(OPTIONS)
+    for command, argv in argvs.items():
+        argv = [command, *map(str, argv)]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, ""), command
+        assert out.endswith("\n") and out.count("\n") == 1, command
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert set(report) == {"tool", "version", "command", "params", "seed",
+                               "results", "timing_ms"}
+        assert (report["tool"], report["version"], report["command"]) == \
+            ("hptools", hptools.__version__, command)
+        # --format is an unknown option, as any other
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_option_inventory_is_pinned():
     top = build_parser()
     (sub,) = [a for a in top._actions
               if isinstance(a, argparse._SubParsersAction)]
     found = {name: {opt for action in parser._actions
-                    for opt in action.option_strings} - {"-h", "--help", "--format"}
+                    for opt in action.option_strings} - {"-h", "--help"}
              for name, parser in sub.choices.items()}
     assert found == OPTIONS
 
@@ -759,6 +820,22 @@ def test_level_above_the_uk_search_cap_exits_1_at_entry(tmp_path, capsys,
     rc, out, err = run(capsys, *argv)
     assert out == ""
     assert_one_line_error(rc, err, "--k must lie in 1..4")
+
+
+@pytest.mark.parametrize("n", [41, 50])
+def test_decompose_above_the_packing_cap_exits_1_at_entry(tmp_path, capsys,
+                                                         monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose ran a stage before checking n")
+
+    for stage in ("_budget", "default_parts", "max_bad_set"):
+        monkeypatch.setattr(hptools.structure, stage, refuse)
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph6_encode(random_graph(n, 0.5, seed=2)) + b"\n")
+    rc, out, err = run(capsys, "decompose", "--graph", str(gpath), "--r", "2",
+                       "--k", "1", "--alpha", "0.25")
+    assert out == ""
+    assert_one_line_error(rc, err, "packing capped at 40 vertices")
 
 
 def test_census_budget_that_is_no_finite_float_exits_1(tmp_path, capsys):

@@ -4,7 +4,10 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hptools import freeness
 from hptools import (BipGraph, DomainError, SparseningOutput, StepError,
                      bipgraph_decode, bipgraph_encode,
                      count_nonshattering_attachments,
@@ -18,13 +21,18 @@ from hptools.graphs import MAX_EXACT_CLIQUE, bits
 from hptools.universal import construct_universal
 
 from oracles import (brute_max_far_subset, clone_class_failures, naive_uk_copy,
-                     nonshattering_by_inclusion_exclusion, numpy_count_uk_free)
+                     nonshattering_by_inclusion_exclusion, numpy_count_uk_free,
+                     realizes_every_trace)
 
 
 # --- BipGraph ----------------------------------------------------------------
 
-def test_bipgraph_text_roundtrip():
-    bg = random_bipgraph(4, 6, 0.5, seed=1)
+@given(st.integers(0, 6), st.integers(0, 6), st.floats(0, 1),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=120, deadline=None)
+def test_bipgraph_text_roundtrip(m, n, p, seed):
+    # n = 0 writes m empty rows, which once read back as no rows at all
+    bg = random_bipgraph(m, n, p, seed=seed)
     assert bipgraph_decode(bipgraph_encode(bg)) == bg
 
 
@@ -393,13 +401,42 @@ def test_clone_classes_t2():
     assert clone_class_failures(G, parts, 2, "to-core", out) == []
 
 
-def test_clone_classes_from_core():
+@pytest.fixture
+def reverse_shatter_calls(monkeypatch):
+    """The (A_list, B) of every aligned_reverse_shatter call made through
+    ``freeness``; from-core's last call gets one representative of each
+    class and the core."""
+    calls = []
+    real = freeness.aligned_reverse_shatter
+
+    def spy(G, A_list, B, t):
+        calls.append((list(A_list), B))
+        return real(G, A_list, B, t)
+
+    monkeypatch.setattr(freeness, "aligned_reverse_shatter", spy)
+    return calls
+
+
+def assert_clone_classes(G, parts, t, direction, out, calls):
+    """The oracle's conditions and, from-core, those of the classes the
+    output keeps t of: 2^|core| per part, with distinct traces on the core,
+    which is B'."""
+    assert clone_class_failures(G, parts, t, direction, out) == []
+    if direction == "from-core":
+        reps, core = calls[-1]
+        assert core == out.b_prime
+        for A in reps:
+            assert A.bit_count() == 2 ** core.bit_count()
+            assert realizes_every_trace(G, list(bits(A)), list(bits(core)))
+
+
+def test_clone_classes_from_core(reverse_shatter_calls):
     G, parts, core = planted_clone_instance(1, 2, copies=3)
     out = extract_clone_classes(G, parts, core, Fraction(3, G.n), 1,
                                 seed=2, direction="from-core")
     assert out.b_prime.bit_count() == 2  # 2^(r t) = 2
     assert len(out.classes[0]) == 1
-    assert clone_class_failures(G, parts, 1, "from-core", out) == []
+    assert_clone_classes(G, parts, 1, "from-core", out, reverse_shatter_calls)
     w = mask_of((c & -c).bit_length() - 1 for part in out.classes for c in part)
     assert shatters(G, out.b_prime, w) is not None
 
@@ -460,7 +497,8 @@ def _clone_instance(kind, *args):
 
 
 @pytest.mark.parametrize("instance, t, direction, seeds, expected", CLONE_TABLE)
-def test_clone_classes_pinned_outputs(instance, t, direction, seeds, expected):
+def test_clone_classes_pinned_outputs(reverse_shatter_calls, instance, t,
+                                     direction, seeds, expected):
     G, parts, core = _clone_instance(*instance)
     for seed in seeds:
         if isinstance(expected, (str, DomainError)):
@@ -473,7 +511,7 @@ def test_clone_classes_pinned_outputs(instance, t, direction, seeds, expected):
         out = extract_clone_classes(G, parts, core, Fraction(1, G.n), t, seed,
                                     direction)
         assert (out.b_prime, out.classes, out.delta) == expected
-        assert clone_class_failures(G, parts, t, direction, out) == []
+        assert_clone_classes(G, parts, t, direction, out, reverse_shatter_calls)
 
 
 def test_clone_class_checker_flags_doctored_results():
@@ -486,6 +524,7 @@ def test_clone_class_checker_flags_doctored_results():
         ((c0 ^ low, c1 | low),) + rest,  # a member moved to the other class
         ((c0 | c1,),) + rest,             # the two classes merged
         ((c0, c1 | out.b_prime),) + rest,  # B' inside a class
+        ((c0, c1 & -c1, c1 & (c1 - 1)),) + rest,  # a class split in two
     ]
     for classes in doctored:
         bad = SparseningOutput(out.b_prime, classes, out.delta)

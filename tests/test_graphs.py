@@ -259,9 +259,13 @@ def test_k_submasks_colex():
 def test_max_clique_matches_brute_force():
     rng = random.Random(3)
     from itertools import combinations
-    for _ in range(25):
-        n = rng.randint(1, 10)
-        G = random_graph(n, rng.random(), seed=rng.random())
+    # n = 1 and edgeless graphs: the search alone finds the one-vertex clique
+    graphs = [graph_from_edges(n, []) for n in (1, 2, 7)]
+    graphs += [random_graph(rng.randint(1, 10), rng.random(), seed=rng.random())
+               for _ in range(25)]
+    assert max_clique(0, ()) == 0
+    for G in graphs:
+        n = G.n
         best = 1
         for sz in range(2, n + 1):
             for sub in combinations(range(n), sz):

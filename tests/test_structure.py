@@ -72,7 +72,7 @@ def test_clone_cutoff_floor():
        st.integers(0, 64))
 def test_integer_cutoffs_match_fraction_products(alpha, n):
     assert _cutoffs(alpha, n) == tuple(int(Fraction(c) * Fraction(alpha) * n)
-                                       for c in (1, 2, 3))
+                                       for c in (1, 2))
     assert clone_cutoff(alpha, n) == int(Fraction(alpha) * n)
 
 
@@ -233,6 +233,31 @@ def test_alpha_adjust_labels_are_clone_indices(graph_parts, maximal, B, alpha):
     assert outcome(lambda: alpha_adjust(G, parts, B, alpha, r).labels) == \
         outcome(lambda: tuple(clone_index(G, parts, B, two_alpha, v, r)
                               for v in range(G.n)))
+
+
+@given(partitioned_graphs(16, 4),
+       st.sampled_from([Fraction(1, 16), Fraction(1, 8), Fraction(1, 4),
+                        Fraction(1, 3), Fraction(2, 5), 0.3]))
+@settings(max_examples=200, deadline=None)
+def test_alpha_adjust_budget_implies_3alpha_clones(graph_parts, alpha):
+    # the (3 alpha)-clone half of an alpha-adjustment is never checked: it
+    # follows from the budget, which this checks from the definitions
+    G, parts = graph_parts
+    r = max(parts) + 1
+    B = max_bad_set(G, parts, 2 * Fraction(alpha), r)
+    rep = alpha_adjust(G, parts, B, alpha, r)
+    n = G.n
+    a = Fraction(alpha)
+    old = [{v for v in range(n) if parts[v] == j} for j in range(r)]
+    new = [{v for v in range(n) if rep.labels[v] == j} for j in range(r)]
+    assert rep.is_adjustment == all(len(old[j] ^ new[j]) <= int(a * n)
+                                    for j in range(r))
+    if rep.is_adjustment:
+        for j in range(r):
+            for v in new[j]:
+                assert any(sum(G.has_edge(v, u) != G.has_edge(b, u)
+                               for u in new[j]) <= int(3 * a * n)
+                           for b in bits(B))
 
 
 def test_alpha_adjust_moves_single_misplaced_vertex():
