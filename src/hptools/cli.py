@@ -175,10 +175,10 @@ def _vertex_sets(data: dict, key: str, n: int, where: str = "") -> tuple[int, ..
 
 
 def _level(k: int, name: str) -> int:
-    """The universal level k of a packing, a decomposition or a separated
-    ceiling, bounded where a command starts by ``MAX_UK_LEVEL``, the level
-    at which the exhaustive U(k) search stops: a decomposition ends in that
-    search, so a larger k would fail only after the whole pipeline."""
+    """The universal level k of a packing, decomposition, separated ceiling
+    or U(k)-free count, bounded where a command starts by ``MAX_UK_LEVEL``,
+    the level at which the exhaustive U(k) search stops: a decomposition
+    ends in that search, so a larger k would fail only after the pipeline."""
     if not 1 <= k <= MAX_UK_LEVEL:
         raise DomainError(f"{name} must lie in 1..{MAX_UK_LEVEL}")
     return k
@@ -400,7 +400,8 @@ def cmd_census(args) -> None:
 
 
 def cmd_count_free(args) -> None:
-    count = count_uk_free_bipartite(args.m, args.n, args.k, args.mode)
+    count = count_uk_free_bipartite(args.m, args.n, _level(args.k, "--k"),
+                                    args.mode)
     emit(args, {"count": str(count)})
 
 

@@ -14,8 +14,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import reduce
+from itertools import combinations
 from math import comb
+from operator import and_
 
 from .errors import DomainError, StepError
 from .graphs import (MAX_VERTICES, Graph, bits, far_clique, k_submasks, mask_of,
@@ -144,32 +146,22 @@ def is_uk_free(G: Graph, k: int, parts=None) -> bool:
 # exact counting of U(k)-free bipartite graphs
 
 
-def _side_coverable(rows, k: int, subsets, spare: bool = False) -> bool:
-    """Can some k-subset of this side have every trace pattern realized by
-    the rows of the opposite side?  With ``spare`` (whole mode, when this
-    side has more than k vertices) the empty pattern may also come from a
-    leftover vertex of this side."""
-    need = 1 << k
-    if len(rows) < need - spare:
-        return False
-    pool = (1 << len(rows)) - 1
-    for sub in subsets:
-        found = first_realizers(rows, pool, sub, need)
-        if len(found) == need or spare and len(found) == need - 1 and 0 not in found:
-            return True
-    return False
-
-
 def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     """Exact number of cross-edge patterns on A (size m) x B (size n) whose
     host is U(k)-free in the chosen mode.
 
-    Freeness depends only on the multiset of rows, so each row multiset is
-    tested once and counted with its m!/prod(mult!) labeled orderings.  A
-    mixed k-set (meeting both sides) can never be fully traced in whole
-    mode: the all-of-S pattern would need a vertex adjacent to vertices of
-    both sides, impossible across a bipartition.  So only pure one-side
-    k-sets matter.
+    A copy is a k-set of B on which A's rows leave all 2^k traces or, in
+    whole mode, a k-set of A so traced by B's columns (a mixed k-set never
+    is: its full trace needs a vertex adjacent to both sides); in whole mode
+    a spare vertex beside the k-set (n > k in B, m > k in A) gives the empty
+    trace.  If no side has enough vertices for that, the count is 2^(mn).
+    Else a depth-first search grows the set of distinct row values upward, a
+    j-set standing for the j!S(m, j) row sequences onto it: a repeated row
+    adds no trace and no column splits it from its twin.  Containment is
+    hereditary and the spare flags depend on m and n alone, so a value that
+    completes a shattered k-set is cut with its subtree, checked only on the
+    k-sets it touches.  Whole mode being symmetric, it enumerates the side
+    with fewer row multisets: C(2^n + m - 1, m) or C(2^m + n - 1, n).
     """
     if mode not in ("whole", "cross"):
         raise DomainError("mode must be 'whole' or 'cross'")
@@ -179,25 +171,61 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
         raise DomainError(f"enumeration capped at m*n <= {MAX_COUNT_CELLS}")
     if not 1 <= k <= MAX_UK_LEVEL:
         raise DomainError(f"universal level capped at {MAX_UK_LEVEL}")
-    bsubs = list(k_submasks((1 << n) - 1, k))
-    asubs = list(k_submasks((1 << m) - 1, k))
-    count = 0
-    for rows in combinations_with_replacement(range(1 << n), m):
-        if mode == "cross":
-            free = not _side_coverable(rows, k, bsubs)
-        else:
-            cols = [0] * n
-            for a, row in enumerate(rows):
-                for b in bits(row):
-                    cols[b] |= 1 << a
-            free = not (_side_coverable(rows, k, bsubs, n > k)
-                        or _side_coverable(cols, k, asubs, m > k))
-        if free:
-            orderings = math.factorial(m)
-            for mult in Counter(rows).values():
-                orderings //= math.factorial(mult)
-            count += orderings
-    return count
+    whole = mode == "whole"
+    b_live = k <= n and m >= (1 << k) - (whole and n > k)  # rows enough for B
+    a_live = whole and k <= m and n >= (1 << k) - (m > k)  # columns enough for A
+    if not (b_live or a_live):
+        return 1 << (m * n)
+    if whole and comb((1 << n) + m - 1, m) > comb((1 << m) + n - 1, n):
+        m, n, a_live = n, m, b_live
+    values, w, ones = 1 << n, 1 << k, (1 << (1 << k)) - 1
+    full = (1 << values) - 1  # masks over the 2^n row values
+    has = [full // ((1 << (2 << b)) - 1) * (((1 << (1 << b)) - 1) << (1 << b))
+           for b in range(n)]  # the values with bit b set
+    subs = list(combinations(range(n), k))  # ``seen`` bit i*w + c: trace c on subs[i]
+    add = [sum(1 << (i << k | sum((v >> b & 1) << j for j, b in enumerate(S)))
+               for i, S in enumerate(subs)) for v in range(values)]
+    trace_of = [[reduce(and_, (has[b] if c >> j & 1 else full ^ has[b]
+                               for j, b in enumerate(S)), full)
+                 for c in range(w)] for S in subs]
+    memo: dict[tuple[int, ...], int] = {}  # a_kills(T) by T
+    onto = []  # onto[j]: the row sequences that take exactly j given values
+    for j in range(min(m, values + 1) + 1):
+        onto.append(j ** m - sum(comb(j, i) * onto[i] for i in range(j)))
+
+    def b_kills(seen: int, fresh: int) -> int:
+        """The values that would fill a block of ``seen`` hit by ``fresh``."""
+        out = 0
+        for p in bits(fresh):  # one bit per block
+            block = seen >> (p >> k << k) & ones
+            if block.bit_count() == w - 1:
+                out |= trace_of[p >> k][(block ^ ones).bit_length() - 1]
+        return out
+
+    def a_kills(T: tuple[int, ...]) -> int:
+        """The values v that make T + (v,) a shattered k-set of A."""
+        if T not in memo:
+            cols = [0] * (w >> 1)  # the columns by their trace on T
+            for b in range(n):
+                cols[sum((t >> b & 1) << j for j, t in enumerate(T))] |= 1 << b
+            memo[T] = sum(1 << v for v in range(values) if all(
+                v & g and (v & g != g or not P and m > k) for P, g in enumerate(cols)))
+        return memo[T]
+
+    def grow(chosen: tuple[int, ...], seen: int, free: int) -> int:
+        """Free sets that extend ``chosen`` by values of ``free``, weighted."""
+        total = free.bit_count() * onto[len(chosen) + 1]
+        for v in bits(free) if len(chosen) + 1 < m else ():
+            fresh = add[v] & ~seen
+            kills = b_kills(seen | fresh, fresh)
+            for T in combinations(chosen, k - 2) if a_live and k > 1 else ():
+                kills |= a_kills((*T, v))
+            total += grow((*chosen, v), seen | fresh, free >> v + 1 << v + 1 & ~kills)
+        return total
+
+    seen = sum(1 << (i << k) for i in range(len(subs))) if whole and n > k else 0
+    kills = b_kills(seen, seen) | (a_kills(()) if a_live and k == 1 else 0)
+    return grow((), seen, full & ~kills)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +259,8 @@ def trace_count_check(bg: BipGraph, blocks, k: int):
         union |= blk
     if union != (1 << bg.n) - 1:
         raise DomainError("blocks do not cover the B side")
-    if _side_coverable(bg.rows, k, list(k_submasks((1 << bg.n) - 1, k))):
+    if any(len({row & S for row in bg.rows}) == 1 << k
+           for S in k_submasks((1 << bg.n) - 1, k)):
         raise DomainError("host is not U(k)-free in cross mode")
     out = []
     for blk in blocks:
@@ -258,7 +287,7 @@ def count_nonshattering_attachments(a: int, n: int) -> tuple[int, int, int]:
     corrected 2^a * (2^a - 1)^n.  Only the corrected one is an upper bound
     at every scale (a=1, n=2 already has exact count 2 > 1)."""
     if not (1 <= a <= 3 and 1 <= n <= 6):
-        raise DomainError("caps: a <= 3 and n <= 6")
+        raise DomainError("caps: 1 <= a <= 3 and 1 <= n <= 6")
     # B shatters A when its rows realize every trace on A: a cross U(a) copy
     count = count_uk_free_bipartite(n, a, a, "cross")
     printed = (2 ** a - 1) ** n

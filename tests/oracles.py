@@ -5,8 +5,10 @@ subset pairs, all assignments); some oracles are vectorized with numpy for
 the large acceptance sweeps but keep the definition-direct logic.
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import factorial
 
 import numpy as np
 
@@ -142,6 +144,39 @@ def numpy_count_uk_free(m: int, n: int, k: int, mode: str) -> int:
             seen |= np.uint64(1) << trace_code(v, S)
         free &= seen != np.uint64((1 << (1 << k)) - 1)
     return int(free.sum())
+
+
+def multiset_count_uk_free(m: int, n: int, k: int, mode: str) -> int:
+    """Test every row multiset once from scratch, weighted by its
+    m!/prod(mult!) labeled orderings.  Only one-side k-sets are tested: in
+    whole mode a mixed k-set cannot be traced (the all-of-S trace needs a
+    vertex adjacent to both sides), and a spare vertex on the k-set's own
+    side (n > k for B, m > k for A) supplies the empty trace."""
+
+    def traced(rows, size: int, spare: bool) -> bool:
+        """Is some k-subset of ``size`` positions traced by ``rows``?"""
+        if len(rows) < (1 << k) - spare:
+            return False
+        for S in map(mask_of, combinations(range(size), k)):
+            traces = {row & S for row in rows} - ({0} if spare else set())
+            if len(traces) == (1 << k) - spare:
+                return True
+        return False
+
+    count = 0
+    for rows in combinations_with_replacement(range(1 << n), m):
+        cols = [mask_of(a for a, row in enumerate(rows) if row >> b & 1)
+                for b in range(n)]
+        if mode == "cross":
+            copy = traced(rows, n, False)
+        else:
+            copy = traced(rows, n, n > k) or traced(cols, m, m > k)
+        if not copy:
+            orderings = factorial(m)
+            for mult in Counter(rows).values():
+                orderings //= factorial(mult)
+            count += orderings
+    return count
 
 
 def naive_epsilon_regular(G: Graph, A: int, B: int, eps) -> bool:

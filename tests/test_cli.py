@@ -533,6 +533,12 @@ def test_pack_parts_must_match_graph(tmp_path, capsys):
      "sides must be non-negative; got m = -1, n = 3"),
     (["count-free", "--m", "3", "--n", "-1", "--k", "1"],
      "sides must be non-negative; got m = 3, n = -1"),
+    (["count-free", "--m", "2", "--n", "2", "--k", "0"], "--k must lie in 1..4"),
+    (["count-free", "--m", "2", "--n", "2", "--k", "5"], "--k must lie in 1..4"),
+    (["count-attach", "--a", "0", "--n", "2"], "caps: 1 <= a <= 3 and 1 <= n <= 6"),
+    (["count-attach", "--a", "4", "--n", "2"], "caps: 1 <= a <= 3 and 1 <= n <= 6"),
+    (["count-attach", "--a", "2", "--n", "0"], "caps: 1 <= a <= 3 and 1 <= n <= 6"),
+    (["count-attach", "--a", "2", "--n", "7"], "caps: 1 <= a <= 3 and 1 <= n <= 6"),
 ])
 def test_malformed_list_options_exit_1(tmp_path, capsys, argv, needle):
     gpath = tmp_path / "g.g6"

@@ -20,7 +20,8 @@ from hptools import (BipGraph, DomainError, SparseningOutput, StepError,
 from hptools.graphs import MAX_EXACT_CLIQUE, bits
 from hptools.universal import construct_universal
 
-from oracles import (brute_max_far_subset, clone_class_failures, naive_uk_copy,
+from oracles import (brute_max_far_subset, clone_class_failures,
+                     multiset_count_uk_free, naive_uk_copy,
                      nonshattering_by_inclusion_exclusion, numpy_count_uk_free,
                      realizes_every_trace)
 
@@ -144,6 +145,47 @@ def test_count_free_matches_definition_oracle_small():
             for mode in ("whole", "cross"):
                 assert count_uk_free_bipartite(m, n, k, mode) == \
                     numpy_count_uk_free(m, n, k, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 16).flatmap(
+           lambda m: st.tuples(st.just(m), st.integers(0, 16 // m if m else 16))),
+       st.integers(1, 3), st.sampled_from(["whole", "cross"]))
+def test_count_free_matches_multiset_oracle(shape, k, mode):
+    m, n = shape
+    assert count_uk_free_bipartite(m, n, k, mode) == \
+        multiset_count_uk_free(m, n, k, mode)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 25).flatmap(
+           lambda m: st.tuples(st.just(m), st.integers(1, 25 // m))),
+       st.integers(1, 4))
+def test_count_free_whole_mode_is_symmetric(shape, k):
+    m, n = shape
+    assert count_uk_free_bipartite(m, n, k, "whole") == \
+        count_uk_free_bipartite(n, m, k, "whole")
+
+
+# (m, n, k): whole, cross
+COUNT_PINS = {(4, 5, 2): (90_946, 546_496), (5, 4, 2): (90_946, 339_136),
+              (5, 5, 2): (833_432, 6_465_152), (8, 3, 3): (16_736_896, 16_736_896)}
+
+
+@pytest.mark.parametrize("shape", COUNT_PINS, ids=lambda s: "%dx%d-k%d" % s)
+def test_count_free_pins(shape):
+    counts = tuple(count_uk_free_bipartite(*shape, mode) for mode in ("whole", "cross"))
+    assert counts == COUNT_PINS[shape]
+    if shape[:2] in ((4, 5), (5, 4)):
+        assert counts == tuple(multiset_count_uk_free(*shape, mode)
+                               for mode in ("whole", "cross"))
+
+
+def test_count_free_closed_form_when_no_k_set_can_be_shattered():
+    # 2 rows cannot trace the 4 patterns of a 2-set of B (cross), nor 1 row
+    # its 3 nonempty ones (whole), and 1 A vertex holds no 2-set
+    assert count_uk_free_bipartite(2, 12, 2, "cross") == 1 << 24
+    assert count_uk_free_bipartite(1, 22, 2, "whole") == 1 << 22
 
 
 def test_count_free_monotone_in_k():
