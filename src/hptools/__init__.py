@@ -32,7 +32,8 @@ from .regularity import (BBSPartition, BBSReport, greedy_turan_transversal,
                          pair_density, toy_bbs_parts, toy_szemeredi_partition,
                          verify_bbs_partition)
 from .structure import (AdjustmentReport, DecompositionCertificate,
-                        PackingPiece, PackingReport, alpha_adjust, clone_index,
+                        PackingPiece, PackingReport, alpha_adjust,
+                        certify_members, clone_index,
                         decompose, decomposition_failures, default_parts,
                         extract_universal_packing, is_alpha_clone, max_bad_set,
                         verify_decomposition, verify_packing_maximality,

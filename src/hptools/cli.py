@@ -28,11 +28,10 @@ from .graphs import (MAX_ENUM_VERTICES, MAX_EXACT_CLIQUE, MAX_VERTICES, Graph, b
 from .hereditary import (abt_bounds, colouring_number, count_hrv,
                          enumerate_property, load_property, speed,
                          valid_hrv_patterns)
-from .regularity import min_intra_edges_parts
 from .structure import (DecompositionCertificate, PackingPiece, PackingReport,
-                        _budget, decompose, extract_universal_packing,
-                        verify_decomposition, verify_packing_maximality,
-                        verify_packing_report)
+                        _budget, certify_members, decompose,
+                        extract_universal_packing, verify_decomposition,
+                        verify_packing_maximality, verify_packing_report)
 from .universal import (construct_generalized_universal, construct_universal,
                         construct_universal_star, shatters)
 
@@ -184,6 +183,13 @@ def _level(k: int, name: str) -> int:
     return k
 
 
+def _schema(data: dict, *versions: int) -> None:
+    """Refuse a certificate whose schema this reader does not know."""
+    if _need(data, "schema_version", int) not in versions:
+        raise DomainError("certificate field 'schema_version' must be "
+                          + " or ".join(map(str, versions)))
+
+
 def _pieces(data: dict, n: int, r: int, where: str = "") -> tuple[PackingPiece, ...]:
     pieces = []
     for i, p in enumerate(_need(data, "pieces", list, where)):
@@ -197,6 +203,7 @@ def _pieces(data: dict, n: int, r: int, where: str = "") -> tuple[PackingPiece, 
 
 
 def packing_from_dict(data: dict) -> tuple[Graph, tuple[int, ...], PackingReport]:
+    _schema(data, 1)
     G = graph6_decode(_need(data, "graph6", str))
     r = _need(data, "r", int)
     if r > MAX_VERTICES:
@@ -240,6 +247,7 @@ def certificate_to_dict(cert: DecompositionCertificate, G: Graph,
 
 
 def certificate_from_dict(data: dict) -> tuple[Graph, DecompositionCertificate]:
+    _schema(data, 1, 2)
     G = graph6_decode(_need(data, "graph6", str))
     n = _need(data, "n", int)
     if n != G.n:
@@ -381,20 +389,10 @@ def cmd_census(args) -> None:
             "abt_log2_upper": _log2_str(hi2),
         }
         if args.certify:
-            # min-intra-edge hint rather than decompose's default partition:
-            # the pinned certified_fraction values depend on this hint
-            good = total = 0
-            for G in enumerate_property(spec, n):
-                total += 1
-                try:
-                    hint = min_intra_edges_parts(G, r)
-                    cert = decompose(G, r, k, args.alpha,
-                                     parts_hint=hint, eps_out=args.budget_eps)
-                except DomainError:
-                    continue
-                if verify_decomposition(G, cert) and cert.budget_ok:
-                    good += 1
+            good, total, classes = certify_members(
+                enumerate_property(spec, n), r, k, args.alpha, args.budget_eps)
             entry["certified_fraction"] = f"{good}/{total}"
+            entry["classes"] = classes
         rows.append(entry)
     emit(args, {"rows": rows, "colouring_number": r})
 

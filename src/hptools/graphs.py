@@ -264,6 +264,38 @@ def contains_induced(G, H: Graph, pin: int | None = None):
     return None
 
 
+def _degree_profile(G: Graph) -> tuple:
+    """The multiset of (degree, sorted neighbour degrees) over the vertices,
+    an isomorphism invariant."""
+    deg = [row.bit_count() for row in G.adj]
+    return tuple(sorted((deg[v], tuple(sorted(deg[u] for u in bits(row))))
+                        for v, row in enumerate(G.adj)))
+
+
+class IsomorphismClasses:
+    """The isomorphism classes of the graphs looked up so far, numbered
+    0, 1, ... in order of first appearance.  The first graph looked up of a
+    class is its representative.
+
+    A lookup keeps the representatives with the graph's degree profile,
+    then asks each for an induced copy in the graph: on equal order an
+    induced copy is an isomorphism."""
+
+    def __init__(self):
+        self._buckets: dict[tuple, list[tuple[Graph, int]]] = {}
+        self.count = 0
+
+    def index(self, G: Graph) -> int:
+        """The number of G's class; a graph of a new class founds it."""
+        bucket = self._buckets.setdefault(_degree_profile(G), [])
+        for rep, i in bucket:
+            if contains_induced(G, rep) is not None:
+                return i
+        bucket.append((G, self.count))
+        self.count += 1
+        return self.count - 1
+
+
 # ---------------------------------------------------------------------------
 # labeled enumeration
 

@@ -14,8 +14,8 @@ from itertools import permutations, product
 
 from .errors import DomainError
 from .freeness import MAX_UK_HOST, find_uk_copy
-from .graphs import (Graph, bits, far_clique, induced_subgraph, k_submasks,
-                     mask_of, part_masks)
+from .graphs import (Graph, IsomorphismClasses, bits, far_clique,
+                     induced_subgraph, k_submasks, mask_of, part_masks)
 from .regularity import (MAX_TOY_BLOCKS, MAX_TOY_VERTICES, min_intra_edges_parts,
                          toy_bbs_parts)
 from .universal import shatters, universal_layer_sizes
@@ -380,16 +380,57 @@ def decomposition_failures(G: Graph, cert: DecompositionCertificate,
         sub = induced_subgraph(G, S)
         if sub.n >= (1 << cert.k) + cert.k and find_uk_copy(sub, cert.k) is not None:
             problems.append(f"part {j} contains a U({cert.k}) copy")
+    size = cert.exceptional.bit_count()
+    if cert.budget != _budget(G.n, cert.eps_out):
+        problems.append(f"budget {cert.budget} is not n^(1-eps_out) for "
+                        f"eps_out = {cert.eps_out}")
+    if cert.budget_ok != (size <= cert.budget):
+        problems.append(f"budget_ok is {cert.budget_ok} for |A| = {size} "
+                        f"and budget {cert.budget:.3f}")
     if budget_eps is not None:
         budget = _budget(G.n, budget_eps)
-        if cert.exceptional.bit_count() > budget:
-            problems.append(
-                f"|A| = {cert.exceptional.bit_count()} exceeds n^(1-eps) = {budget:.3f}")
+        if size > budget:
+            problems.append(f"|A| = {size} exceeds n^(1-eps) = {budget:.3f}")
     return problems
 
 
 def verify_decomposition(G: Graph, cert: DecompositionCertificate,
                          budget_eps: float | None = None) -> bool:
-    """Re-check partition validity, U(k)-freeness of every part, and (when
-    ``budget_eps`` is given) the |A| budget."""
+    """Re-check partition validity, U(k)-freeness of every part, the
+    certificate's own budget claim (``budget`` is n^(1-eps_out) and
+    ``budget_ok`` says whether |A| meets it), and (when ``budget_eps`` is
+    given) the |A| budget n^(1-budget_eps)."""
     return not decomposition_failures(G, cert, budget_eps)
+
+
+def certify_members(graphs, r: int, k: int, alpha,
+                    budget_eps) -> tuple[int, int, int]:
+    """(good, total, classes): how many of ``graphs`` are certified, how
+    many there are, and how many isomorphism classes they fall into.
+
+    A graph is certified when ``decompose`` from the minimum-intra-edge
+    hint succeeds, ``verify_decomposition`` accepts its certificate, and |A|
+    meets the budget n^(1-budget_eps).  Only the first graph of each class
+    is decomposed; its verdict counts for every later graph of the class.
+    Fed in ascending edge-bitmask order, as ``enumerate_property`` yields
+    them, that first graph is the class's least-bitmask labeling, the one
+    that orderly generation keeps."""
+    classes = IsomorphismClasses()
+    verdicts: list[bool] = []
+    good = total = 0
+    for G in graphs:
+        i = classes.index(G)
+        if i == len(verdicts):
+            # the min-intra-edge hint rather than decompose's default
+            # partition: pinned census fractions depend on this hint
+            try:
+                cert = decompose(G, r, k, alpha,
+                                 parts_hint=min_intra_edges_parts(G, r),
+                                 eps_out=budget_eps)
+            except DomainError:
+                verdicts.append(False)
+            else:
+                verdicts.append(verify_decomposition(G, cert) and cert.budget_ok)
+        good += verdicts[i]
+        total += 1
+    return good, total, classes.count

@@ -12,8 +12,9 @@ from math import factorial
 
 import numpy as np
 
-from hptools import (Graph, PackingPiece, PackingReport, bits,
-                     is_epsilon_regular, mask_of, part_masks)
+from hptools import (DomainError, Graph, PackingPiece, PackingReport, bits,
+                     decompose, is_epsilon_regular, mask_of,
+                     min_intra_edges_parts, part_masks, verify_decomposition)
 from hptools.graphs import graph_from_edge_mask, k_submasks
 from hptools.universal import universal_layer_sizes
 
@@ -446,3 +447,20 @@ def clone_class_failures(G: Graph, parts, t: int, direction: str, out) -> list[s
         if not realizes_every_trace(G, bp, lowest):
             problems.append("B' does not shatter the lowest-vertex transversal")
     return problems
+
+
+def labeled_certified_fraction(graphs, r: int, k: int, alpha,
+                               budget_eps) -> tuple[int, int]:
+    """(good, total) with every labeled member decomposed on its own: from
+    the minimum-intra-edge hint, re-verified, |A| within n^(1-budget_eps)."""
+    good = total = 0
+    for G in graphs:
+        total += 1
+        try:
+            cert = decompose(G, r, k, alpha, parts_hint=min_intra_edges_parts(G, r),
+                             eps_out=budget_eps)
+        except DomainError:
+            continue
+        if verify_decomposition(G, cert) and cert.budget_ok:
+            good += 1
+    return good, total

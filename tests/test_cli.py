@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -11,19 +12,23 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hptools
-from hptools import (decompose, edgelist_encode, extract_universal_packing,
-                     graph6_encode, graph_from_edges, random_graph)
+from hptools import (PropertySpec, certify_members, colouring_number, decompose,
+                     edgelist_encode, enumerate_property,
+                     extract_universal_packing, graph6_encode, graph_from_edges,
+                     random_graph)
 from hptools.cli import (_rational, build_parser, certificate_from_dict,
                          certificate_to_dict, main, packing_to_dict)
 from hptools.freeness import (BipGraph, bipgraph_encode, planted_clone_instance,
                               random_bipgraph)
 
 from conftest import complete_graph, path_graph
+from oracles import labeled_certified_fraction
 
 
 def run(capsys, *argv):
@@ -415,11 +420,38 @@ def _mutated(data, path, value):
     (SCHEMA_1, ("provenance", "alpha"), 0, "'provenance.alpha' must be a rational"),
     (DECOMPOSITION, ("provenance", "alpha"), True,
      "'provenance.alpha' must be a rational string or a number"),
+    (DECOMPOSITION, ("schema_version",), 7, "'schema_version' must be 1 or 2"),
+    (DECOMPOSITION, ("schema_version",), 0, "'schema_version' must be 1 or 2"),
+    (DECOMPOSITION, ("schema_version",), "x", "'schema_version' must be an integer"),
+    (DECOMPOSITION, ("schema_version",), None, "'schema_version' must be an integer"),
+    (DECOMPOSITION, ("schema_version",), DELETE, "lacks field 'schema_version'"),
+    (PACKING, ("schema_version",), 2, "'schema_version' must be 1"),
+    (PACKING, ("schema_version",), None, "'schema_version' must be an integer"),
 ])
 def test_verify_rejects_malformed_fields(data, path, value, needle):
     rc, out, err = verify_text(json.dumps(_mutated(data, path, value)))
     assert out == ""
     assert_one_line_error(rc, err, needle)
+
+
+# K3 at r = 2, k = 1, alpha = 1/4: |A| = 2 misses the budget 3^(1/2)
+K3_CERTIFICATE = certificate_to_dict(
+    decompose(complete_graph(3), 2, 1, Fraction(1, 4)), complete_graph(3), None)
+
+
+@pytest.mark.parametrize("data, field, value", [
+    (K3_CERTIFICATE, "budget_ok", True),
+    (K3_CERTIFICATE, "budget", -1),
+    (K3_CERTIFICATE, "budget", 2.0),
+    (DECOMPOSITION, "budget_ok", not DECOMPOSITION["budget_ok"]),
+    (DECOMPOSITION, "budget", DECOMPOSITION["budget"] + 1),
+])
+def test_verify_refuses_a_forged_budget_claim(data, field, value):
+    assert (len(K3_CERTIFICATE["A"]), K3_CERTIFICATE["budget_ok"]) == (2, False)
+    rc, out, _ = verify_text(json.dumps(data))
+    assert rc == 0 and parse(out)["results"]["valid"] is True
+    rc, out, _ = verify_text(json.dumps({**data, field: value}))
+    assert rc == 0 and parse(out)["results"]["valid"] is False
 
 
 def _field_paths(node, prefix=()):
@@ -901,3 +933,37 @@ def test_census_certify_rows_pinned(tmp_path, capsys, name):
     assert [r["n"] for r in rows] == [1, 2, 3, 4, 5]
     assert [(r["count"], r["hrv_lower"], r["certified_fraction"])
             for r in rows] == want
+
+
+def relabeled(n: int, edges, seed: int):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@pytest.mark.parametrize("name, orders", [
+    *((name, range(1, 6)) for name in sorted(CENSUS_ROWS)),
+    ("K3", [6]), ("P4", [6])])
+def test_class_census_equals_the_labeled_loop(name, orders):
+    n, edges, _ = CENSUS_ROWS[name]
+    spec = PropertySpec.from_graphs([relabeled(n, edges, seed=n)])
+    r = colouring_number(spec).value
+    for m in orders:
+        args = (r, 2, Fraction(1, 4), Fraction(1, 2))
+        good, total, _ = certify_members(enumerate_property(spec, m), *args)
+        assert (good, total) == labeled_certified_fraction(
+            enumerate_property(spec, m), *args)
+
+
+def test_census_classes_count_triangle_free_classes(tmp_path, capsys):
+    # the networkx atlas holds one graph of each class on up to 7 vertices
+    atlas = [X for X in nx.graph_atlas_g()[1:] if X.number_of_nodes() <= 6
+             and not any(nx.triangles(X).values())]
+    want = [sum(X.number_of_nodes() == n for X in atlas) for n in range(1, 7)]
+    assert want == [1, 2, 3, 7, 14, 38]
+    spec = write_spec(tmp_path, complete_graph(3))
+    for _ in range(2):
+        rc, out, _ = run(capsys, "census", "--forbidden", spec, "--certify",
+                         "--n-max", "6")
+        assert rc == 0
+        assert [r["classes"] for r in parse(out)["results"]["rows"]] == want

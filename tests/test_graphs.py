@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from hptools import (DomainError, Graph, bits, complement, contains_induced,
                      enumerate_labeled, graph6_decode, graph6_encode,
                      graph_from_edges, induced_subgraph, mask_of, random_graph)
-from hptools.graphs import (_pin_plan, edge_mask_of, edgelist_decode,
-                            edgelist_encode, graph_from_edge_mask,
-                            greedy_maximal_clique, k_submasks, max_clique)
+from hptools.graphs import (IsomorphismClasses, _pin_plan, edge_mask_of,
+                            edgelist_decode, edgelist_encode,
+                            graph_from_edge_mask, greedy_maximal_clique,
+                            k_submasks, max_clique)
 
 from conftest import complete_graph, cycle_graph, path_graph
 from oracles import (is_induced_embedding, naive_contains_induced,
@@ -153,6 +154,43 @@ def test_pin_plan_orbits_match_networkx():
                   for a in X}
         reps = sorted((min(O, key=order.index) for O in orbits), key=order.index)
         assert [seq[0] for seq in seqs] == reps
+
+
+def relabel(G: Graph, perm) -> Graph:
+    return graph_from_edges(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+def test_isomorphism_classes_of_the_atlas():
+    # one graph per class on up to 7 vertices; C6 and two triangles, say,
+    # share a degree profile
+    atlas = [graph_from_edges(X.number_of_nodes(), X.edges())
+             for X in nx.graph_atlas_g()]
+    classes = IsomorphismClasses()
+    assert [classes.index(G) for G in atlas] == list(range(len(atlas)))
+    rng = random.Random(3)
+    for i, G in enumerate(atlas):
+        perm = list(range(G.n))
+        rng.shuffle(perm)
+        assert classes.index(relabel(G, perm)) == i
+    assert classes.count == len(atlas) == 1253
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_isomorphism_classes_match_networkx(n, data):
+    # members are relabelings of a few base graphs, so classes repeat
+    full = (1 << (n * (n - 1) // 2)) - 1
+    bases = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=3))
+    members = [relabel(graph_from_edge_mask(n, data.draw(st.sampled_from(bases))),
+                       data.draw(st.permutations(range(n))))
+               for _ in range(data.draw(st.integers(2, 6)))]
+    classes = IsomorphismClasses()
+    index = [classes.index(G) for G in members]
+    for i, G in enumerate(members):
+        for j in range(i):
+            assert (index[i] == index[j]) == nx.is_isomorphic(
+                to_networkx(G), to_networkx(members[j]))
+    assert classes.count == len(set(index))
 
 
 def test_enumeration_counts(k3):
