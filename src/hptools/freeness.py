@@ -22,7 +22,8 @@ from operator import and_
 from .errors import DomainError, StepError
 from .graphs import (MAX_VERTICES, Graph, bits, far_clique, k_submasks, mask_of,
                      part_masks)
-from .universal import MAX_TRACE_GROUND, aligned_reverse_shatter, first_realizers
+from .universal import (MAX_TRACE_GROUND, aligned_reverse_shatter, first_realizers,
+                        sauer_bound)
 
 # sides up to 64 so the distinguishing-set harness can run its published
 # parameters (c=8, n=64); rows still fit one machine word
@@ -243,11 +244,12 @@ class BlockTraceReport:
 
 def trace_count_check(bg: BipGraph, blocks, k: int):
     """Per-block distinct-trace counts of the A side, with the exact Sauer
-    ceiling sum_{i<k} C(|B_j|, i) asserted and the looser k*C(|B_j|, k-1)
-    ceiling reported alongside.
+    ceiling sum_{i<k} C(|B_j|, i) and the looser k*C(|B_j|, k-1) ceiling
+    reported alongside.
 
-    The host must be U(k)-free in cross mode, which is verified first; a
-    ceiling violation would also prove it is not, and raises as well.
+    The host must be U(k)-free in cross mode, which is verified first.  No
+    count then exceeds its Sauer ceiling: by Sauer-Shelah, more traces on
+    B_j would shatter a k-subset of B_j, a cross U(k) copy.
     """
     blocks = list(blocks)
     union = 0
@@ -265,14 +267,8 @@ def trace_count_check(bg: BipGraph, blocks, k: int):
     out = []
     for blk in blocks:
         size = blk.bit_count()
-        traces = {row & blk for row in bg.rows}
-        ceiling = sum(comb(size, i) for i in range(k))
-        loose = k * comb(size, k - 1)
-        if len(traces) > ceiling:
-            raise DomainError(
-                f"trace count {len(traces)} exceeds the Sauer ceiling {ceiling}; "
-                "the host cannot be U(k)-free in cross mode")
-        out.append(BlockTraceReport(blk, size, len(traces), ceiling, loose))
+        out.append(BlockTraceReport(blk, size, len({row & blk for row in bg.rows}),
+                                    sauer_bound(size, k), k * comb(size, k - 1)))
     return out
 
 
@@ -361,6 +357,34 @@ class DistinguishingSet:
     attempts: int
 
 
+def _draw_window(rows, cols, alpha: Fraction, seed: int,
+                 max_attempts: int = 1000) -> tuple[int, int]:
+    """(X, attempts): the first random subset X of ``cols``, of size
+    ceil(5 ln(c) / alpha) for the c ``rows``, on which the rows leave
+    pairwise distinct traces; all of ``cols`` in one attempt when that size
+    reaches their number.  Rows pairwise at least alpha * len(cols) >= 1
+    apart are distinct on all of ``cols``.
+
+    ``random.sample`` chooses positions from the population's length, the
+    sample size and the generator alone, so the window drawn over ``cols``
+    is the image of the window drawn over ``range(len(cols))``.
+    """
+    c = len(rows)
+    size = math.ceil(5 * math.log(c) / float(alpha))
+    if size >= len(cols):
+        return mask_of(cols), 1
+    if max_attempts < 1:
+        raise DomainError("max_attempts must be positive")
+    rng = random.Random(seed)
+    for attempt in range(1, max_attempts + 1):
+        X = mask_of(rng.sample(cols, size))
+        if len({row & X for row in rows}) == c:
+            return X, attempt
+    raise DomainError(
+        f"no distinguishing set of size {size} found in {max_attempts} attempts "
+        f"(c={c}, n={len(cols)}, alpha={float(alpha):.4f})")
+
+
 def distinguishing_set(bg: BipGraph, u_sub: int, alpha: float, seed: int,
                        max_attempts: int = 1000) -> DistinguishingSet:
     """Random X of size ceil(p*n), p = 5 ln(c) / (alpha n), redrawn until
@@ -375,33 +399,18 @@ def distinguishing_set(bg: BipGraph, u_sub: int, alpha: float, seed: int,
         raise DomainError("need at least two vertices to distinguish")
     if any(v >= bg.m for v in u_verts):
         raise DomainError("u_sub not contained in the A side")
-    n = bg.n
     alpha_f = Fraction(alpha)
-    if alpha_f * n < 1:
+    thr = alpha_f * bg.n
+    if thr < 1:
         raise DomainError("vacuous separation: alpha * n < 1")
-    thr = alpha_f * n
     rows = [bg.rows[v] for v in u_verts]
     for i in range(c):
         for j in range(i):
             if (rows[i] ^ rows[j]).bit_count() < thr:
                 raise DomainError(
                     f"pair ({u_verts[j]},{u_verts[i]}) closer than alpha*n")
-    size = math.ceil(5 * math.log(c) / float(alpha_f))
-    if size >= n:
-        X = (1 << n) - 1
-        if len({row & X for row in rows}) == c:
-            return DistinguishingSet(X, 1)
-        raise DomainError("even the full B side does not distinguish u_sub")
-    if max_attempts < 1:
-        raise DomainError("max_attempts must be positive")
-    rng = random.Random(seed)
-    for attempt in range(1, max_attempts + 1):
-        X = mask_of(rng.sample(range(n), size))
-        if len({row & X for row in rows}) == c:
-            return DistinguishingSet(X, attempt)
-    raise DomainError(
-        f"no distinguishing set of size {size} found in {max_attempts} attempts "
-        f"(c={c}, n={n}, alpha={float(alpha_f):.4f})")
+    return DistinguishingSet(*_draw_window(rows, range(bg.n), alpha_f, seed,
+                                           max_attempts))
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +434,6 @@ class SparseningOutput:
     delta: float
 
 
-def _part_bipgraph(G: Graph, B_verts, working: int):
-    cols = list(bits(working))
-    index = {v: i for i, v in enumerate(cols)}
-    rows = []
-    for b in B_verts:
-        row = 0
-        for v in bits(G.adj[b] & working):
-            row |= 1 << index[v]
-        rows.append(row)
-    return BipGraph(len(B_verts), len(cols), tuple(rows)), cols
-
-
 def _sparsening_rounds(G: Graph, B_verts, part: int, t: int,
                        rng) -> list[tuple[int, int]]:
     """The basic loop on one part: distinguish, find a shattered 2^t-set,
@@ -449,21 +446,22 @@ def _sparsening_rounds(G: Graph, B_verts, part: int, t: int,
     size_needed = 1 << t
     need = 1 << size_needed
     while working.bit_count() >= size_needed:
-        bip, cols = _part_bipgraph(G, B_verts, working)
-        dmin = min((bip.rows[i] ^ bip.rows[j]).bit_count()
+        rows = [G.adj[b] & working for b in B_verts]
+        dmin = min((rows[i] ^ rows[j]).bit_count()
                    for i in range(c) for j in range(i))
         if dmin == 0:
             break  # remaining window no longer separates the core candidates
+        cols = list(bits(working))
         try:
-            ds = distinguishing_set(bip, (1 << c) - 1, Fraction(dmin, bip.n),
-                                    rng.randrange(1 << 30))
+            X, _ = _draw_window(rows, cols, Fraction(dmin, len(cols)),
+                                rng.randrange(1 << 30))
         except DomainError:
             break
-        if ds.X.bit_count() > MAX_TRACE_GROUND:  # the cap on exhaustive trace grounds
+        if X.bit_count() > MAX_TRACE_GROUND:  # the cap on exhaustive trace grounds
             raise DomainError(f"ground set larger than {MAX_TRACE_GROUND}")
         # the first 2^t-subset of X (colex order) that the core candidates
         # shatter, with its realizers
-        for X_star in k_submasks(mask_of(cols[i] for i in bits(ds.X)), size_needed):
+        for X_star in k_submasks(X, size_needed):
             realizers = first_realizers(G.adj, B_mask, X_star, need)
             if len(realizers) == need:
                 break

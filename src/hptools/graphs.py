@@ -42,19 +42,6 @@ def mask_of(vertices) -> int:
     return m
 
 
-def bottom_bits(mask: int, k: int) -> int:
-    """The k lowest set bits of ``mask``."""
-    out = 0
-    for v in bits(mask):
-        if k == 0:
-            break
-        out |= 1 << v
-        k -= 1
-    if k:
-        raise DomainError(f"mask has fewer than requested bits ({k} missing)")
-    return out
-
-
 def k_submasks(mask: int, k: int):
     """All k-bit submasks of ``mask`` in colex (ascending numeric) order."""
     positions = list(bits(mask))

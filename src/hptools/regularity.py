@@ -167,7 +167,8 @@ def verify_bbs_partition(G: Graph, bbs: BBSPartition) -> BBSReport:
 def greedy_turan_transversal(G: Graph, blocks, eps,
                              require_feasible: bool = True):
     """Pick one vertex per block, at most one per block, forming a complete
-    r-partite pattern across parts.
+    r-partite pattern across parts: a candidate must join every vertex
+    already chosen in another part.
 
     ``blocks`` is an r x t grid of vertex masks (parts split into blocks).
     Feasibility asks e >= (1 - eps) C(r,2) n^2 across parts with
@@ -216,11 +217,6 @@ def greedy_turan_transversal(G: Graph, blocks, eps,
                 return None
             v = min(cands, key=lambda u: (nonneigh_load(u), u))
             chosen.append((i, j, v))
-    # postcondition: complete across parts, at most one per block
-    for (ci, cj, cv), (di, dj, dv) in combinations(chosen, 2):
-        if ci != di:
-            assert G.adj[cv] >> dv & 1, "transversal is not complete across parts"
-        assert (ci, cj) != (di, dj), "two vertices drawn from one block"
     return chosen
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
+from operator import or_
 
 from .errors import DomainError
 from .freeness import MAX_UK_HOST, find_uk_copy
@@ -133,17 +134,11 @@ class PackingReport:
 
 
 def _layer_chain_ok(G: Graph, layers) -> bool:
-    """The defining chain: each layer shatters the union of earlier ones,
-    with exactly one realizer per trace (sizes force the bijection)."""
-    prefix = 0
-    for i, layer in enumerate(layers):
-        if i > 0:
-            if layer.bit_count() != 1 << prefix.bit_count():
-                return False
-            if shatters(G, layer, prefix) is None:
-                return False
-        prefix |= layer
-    return True
+    """The defining chain: each layer shatters the union of earlier ones.
+    The caller has checked that the layers are disjoint and that each has
+    2^|union| vertices, which makes the realizers one per trace."""
+    return all(shatters(G, layer, prefix) is not None
+               for layer, prefix in zip(layers[1:], accumulate(layers, or_)))
 
 
 def _find_placed_copy(G: Graph, pmasks, X: int, k: int, t: int):
@@ -187,9 +182,7 @@ def _find_placed_copy(G: Graph, pmasks, X: int, k: int, t: int):
     for p in range(r):
         if free[p] < sum(sizes[:2]):
             continue
-        tails = permutations([q for q in range(r) if q != p], t - 2) \
-            if t >= 3 else [()]
-        for tail in tails:
+        for tail in permutations([q for q in range(r) if q != p], t - 2):
             if any(free[q] < size for q, size in zip(tail, sizes[2:])):
                 continue
             placement = [p, p, *tail]
@@ -241,7 +234,9 @@ def verify_packing_report(G: Graph, parts, report: PackingReport) -> list[str]:
         if [m.bit_count() for m in piece.layers] != sizes:
             problems.append(f"piece {idx} has wrong layer sizes")
             continue
-        if not _layer_chain_ok(G, piece.layers):
+        if sum(sizes) != v.bit_count():
+            problems.append(f"piece {idx}: layers overlap")
+        elif not _layer_chain_ok(G, piece.layers):
             problems.append(f"piece {idx} fails its shattering chain")
         pl = piece.placement
         if len(pl) != piece.level or piece.level < 2:

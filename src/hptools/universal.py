@@ -13,7 +13,7 @@ from itertools import product
 from math import comb
 
 from .errors import DomainError
-from .graphs import Graph, bits, bottom_bits, contains_induced, k_submasks
+from .graphs import Graph, bits, contains_induced, k_submasks, mask_of
 
 MAX_SHATTER_TARGET = 20
 MAX_TRACE_GROUND = 30
@@ -73,13 +73,11 @@ def find_shattered(family: TraceFamily, k: int):
 
 
 def sauer_find_shattered(family: TraceFamily, k: int) -> int:
-    """Find a shattered k-set after checking the counting precondition."""
-    g = family.ground.bit_count()
-    if len(family.traces) <= sauer_bound(g, k):
+    """Find a shattered k-set after checking the counting precondition,
+    under which one exists by Sauer-Shelah."""
+    if len(family.traces) <= sauer_bound(family.ground.bit_count(), k):
         raise DomainError("Sauer bound not met")
-    X = find_shattered(family, k)
-    assert X is not None, "counting bound met but no shattered set found"
-    return X
+    return find_shattered(family, k)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +215,13 @@ def aligned_reverse_shatter(G: Graph, A_list, B: int, t: int):
     """Shared-labeling extension: each A_j -> B, |B| >= 2^(rt); produce
     (A'_1..A'_r, B') with B' -> union of the A'_j and |A'_j| = t.
 
-    The 2^(rt) lowest vertices of B are labeled with the binary hypercube in
-    index order; A'_j collects A_j's realizers of the t origin-containing
-    faces jt .. jt + t - 1.
+    The 2^(rt) lowest vertices of B form B' and are labeled with the binary
+    hypercube in index order; A'_j collects A_j's realizers of the t
+    origin-containing faces jt .. jt + t - 1.  B' shatters the union by
+    construction: the vertex of B' with label L is adjacent to the realizer
+    of face i exactly when bit i of L is 0, and the labels run over all
+    2^(rt) bit patterns.  The rt realizers are distinct, as their traces on
+    B' are, and lie outside B.
     """
     A_list = list(A_list)
     r = len(A_list)
@@ -232,32 +234,15 @@ def aligned_reverse_shatter(G: Graph, A_list, B: int, t: int):
         seen |= A
     if B.bit_count() < 1 << (r * t):
         raise DomainError("need |B| >= 2^(r*t)")
-    witnesses = []
-    for A in A_list:
-        w = shatters(G, A, B)
-        if w is None:
-            raise DomainError("every A_j must shatter B")
-        witnesses.append(w)
-    B0 = bottom_bits(B, 1 << (r * t))
-    b_verts = list(bits(B0))
-    faces = []
-    for i in range(r * t):
-        face = 0
-        for label, b in enumerate(b_verts):
-            if not label >> i & 1:
-                face |= 1 << b
-        faces.append(face)
-    out = []
-    union = 0
-    for j in range(r):
-        a_prime = 0
-        for i in range(j * t, (j + 1) * t):
-            a_prime |= 1 << witnesses[j][faces[i]]
-        out.append(a_prime)
-        union |= a_prime
-    check = shatters(G, B0, union)
-    assert check is not None, "aligned reverse construction failed its own check"
-    return out, B0
+    witnesses = [shatters(G, A, B) for A in A_list]
+    if None in witnesses:
+        raise DomainError("every A_j must shatter B")
+    b_verts = list(bits(B))[:1 << (r * t)]
+    faces = [mask_of(b for label, b in enumerate(b_verts) if not label >> i & 1)
+             for i in range(r * t)]
+    out = [mask_of(witnesses[j][faces[i]] for i in range(j * t, (j + 1) * t))
+           for j in range(r)]
+    return out, mask_of(b_verts)
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,20 @@ def test_verify_rejects_malformed_fields(data, path, value, needle):
     assert_one_line_error(rc, err, needle)
 
 
+def test_verify_reports_overlapping_layers():
+    # once an overlapping pair of layers reached the shattering check, which
+    # raised "A and B overlap" with no field named
+    G = random_graph(16, 0.5, seed=11)
+    parts = tuple(v % 2 for v in range(16))
+    data = packing_to_dict(extract_universal_packing(G, parts, 1), G, parts)
+    layers = data["pieces"][0]["layers"]
+    layers[1][0] = layers[0][0]
+    rc, out, err = verify_text(json.dumps(data))
+    assert (rc, err) == (0, "")
+    assert parse(out)["results"]["valid"] is False
+    assert "piece 0: layers overlap" in parse(out)["results"]["problems"]
+
+
 # K3 at r = 2, k = 1, alpha = 1/4: |A| = 2 misses the budget 3^(1/2)
 K3_CERTIFICATE = certificate_to_dict(
     decompose(complete_graph(3), 2, 1, Fraction(1, 4)), complete_graph(3), None)

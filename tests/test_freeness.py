@@ -401,6 +401,31 @@ def test_distinguishing_attempt_cap(monkeypatch):
         distinguishing_set(bg, 0b11, Fraction(1, 2), seed=0, max_attempts=5)
 
 
+@given(st.lists(st.integers(0, 63), min_size=1, max_size=24, unique=True),
+       st.integers(0, 2 ** 32), st.data())
+@settings(max_examples=150, deadline=None)
+def test_draw_window_commutes_with_relabeling(cols, seed, data):
+    # the sparsening rounds draw over G's own columns, distinguishing_set
+    # over range(n); both must pick the same positions
+    cols = sorted(cols)
+    n = len(cols)
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=2, max_size=6))
+    alpha = Fraction(data.draw(st.integers(1, 4 * n)), 4 * n)
+    attempts = data.draw(st.sampled_from([1, 5]))
+
+    def window(rows, cols):
+        try:
+            return freeness._draw_window(rows, cols, alpha, seed, attempts)
+        except DomainError as exc:
+            return str(exc)
+
+    spread = [mask_of(cols[i] for i in bits(row)) for row in rows]
+    drawn = window(rows, range(n))
+    if isinstance(drawn, tuple):
+        drawn = mask_of(cols[i] for i in bits(drawn[0])), drawn[1]
+    assert window(spread, cols) == drawn
+
+
 # --- clone classes ------------------------------------------------------------------------
 
 def test_clone_classes_trivial_t0():

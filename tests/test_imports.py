@@ -1,9 +1,10 @@
 """Every module-level import in the package, the tests and the demos is read
-somewhere.
+somewhere, and so is every top-level function and class of the package.
 
-No linter ships with the project, so this scan stands in for its
-unused-import rule.  ``__future__`` imports and the re-exports of the
-package ``__init__`` are exempt.
+No linter ships with the project, so these scans stand in for its
+unused-import and unused-definition rules.  ``__future__`` imports and the
+re-exports of the package ``__init__`` are exempt from the first; a
+re-export does not count as a read for the second.
 """
 
 import ast
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "hptools").glob("*.py")) + \
-    sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "hptools").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + \
+    sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +43,32 @@ def test_no_unused_module_imports(path):
 def test_scan_flags_an_unused_import():
     assert unused_imports("import os\nfrom a.b import c, d as e\nprint(c)\n") == \
         ["line 2: e", "line 1: os"]
+
+
+def names_read(source: str) -> set[str]:
+    """Every name that ``source`` loads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def orphans(source: str, read: set[str]) -> list[str]:
+    """The top-level functions and classes of ``source`` missing from ``read``."""
+    return [f"line {node.lineno}: {node.name}" for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in read]
+
+
+READ = set().union(*(names_read(p.read_text()) for p in
+                     MODULES + sorted((ROOT / "perfbench").glob("*.py"))))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_orphaned_definitions(path):
+    assert orphans(path.read_text(), READ) == []
+
+
+def test_scan_flags_an_orphaned_definition():
+    source = "def used():\n    pass\ndef left():\n    pass\nclass Kept:\n    pass\n"
+    assert orphans(source, names_read("used()\nx = m.Kept\n")) == ["line 3: left"]

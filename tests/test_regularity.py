@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -191,6 +192,25 @@ def test_bbs_block_size_imbalance():
     assert any("sizes differ" in f for f in rep.structural_failures)
 
 
+@pytest.mark.parametrize("parts, blocks, failure", [
+    ((0,) * 4, (0b0011, 0, 0b1100), "block 1 empty"),
+    # block 1 straddles both parts, so no grey pair in a part contains it
+    ((0, 0, 1, 1), (0b0011, 0b0110, 0b1100), "block 1 overlaps earlier blocks"),
+    ((0,) * 4, (0b0011, 0b0100), "blocks do not cover the vertex set"),
+    ((0,) * 6 + (1,) * 2, (0b11, 0b1100, 0b110000, 0b11000000),
+     "parts do not hold an almost equal number of blocks"),
+    ((0,) * 13, ((1 << 13) - 1,), "DomainError: block sizes capped at 12"),
+])
+def test_bbs_structural_failures(parts, blocks, failure):
+    bbs = BBSPartition(parts, blocks, Fraction(1, 2), Fraction(1, 10), Fraction(1))
+    try:
+        rep = verify_bbs_partition(graph_from_edges(len(parts), []), bbs)
+    except DomainError as exc:
+        assert failure == f"DomainError: {exc}"
+    else:
+        assert not rep.ok and failure in rep.structural_failures
+
+
 # --- greedy transversal ---------------------------------------------------------------
 
 def grid_blocks(r, t, block_size):
@@ -244,6 +264,22 @@ def test_turan_feasibility_is_exact_at_the_bound():
     assert chosen is not None
     (_, _, v1), (_, _, v2) = chosen
     assert G.adj[v1] >> v2 & 1
+
+
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3), st.floats(0, 1),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_turan_transversal_is_complete_across_parts(r, t, bs, p, seed):
+    blocks = grid_blocks(r, t, bs)
+    G = random_graph(r * t * bs, p, seed=seed)
+    chosen = greedy_turan_transversal(G, blocks, Fraction(1, 2),
+                                      require_feasible=False)
+    assume(chosen is not None)
+    assert [(i, j) for i, j, _ in chosen] == [(i, j) for i in range(r)
+                                              for j in range(t)]
+    assert all(blocks[i][j] >> v & 1 for i, j, v in chosen)
+    assert all(G.adj[u] >> v & 1 for (i, _, u), (i2, _, v)
+               in combinations(chosen, 2) if i != i2)
 
 
 def test_turan_infeasible_raises_and_honest_failure():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -65,6 +66,8 @@ def test_clone_symmetry_random():
 def test_clone_cutoff_floor():
     assert clone_cutoff(Fraction(1, 3), 10) == 3
     assert clone_cutoff(0.25, 8) == 2
+    assert clone_cutoff("1/4", 8) == 2
+    assert clone_cutoff("1/3", 10) == 3
 
 
 @given(st.one_of(st.floats(0, 1, exclude_min=True, exclude_max=True),
@@ -334,6 +337,41 @@ def test_packing_pieces_verified_by_shatters():
             if i:
                 assert shatters(G, layer, prefix) is not None
             prefix |= layer
+
+
+# random_graph(16, 0.5, seed=0) with parts v % 2 packs at k = 1 into a
+# 3-level piece, layers {2}, {4, 10} and the odd vertices placed (0, 0, 1),
+# then a 2-level piece, layers {0} and {6, 8} placed (0, 0)
+TAMPER_G = random_graph(16, 0.5, seed=0)
+TAMPER_PARTS = tuple(v % 2 for v in range(16))
+TAMPER_REPORT = extract_universal_packing(TAMPER_G, TAMPER_PARTS, 1)
+
+
+def tampered_piece(i, **fields):
+    pieces = list(TAMPER_REPORT.pieces)
+    pieces[i] = replace(pieces[i], **fields)
+    return replace(TAMPER_REPORT, pieces=tuple(pieces))
+
+
+@pytest.mark.parametrize("tampered, problem", [
+    # 0 joins 6 but neither 8 nor 12: layer {8, 12} leaves a trace unrealized
+    (tampered_piece(1, layers=(0b1, mask_of([8, 12]))),
+     "piece 1 fails its shattering chain"),
+    (tampered_piece(1, layers=(0b1, mask_of([0, 8]))), "piece 1: layers overlap"),
+    (tampered_piece(0, placement=(0, 1, 1)),
+     "piece 0: first two layers in different parts"),
+    (tampered_piece(0, placement=(0, 0, 0)),
+     "piece 0: repeated part beyond the first layer"),
+    (tampered_piece(1, placement=(1, 1)), "piece 1: a layer leaves its part"),
+    (replace(TAMPER_REPORT, pieces=TAMPER_REPORT.pieces[::-1]),
+     "piece levels increase at positions [1]"),
+])
+def test_packing_verifier_names_each_tampering(tampered, problem):
+    assert [(p.level, p.placement) for p in TAMPER_REPORT.pieces] == \
+        [(3, (0, 0, 1)), (2, (0, 0))]
+    assert TAMPER_REPORT.pieces[1].layers == (0b1, mask_of([6, 8]))
+    assert verify_packing_report(TAMPER_G, TAMPER_PARTS, TAMPER_REPORT) == []
+    assert problem in verify_packing_report(TAMPER_G, TAMPER_PARTS, tampered)
 
 
 @st.composite
