@@ -5,9 +5,10 @@ layered generalizations, witnesses for `A shatters B`, and the flip that
 turns a shattered set around.
 """
 
-from hptools import (bits, construct_generalized_universal, construct_universal,
-                     construct_universal_star, graph6_encode, reverse_shatter,
-                     sauer_bound, shatters)
+from hptools import (aligned_reverse_shatter, bits,
+                     construct_generalized_universal, construct_universal,
+                     construct_universal_star, graph6_encode, sauer_bound,
+                     shatters)
 
 
 def show(mask):
@@ -54,7 +55,7 @@ print("=" * 60)
 uni = construct_universal(4)
 print(f"Start from U(4): A (16 vertices) shatters B (4 vertices).")
 for t in (1, 2):
-    A2, B2 = reverse_shatter(uni.graph, uni.A, uni.B, t)
+    (A2,), B2 = aligned_reverse_shatter(uni.graph, [uni.A], uni.B, t)
     check = shatters(uni.graph, B2, A2)
     print(f"  t = {t}: pick the {2 ** t} lowest B-vertices as a hypercube, "
           f"collect the realizers of its origin faces:")

@@ -5,36 +5,30 @@ U(k)-free counting, sparsening, and packing/decomposition certificates."""
 __version__ = "0.1.0"
 
 from .errors import DomainError, StepError
-from .graphs import (Graph, bits, complement, contains_induced, edgelist_decode,
-                     edgelist_encode, enumerate_labeled, graph6_decode,
-                     graph6_encode, graph_from_edges, induced_subgraph,
-                     mask_of, part_masks, random_graph)
-from .universal import (BipartiteUniversal, LayeredUniversal, TraceFamily,
+from .graphs import (Graph, bits, contains_induced, edgelist_decode,
+                     enumerate_labeled, graph6_decode, graph6_encode,
+                     graph_from_edges, induced_subgraph, mask_of, part_masks,
+                     random_graph)
+from .universal import (BipartiteUniversal, LayeredUniversal,
                         aligned_reverse_shatter, construct_generalized_universal,
                         construct_universal, construct_universal_star,
-                        find_shattered, find_universal_star_embedding,
-                        reverse_shatter, sauer_bound, sauer_find_shattered,
-                        shatters)
+                        sauer_bound, sauer_find_shattered, shatters)
 from .hereditary import (ColouringNumber, PropertySpec, SpeedRow, abt_bounds,
-                         colouring_number, count_hrv, dump_property,
-                         enumerate_property, hrv_member, is_member,
-                         load_property, speed, valid_hrv_patterns)
+                         colouring_number, count_hrv, enumerate_property,
+                         hrv_member, load_property, speed, valid_hrv_patterns)
 from .freeness import (BipGraph, BlockTraceReport, DistinguishingSet,
-                       SparseningOutput, bipgraph_decode, bipgraph_encode,
+                       SparseningOutput, bipgraph_decode,
                        count_nonshattering_attachments, count_sparse_bipartite,
                        count_uk_free_bipartite, distinguishing_set,
-                       extract_clone_classes, find_uk_copy, is_uk_free,
+                       extract_clone_classes, find_uk_copy,
                        max_separated_subset, planted_clone_instance,
                        random_bipgraph, separated_subset_ceiling,
-                       separation_profile, trace_count_check)
-from .regularity import (BBSPartition, BBSReport, greedy_turan_transversal,
-                         is_epsilon_regular, is_grey, min_intra_edges_parts,
-                         pair_density, toy_bbs_parts, toy_szemeredi_partition,
-                         verify_bbs_partition)
+                       trace_count_check)
+from .regularity import (is_epsilon_regular, is_grey, min_intra_edges_parts,
+                         pair_density, toy_bbs_parts, toy_szemeredi_partition)
 from .structure import (AdjustmentReport, DecompositionCertificate,
                         PackingPiece, PackingReport, alpha_adjust,
-                        certify_members, clone_index,
-                        decompose, decomposition_failures, default_parts,
-                        extract_universal_packing, is_alpha_clone, max_bad_set,
+                        certify_members, decompose, decomposition_failures,
+                        default_parts, extract_universal_packing, max_bad_set,
                         verify_decomposition, verify_packing_maximality,
                         verify_packing_report)

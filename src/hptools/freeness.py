@@ -71,13 +71,6 @@ class BipGraph:
         return Graph(self.m + self.n, tuple(adj))
 
 
-def bipgraph_encode(bg: BipGraph) -> str:
-    lines = [f"{bg.m} {bg.n}"]
-    for row in bg.rows:
-        lines.append("".join("1" if row >> b & 1 else "0" for b in range(bg.n)))
-    return "\n".join(lines) + "\n"
-
-
 def bipgraph_decode(text: str) -> BipGraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -137,10 +130,6 @@ def find_uk_copy(G: Graph, k: int, parts: tuple[int, int] | None = None):
         if len(realizers) == need:
             return mask_of(realizers.values()), B
     return None
-
-
-def is_uk_free(G: Graph, k: int, parts=None) -> bool:
-    return find_uk_copy(G, k, parts) is None
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +250,8 @@ def trace_count_check(bg: BipGraph, blocks, k: int):
         union |= blk
     if union != (1 << bg.n) - 1:
         raise DomainError("blocks do not cover the B side")
-    if any(len({row & S for row in bg.rows}) == 1 << k
+    need, pool = 1 << k, (1 << bg.m) - 1
+    if any(len(first_realizers(bg.rows, pool, S, need)) == need
            for S in k_submasks((1 << bg.n) - 1, k)):
         raise DomainError("host is not U(k)-free in cross mode")
     out = []
@@ -322,12 +312,6 @@ def _side_vectors(bg: BipGraph, side: str):
     if side == "B":
         return list(bg.cols())
     raise DomainError("side must be 'A' or 'B'")
-
-
-def separation_profile(bg: BipGraph, side: str = "A") -> list[list[int]]:
-    """Pairwise distances Delta(u,v) on one side, as a full matrix."""
-    vecs = _side_vectors(bg, side)
-    return [[(x ^ y).bit_count() for y in vecs] for x in vecs]
 
 
 def max_separated_subset(bg: BipGraph, side: str, x: int) -> int:

@@ -147,11 +147,6 @@ def graph_from_edges(n: int, edges) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def complement(G: Graph) -> Graph:
-    full = G.vertex_mask
-    return Graph(G.n, tuple((full & ~r) & ~(1 << i) for i, r in enumerate(G.adj)))
-
-
 def induced_subgraph(G: Graph, S: int) -> Graph:
     """The subgraph induced by vertex mask S, relabeled by increasing index."""
     if S & ~G.vertex_mask:
@@ -289,32 +284,6 @@ class IsomorphismClasses:
 MAX_ENUM_VERTICES = 8
 
 
-def edge_block_base(n: int, v: int) -> int:
-    """Bit position of edge (0, v) in the edge bitmask on n vertices."""
-    return n * (n - 1) // 2 - v * (v + 1) // 2
-
-
-def graph_from_edge_mask(n: int, emask: int) -> Graph:
-    adj = [0] * n
-    for v in range(1, n):
-        base = edge_block_base(n, v)
-        for u in range(v):
-            if emask >> (base + u) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
-
-
-def edge_mask_of(G: Graph) -> int:
-    emask = 0
-    for v in range(1, G.n):
-        base = edge_block_base(G.n, v)
-        for u in range(v):
-            if G.adj[v] >> u & 1:
-                emask |= 1 << (base + u)
-    return emask
-
-
 def grow_rows(n: int, keep=None):
     """Every loopless symmetric list of n bit rows, in ascending edge-bitmask
     order, yielded as one live list that the caller must not keep.
@@ -440,12 +409,6 @@ def graph6_decode(data: bytes | str) -> Graph:
                 adj[v] |= 1 << u
             k += 1
     return Graph(n, tuple(adj))
-
-
-def edgelist_encode(G: Graph) -> str:
-    lines = [str(G.n)]
-    lines += [f"{u} {v}" for u, v in G.edges()]
-    return "\n".join(lines) + "\n"
 
 
 def edgelist_decode(text: str) -> Graph:

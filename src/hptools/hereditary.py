@@ -1,6 +1,5 @@
 """Hereditary properties given by finitely many forbidden induced subgraphs:
-membership, exact speeds, mixed-partition classes H(r,v), and the colouring
-number.
+exact speeds, mixed-partition classes H(r,v), and the colouring number.
 
 Only finite forbidden families are representable.  Whether a finite basis
 captures the intended property is the caller's modeling choice.
@@ -13,7 +12,7 @@ from math import comb, log2
 
 from .errors import DomainError
 from .graphs import (Graph, MAX_ENUM_VERTICES, contains_induced, enumerate_labeled,
-                     graph6_decode, graph6_encode, grow_rows)
+                     graph6_decode, grow_rows)
 
 MAX_FORBIDDEN_ORDER = 10
 MAX_PATTERN_LENGTH = 8
@@ -54,16 +53,6 @@ def load_property(path) -> PropertySpec:
     return PropertySpec.from_graphs([graph6_decode(ln) for ln in lines])
 
 
-def dump_property(spec: PropertySpec, path) -> None:
-    with open(path, "wb") as fh:
-        for F in spec.forbidden:
-            fh.write(graph6_encode(F) + b"\n")
-
-
-def is_member(spec: PropertySpec, G: Graph) -> bool:
-    return all(contains_induced(G, F) is None for F in spec.forbidden)
-
-
 # ---------------------------------------------------------------------------
 # speeds
 
@@ -87,8 +76,8 @@ def enumerate_property(spec: PropertySpec, n: int):
     The row odometer of ``enumerate_labeled``, pruned: hereditary closure
     means a forbidden subgraph in a prefix kills every extension, so pruned
     branches lose nothing.  Emits exactly the graphs of
-    ``enumerate_labeled(n, is_member)`` in the same ascending edge-bitmask
-    order.
+    ``enumerate_labeled(n)`` with no forbidden induced subgraph, in the same
+    ascending edge-bitmask order.
     """
     if not 0 <= n <= MAX_ENUM_VERTICES:
         raise DomainError(f"enumeration capped at n <= {MAX_ENUM_VERTICES}")
@@ -179,10 +168,9 @@ def colouring_number(spec: PropertySpec, r_max: int = MAX_PATTERN_LENGTH) -> Col
     """
     if not spec.forbidden:
         raise DomainError("unbounded colouring number (no forbidden graphs)")
-    if r_max > MAX_PATTERN_LENGTH:
-        raise DomainError(f"r_max capped at {MAX_PATTERN_LENGTH}")
-    # r = 1 is always examined, so r_max < 1 reports a capped 1
-    patterns = valid_hrv_patterns(spec, max(r_max, 1))
+    if not 1 <= r_max <= MAX_PATTERN_LENGTH:
+        raise DomainError(f"r_max must lie in 1..{MAX_PATTERN_LENGTH}")
+    patterns = valid_hrv_patterns(spec, r_max)
     if not patterns:
         return ColouringNumber(0, False, True, None)
     value = patterns[-1][0]

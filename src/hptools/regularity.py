@@ -1,5 +1,6 @@
-"""Exact density/regularity/grey predicates at toy scale, the block-partition
-verifier, and the greedy complete-multipartite transversal.
+"""Exact density/regularity/grey predicates at toy scale, and the partition
+hints that ``decompose`` starts from: the toy block-based partitioner and
+the minimum-intra-edge partition.
 
 All predicates run in exact rational arithmetic; an ``eps`` or ``delta``
 argument may be a float, a Fraction, or a string like "1/4" (floats are
@@ -8,10 +9,8 @@ taken at their exact binary value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
 
 from .errors import DomainError
 from .graphs import Graph, bits, mask_of, part_masks
@@ -89,135 +88,6 @@ def is_grey(G: Graph, A: int, B: int, eps, delta) -> bool:
     if not delta <= d <= 1 - delta:
         return False
     return is_epsilon_regular(G, A, B, eps)
-
-
-# ---------------------------------------------------------------------------
-# block partitions
-
-
-@dataclass(frozen=True)
-class BBSPartition:
-    """An r-partition aligned with a finer block partition; each part is a
-    union of blocks, blocks are nearly equal, and parameters eps/delta/gamma
-    govern the grey-pair budget."""
-
-    parts: tuple[int, ...]          # part label per vertex
-    blocks: tuple[int, ...]         # vertex mask per block
-    eps: Fraction
-    delta: Fraction
-    gamma: Fraction
-
-
-@dataclass
-class BBSReport:
-    ok: bool
-    structural_failures: list[str] = field(default_factory=list)
-    grey_pairs_by_part: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    grey_budget: Fraction = Fraction(0)
-
-
-def verify_bbs_partition(G: Graph, bbs: BBSPartition) -> BBSReport:
-    """Check block/part alignment, near-equal block sizes and block counts,
-    and the per-part budget of grey block pairs (unordered, at most
-    gamma * m^2 where m is the total number of blocks)."""
-    report = BBSReport(ok=True)
-    pmasks = part_masks(bbs.parts)
-    m = len(bbs.blocks)
-    union = 0
-    for i, blk in enumerate(bbs.blocks):
-        if blk == 0:
-            report.structural_failures.append(f"block {i} empty")
-        if blk & union:
-            report.structural_failures.append(f"block {i} overlaps earlier blocks")
-        union |= blk
-        if blk.bit_count() > MAX_REGULAR_SIDE:
-            raise DomainError(f"block sizes capped at {MAX_REGULAR_SIDE}")
-        if not any(blk & ~p == 0 for p in pmasks):
-            report.structural_failures.append(f"block {i} straddles a part boundary")
-    if union != G.vertex_mask:
-        report.structural_failures.append("blocks do not cover the vertex set")
-    sizes = sorted(blk.bit_count() for blk in bbs.blocks)
-    if sizes and sizes[-1] - sizes[0] > 1:
-        report.structural_failures.append("block sizes differ by more than 1")
-    counts = []
-    for p in pmasks:
-        counts.append(sum(1 for blk in bbs.blocks if blk & ~p == 0 and blk))
-    if counts and max(counts) - min(counts) > 1:
-        report.structural_failures.append(
-            "parts do not hold an almost equal number of blocks")
-    report.grey_budget = _frac(bbs.gamma) * m * m
-    for j, p in enumerate(pmasks):
-        inside = [blk for blk in bbs.blocks if blk and blk & ~p == 0]
-        greys = []
-        for x, y in combinations(range(len(inside)), 2):
-            if is_grey(G, inside[x], inside[y], bbs.eps, bbs.delta):
-                greys.append((x, y))
-        report.grey_pairs_by_part[j] = greys
-        if len(greys) > report.grey_budget:
-            report.ok = False
-    if report.structural_failures:
-        report.ok = False
-    return report
-
-
-# ---------------------------------------------------------------------------
-# greedy transversal into a complete multipartite pattern
-
-
-def greedy_turan_transversal(G: Graph, blocks, eps,
-                             require_feasible: bool = True):
-    """Pick one vertex per block, at most one per block, forming a complete
-    r-partite pattern across parts: a candidate must join every vertex
-    already chosen in another part.
-
-    ``blocks`` is an r x t grid of vertex masks (parts split into blocks).
-    Feasibility asks e >= (1 - eps) C(r,2) n^2 across parts with
-    eps r^3 t^3 < 1; with ``require_feasible=False`` the greedy is
-    attempted regardless and failure is reported honestly (returns None).
-    """
-    eps = _frac(eps)
-    blocks = [list(row) for row in blocks]
-    r = len(blocks)
-    if r < 1 or any(len(row) != len(blocks[0]) for row in blocks):
-        raise DomainError("blocks must form an r x t grid")
-    t = len(blocks[0])
-    nsizes = {sum(b.bit_count() for b in row) for row in blocks}
-    if len(nsizes) != 1:
-        raise DomainError("parts must have equal sizes")
-    n = nsizes.pop()
-    cross = 0
-    for i, j in combinations(range(r), 2):
-        pi = mask_of(v for b in blocks[i] for v in bits(b))
-        pj = mask_of(v for b in blocks[j] for v in bits(b))
-        cross += sum((G.adj[v] & pj).bit_count() for v in bits(pi))
-    feas_edges = cross >= (1 - eps) * comb(r, 2) * n * n
-    feas_param = eps * r ** 3 * t ** 3 < 1
-    if require_feasible and not (feas_edges and feas_param):
-        raise DomainError(
-            f"feasibility violated (edges ok: {feas_edges}, "
-            f"eps*r^3*t^3 < 1: {feas_param})")
-    chosen: list[tuple[int, int, int]] = []  # (part, block, vertex)
-
-    def nonneigh_load(v: int) -> int:
-        load = 0
-        for i2 in range(r):
-            for j2 in range(t):
-                blk = blocks[i2][j2]
-                load += (blk & ~G.adj[v] & ~(1 << v)).bit_count()
-        return load
-
-    for i in range(r):
-        for j in range(t):
-            cands = []
-            for v in bits(blocks[i][j]):
-                if all(ci == i or (G.adj[v] >> cv & 1)
-                       for ci, cj, cv in chosen):
-                    cands.append(v)
-            if not cands:
-                return None
-            v = min(cands, key=lambda u: (nonneigh_load(u), u))
-            chosen.append((i, j, v))
-    return chosen
 
 
 # ---------------------------------------------------------------------------

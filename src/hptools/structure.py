@@ -39,11 +39,6 @@ def clone_cutoff(alpha, n: int) -> int:
     return _cutoffs(alpha, n)[0]
 
 
-def is_alpha_clone(G: Graph, u: int, v: int, A: int, alpha) -> bool:
-    """|(Gamma(u) ^ Gamma(v)) & A| <= floor(alpha n), n = |V(G)|."""
-    return ((G.adj[u] ^ G.adj[v]) & A).bit_count() <= clone_cutoff(alpha, G.n)
-
-
 def max_bad_set(G: Graph, parts, alpha, r: int | None = None) -> int:
     """The mask of a vertex set pairwise far apart inside every part: a
     largest one up to ``MAX_EXACT_CLIQUE`` vertices, a maximal one (a lower
@@ -59,14 +54,6 @@ def _clone_part(adj, pmasks, bad, cutoff: int, v: int) -> int:
                 return j
     raise DomainError(f"vertex {v} has no clone in B within any part "
                       "(the bad set is not maximal)")
-
-
-def clone_index(G: Graph, parts, B: int, alpha, v: int,
-                r: int | None = None) -> int:
-    """Smallest part index j such that v is an alpha-clone of some b in B
-    with respect to S_j.  Errors when none exists (B not maximal)."""
-    return _clone_part(G.adj, part_masks(parts, r), list(bits(B)),
-                       clone_cutoff(alpha, G.n), v)
 
 
 @dataclass

@@ -9,33 +9,17 @@ A' subset of A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 
 from .errors import DomainError
-from .graphs import Graph, bits, contains_induced, k_submasks, mask_of
+from .graphs import Graph, bits, k_submasks, mask_of
 
 MAX_SHATTER_TARGET = 20
 MAX_TRACE_GROUND = 30
 
 
 # ---------------------------------------------------------------------------
-# trace families and Sauer search
-
-
-@dataclass(frozen=True)
-class TraceFamily:
-    """A deduplicated family of subsets (bitmasks) of a ground vertex set."""
-
-    ground: int
-    traces: frozenset[int]
-
-    def __post_init__(self):
-        if self.ground.bit_count() > MAX_TRACE_GROUND:
-            raise DomainError(f"ground set larger than {MAX_TRACE_GROUND}")
-        for t in self.traces:
-            if t & ~self.ground:
-                raise DomainError("trace not contained in the ground set")
+# the trace kernel and Sauer search
 
 
 def sauer_bound(g: int, k: int) -> int:
@@ -57,27 +41,23 @@ def first_realizers(rows, pool: int, X: int, need: int) -> dict[int, int]:
     return found
 
 
-def find_shattered(family: TraceFamily, k: int):
-    """Exhaustive search (colex order) for a shattered k-subset of the ground.
-
-    Relaxed entry point: no size precondition; returns None when no k-subset
-    is shattered.
-    """
-    traces = tuple(family.traces)
-    pool = (1 << len(traces)) - 1
-    need = 1 << k
-    for X in k_submasks(family.ground, k):
-        if len(first_realizers(traces, pool, X, need)) == need:
-            return X
-    return None
-
-
-def sauer_find_shattered(family: TraceFamily, k: int) -> int:
-    """Find a shattered k-set after checking the counting precondition,
-    under which one exists by Sauer-Shelah."""
-    if len(family.traces) <= sauer_bound(family.ground.bit_count(), k):
+def sauer_find_shattered(ground: int, traces, k: int) -> int:
+    """The first k-subset of ``ground`` (colex order) shattered by the
+    family of distinct ``traces``, each a subset of ``ground``.  The family
+    must have more than ``sauer_bound(|ground|, k)`` members, so that by
+    Sauer-Shelah such a k-subset exists."""
+    if ground.bit_count() > MAX_TRACE_GROUND:
+        raise DomainError(f"ground set larger than {MAX_TRACE_GROUND}")
+    rows = tuple(frozenset(traces))
+    if any(t & ~ground for t in rows):
+        raise DomainError("trace not contained in the ground set")
+    if len(rows) <= sauer_bound(ground.bit_count(), k):
         raise DomainError("Sauer bound not met")
-    return find_shattered(family, k)
+    pool = (1 << len(rows)) - 1
+    need = 1 << k
+    for X in k_submasks(ground, k):
+        if len(first_realizers(rows, pool, X, need)) == need:
+            return X
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +184,10 @@ def construct_universal_star(r: int, k: int, v) -> LayeredUniversal:
 # reverse shattering (the constructive direction flips)
 
 
-def reverse_shatter(G: Graph, A: int, B: int, t: int):
-    """From A -> B with |B| >= 2^t, produce (A', B') with B' -> A', |A'| = t:
-    the aligned reverse construction with the single set A."""
-    (a_prime,), B0 = aligned_reverse_shatter(G, [A], B, t)
-    return a_prime, B0
-
-
 def aligned_reverse_shatter(G: Graph, A_list, B: int, t: int):
-    """Shared-labeling extension: each A_j -> B, |B| >= 2^(rt); produce
-    (A'_1..A'_r, B') with B' -> union of the A'_j and |A'_j| = t.
+    """Reverse shattering with a shared labeling: from A_j -> B for every j
+    and |B| >= 2^(rt), produce (A'_1..A'_r, B') with B' -> union of the
+    A'_j and |A'_j| = t.  One set (r = 1) gives the plain flip of A -> B.
 
     The 2^(rt) lowest vertices of B form B' and are labeled with the binary
     hypercube in index order; A'_j collects A_j's realizers of the t
@@ -243,25 +217,3 @@ def aligned_reverse_shatter(G: Graph, A_list, B: int, t: int):
     out = [mask_of(witnesses[j][faces[i]] for i in range(j * t, (j + 1) * t))
            for j in range(r)]
     return out, mask_of(b_verts)
-
-
-# ---------------------------------------------------------------------------
-# starred-universal embedding by direct search
-
-
-def find_universal_star_embedding(G: Graph, r: int, k: int):
-    """Search G for an induced starred universal graph, over every layer
-    pattern in lexicographic order.  Exhaustive induced-subgraph search
-    stands in for the Ramsey recursion, whose constants are out of desk
-    range; absence is a valid answer."""
-    sizes = universal_layer_sizes(r, k)
-    if len(sizes) < r or sum(sizes) > 12:
-        raise DomainError("starred universal graph larger than the search cap (12)")
-    for v in product((0, 1), repeat=r):
-        target = construct_universal_star(r, k, v)
-        if target.graph.n > G.n:
-            continue
-        phi = contains_induced(G, target.graph)
-        if phi is not None:
-            return v, phi
-    return None

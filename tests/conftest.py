@@ -5,7 +5,25 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
-from hptools import Graph, graph_from_edges
+from hptools import BipGraph, Graph, graph_from_edges
+
+
+def complement(G: Graph) -> Graph:
+    full = G.vertex_mask
+    return Graph(G.n, tuple((full & ~r) & ~(1 << i) for i, r in enumerate(G.adj)))
+
+
+def edgelist_encode(G: Graph) -> str:
+    lines = [str(G.n)]
+    lines += [f"{u} {v}" for u, v in G.edges()]
+    return "\n".join(lines) + "\n"
+
+
+def bipgraph_encode(bg: BipGraph) -> str:
+    lines = [f"{bg.m} {bg.n}"]
+    for row in bg.rows:
+        lines.append("".join("1" if row >> b & 1 else "0" for b in range(bg.n)))
+    return "\n".join(lines) + "\n"
 
 
 def complete_graph(n: int) -> Graph:

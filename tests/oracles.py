@@ -13,9 +13,9 @@ from math import factorial
 import numpy as np
 
 from hptools import (DomainError, Graph, PackingPiece, PackingReport, bits,
-                     decompose, is_epsilon_regular, mask_of,
+                     contains_induced, decompose, is_epsilon_regular, mask_of,
                      min_intra_edges_parts, part_masks, verify_decomposition)
-from hptools.graphs import graph_from_edge_mask, k_submasks
+from hptools.graphs import k_submasks
 from hptools.universal import universal_layer_sizes
 
 
@@ -32,6 +32,37 @@ def same_as_checked(G: Graph) -> bool:
     and compare and hash equal to the graph it builds?"""
     checked = Graph(G.n, G.adj)
     return type(G.adj) is tuple and G == checked and hash(G) == hash(checked)
+
+
+def edge_block_base(n: int, v: int) -> int:
+    """Bit position of edge (0, v) in the edge bitmask on n vertices."""
+    return n * (n - 1) // 2 - v * (v + 1) // 2
+
+
+def graph_from_edge_mask(n: int, emask: int) -> Graph:
+    adj = [0] * n
+    for v in range(1, n):
+        base = edge_block_base(n, v)
+        for u in range(v):
+            if emask >> (base + u) & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
+def edge_mask_of(G: Graph) -> int:
+    emask = 0
+    for v in range(1, G.n):
+        base = edge_block_base(G.n, v)
+        for u in range(v):
+            if G.adj[v] >> u & 1:
+                emask |= 1 << (base + u)
+    return emask
+
+
+def is_member(spec, G: Graph) -> bool:
+    """Does G avoid every forbidden graph of ``spec`` as an induced subgraph?"""
+    return all(contains_induced(G, F) is None for F in spec.forbidden)
 
 
 def naive_enumerate_labeled(n: int, pred=None) -> list[Graph]:
@@ -390,6 +421,20 @@ def brute_max_far_subset(vectors, x: int) -> int:
                for i, j in combinations(idx, 2)):
             best = len(idx)
     return best
+
+
+def naive_clone_index(G: Graph, parts, B: int, alpha, v: int, r: int):
+    """The first part j of r in which v is an alpha-clone of some b in B:
+    at most floor(alpha n) vertices of part j are adjacent to exactly one
+    of v and b.  None when v clones no b in any part."""
+    cutoff = int(Fraction(alpha) * G.n)
+    nbrs = [{u for u in range(G.n) if G.has_edge(w, u)} for w in range(G.n)]
+    for j in range(r):
+        part = {u for u in range(G.n) if parts[u] == j}
+        if any(len((nbrs[v] ^ nbrs[b]) & part) <= cutoff
+               for b in range(G.n) if B >> b & 1):
+            return j
+    return None
 
 
 def nonshattering_by_inclusion_exclusion(a: int, n: int) -> int:

@@ -7,15 +7,15 @@ import random
 import time
 from fractions import Fraction
 
-from hptools import (BipGraph, PropertySpec, TraceFamily, aligned_reverse_shatter,
+from hptools import (BipGraph, PropertySpec, aligned_reverse_shatter,
                      construct_universal, count_hrv,
                      count_nonshattering_attachments, count_uk_free_bipartite,
                      colouring_number, decompose, distinguishing_set,
                      enumerate_property, extract_universal_packing, find_uk_copy,
                      graph_from_edges, is_epsilon_regular, mask_of,
-                     max_separated_subset, random_graph, reverse_shatter,
-                     sauer_bound, sauer_find_shattered, separated_subset_ceiling,
-                     shatters, speed, trace_count_check, valid_hrv_patterns,
+                     max_separated_subset, random_graph, sauer_bound,
+                     sauer_find_shattered, separated_subset_ceiling, shatters,
+                     speed, trace_count_check, valid_hrv_patterns,
                      verify_decomposition, verify_packing_maximality,
                      verify_packing_report)
 from hptools.errors import DomainError
@@ -60,8 +60,7 @@ def test_criterion_2_sauer_soundness():
             continue
         m = rng.randint(bound + 1, min(1 << g, bound + 48))
         traces = frozenset(rng.sample(range(1 << g), m))
-        fam = TraceFamily((1 << g) - 1, traces)
-        X = sauer_find_shattered(fam, k)
+        X = sauer_find_shattered((1 << g) - 1, traces, k)
         assert X.bit_count() == k
         assert len({t & X for t in traces}) == 1 << k
         done += 1
@@ -110,7 +109,7 @@ def test_criterion_3_reverse_shattering():
             if (1 << b) + b + 4 > 64:
                 b = 1 << t
             G, A, B = _planted_shattering(rng, b)
-            A2, B2 = reverse_shatter(G, A, B, t)
+            (A2,), B2 = aligned_reverse_shatter(G, [A], B, t)
             assert A2.bit_count() == t
             assert shatters(G, B2, A2) is not None
             runs += 1

@@ -19,15 +19,13 @@ from hypothesis import strategies as st
 
 import hptools
 from hptools import (PropertySpec, certify_members, colouring_number, decompose,
-                     edgelist_encode, enumerate_property,
-                     extract_universal_packing, graph6_encode, graph_from_edges,
-                     random_graph)
+                     enumerate_property, extract_universal_packing,
+                     graph6_encode, graph_from_edges, random_graph)
 from hptools.cli import (_rational, build_parser, certificate_from_dict,
                          certificate_to_dict, main, packing_to_dict)
-from hptools.freeness import (BipGraph, bipgraph_encode, planted_clone_instance,
-                              random_bipgraph)
+from hptools.freeness import BipGraph, planted_clone_instance, random_bipgraph
 
-from conftest import complete_graph, path_graph
+from conftest import bipgraph_encode, complete_graph, edgelist_encode, path_graph
 from oracles import labeled_certified_fraction
 
 
@@ -61,6 +59,14 @@ def test_chi_c_subcommand(tmp_path, capsys):
     rc, out, _ = run(capsys, "chi-c", "--forbidden", spec)
     assert rc == 0
     assert parse(out)["results"]["colouring_number"] == 2
+
+
+@pytest.mark.parametrize("r_max", ["0", "-3", "9"])
+def test_chi_c_r_max_outside_1_to_8_exits_1(tmp_path, capsys, r_max):
+    # below 1 no r is examined, so there is no colouring number to report
+    spec = write_spec(tmp_path, complete_graph(3))
+    rc, out, err = run(capsys, "chi-c", "--forbidden", spec, "--r-max", r_max)
+    assert (rc, out, err) == (1, "", "error: r_max must lie in 1..8\n")
 
 
 def test_count_free_subcommand(capsys):

@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 
 from hptools import freeness
 from hptools import (BipGraph, DomainError, SparseningOutput, StepError,
-                     bipgraph_decode, bipgraph_encode,
-                     count_nonshattering_attachments,
+                     bipgraph_decode, count_nonshattering_attachments,
                      count_sparse_bipartite, count_uk_free_bipartite,
                      distinguishing_set, extract_clone_classes, find_uk_copy,
-                     graph_from_edges, is_uk_free, mask_of, max_separated_subset,
+                     graph_from_edges, mask_of, max_separated_subset,
                      planted_clone_instance, random_bipgraph, random_graph,
-                     separated_subset_ceiling, separation_profile, shatters,
-                     trace_count_check)
+                     separated_subset_ceiling, shatters, trace_count_check)
 from hptools.graphs import MAX_EXACT_CLIQUE, bits
 from hptools.universal import construct_universal
 
+from conftest import bipgraph_encode
 from oracles import (brute_max_far_subset, clone_class_failures,
                      multiset_count_uk_free, naive_uk_copy,
                      nonshattering_by_inclusion_exclusion, numpy_count_uk_free,
@@ -99,23 +98,6 @@ def test_uk_copy_matches_naive_all_pairs_oracle():
         G = random_graph(n, rng.random(), seed=rng.random())
         for k in (1, 2):
             assert (find_uk_copy(G, k) is not None) == naive_uk_copy(G, k)
-
-
-def test_is_uk_free_is_no_uk_copy():
-    rng = random.Random(11)
-    from hptools import random_graph
-    seen = set()
-    for _ in range(30):
-        n = rng.randint(1, 9)
-        G = random_graph(n, rng.random(), seed=rng.random())
-        split = rng.randrange(1 << n)
-        parts = (split, G.vertex_mask & ~split)
-        for k in (1, 2):
-            assert is_uk_free(G, k) == (find_uk_copy(G, k) is None)
-            assert is_uk_free(G, k, parts) == (find_uk_copy(G, k, parts) is None)
-            assert is_uk_free(G, k, parts=parts) == is_uk_free(G, k, parts)
-            seen |= {is_uk_free(G, k), is_uk_free(G, k, parts)}
-    assert seen == {True, False}
 
 
 def test_uk_copy_caps():
@@ -239,6 +221,21 @@ def test_trace_counts_rejects_nonfree():
         trace_count_check(bg, [0b11], 2)
 
 
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 2), st.floats(0, 1),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_trace_counts_reject_exactly_the_cross_copies(m, n, k, p, seed):
+    bg = random_bipgraph(m, n, p, seed=seed)
+    parts = ((1 << m) - 1, ((1 << n) - 1) << m)  # A first, then B
+    try:
+        trace_count_check(bg, [(1 << n) - 1], k)
+    except DomainError as exc:
+        assert str(exc) == "host is not U(k)-free in cross mode"
+        assert naive_uk_copy(bg.to_graph(), k, parts)
+    else:
+        assert not naive_uk_copy(bg.to_graph(), k, parts)
+
+
 def test_trace_counts_block_validation():
     bg = BipGraph(2, 4, (0, 0))
     with pytest.raises(DomainError):
@@ -279,17 +276,6 @@ def test_sparse_counts():
 
 
 # --- separated subsets --------------------------------------------------------------
-
-def test_separation_profile_axioms():
-    bg = random_bipgraph(6, 8, 0.5, seed=3)
-    prof = separation_profile(bg, "A")
-    for i in range(6):
-        assert prof[i][i] == 0
-        for j in range(6):
-            assert prof[i][j] == prof[j][i]
-            for l in range(6):
-                assert prof[i][l] <= prof[i][j] + prof[j][l]
-
 
 def test_separated_identity_matching():
     bg = BipGraph(4, 4, (1, 2, 4, 8))

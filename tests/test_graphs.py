@@ -6,18 +6,17 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hptools import (DomainError, Graph, bits, complement, contains_induced,
+from hptools import (DomainError, Graph, bits, contains_induced,
                      enumerate_labeled, graph6_decode, graph6_encode,
                      graph_from_edges, induced_subgraph, mask_of, random_graph)
-from hptools.graphs import (IsomorphismClasses, _pin_plan, edge_mask_of,
-                            edgelist_decode, edgelist_encode,
-                            graph_from_edge_mask, greedy_maximal_clique,
-                            k_submasks, max_clique)
+from hptools.graphs import (IsomorphismClasses, _pin_plan, edgelist_decode,
+                            greedy_maximal_clique, k_submasks, max_clique)
 
-from conftest import complete_graph, cycle_graph, path_graph
-from oracles import (is_induced_embedding, naive_contains_induced,
-                     naive_enumerate_labeled, naive_pinned_copy, ordered_copy,
-                     same_as_checked)
+from conftest import (complement, complete_graph, cycle_graph, edgelist_encode,
+                      path_graph)
+from oracles import (edge_mask_of, graph_from_edge_mask, is_induced_embedding,
+                     naive_contains_induced, naive_enumerate_labeled,
+                     naive_pinned_copy, ordered_copy, same_as_checked)
 
 
 def test_graph_from_edges_path():

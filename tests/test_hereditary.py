@@ -5,15 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hptools import (ColouringNumber, DomainError, PropertySpec,
-                     abt_bounds, colouring_number, count_hrv, dump_property,
-                     enumerate_property, graph_from_edges, hrv_member,
-                     induced_subgraph, is_member, load_property, random_graph,
+                     abt_bounds, colouring_number, count_hrv,
+                     enumerate_property, graph6_encode, graph_from_edges,
+                     hrv_member, induced_subgraph, load_property, random_graph,
                      speed, valid_hrv_patterns)
-from hptools.graphs import edge_mask_of, graph_from_edge_mask, k_submasks
+from hptools.graphs import k_submasks
 
 from conftest import complete_graph, cycle_graph, path_graph
-from oracles import (brute_chi_c, brute_hrv, naive_enumerate_labeled,
-                     same_as_checked)
+from oracles import (brute_chi_c, brute_hrv, edge_mask_of, graph_from_edge_mask,
+                     is_member, naive_enumerate_labeled, same_as_checked)
 
 
 def spec_of(*graphs) -> PropertySpec:
@@ -48,7 +48,7 @@ def test_spec_rejects_bad_orders():
 def test_spec_file_roundtrip(tmp_path):
     spec = spec_of(complete_graph(3), cycle_graph(4))
     path = tmp_path / "spec.g6"
-    dump_property(spec, path)
+    path.write_bytes(b"".join(graph6_encode(F) + b"\n" for F in spec.forbidden))
     assert load_property(path) == spec
 
 
@@ -207,9 +207,13 @@ def test_colouring_number_edge_cases():
     # empty graphs forbidden at every r: the capped flag fires
     chi2 = colouring_number(spec_of(complete_graph(2)), r_max=3)
     assert chi2.value == 1 and not chi2.capped
-    # r = 1 is examined whatever r_max says; reaching r_max is capped
+    # r_max outside 1..8 is refused, not read as r_max = 1; reaching r_max
+    # is capped
     k3 = spec_of(complete_graph(3))
-    assert colouring_number(k3, r_max=0) == ColouringNumber(1, True, False, (0,))
+    for r_max in (0, -3, 9):
+        with pytest.raises(DomainError, match=r"r_max must lie in 1\.\.8"):
+            colouring_number(k3, r_max=r_max)
+    assert colouring_number(k3, r_max=1) == ColouringNumber(1, True, False, (0,))
     assert colouring_number(k3, r_max=2) == ColouringNumber(2, True, False, (0, 0))
     assert colouring_number(k3, r_max=3) == ColouringNumber(2, False, False, (0, 0))
 

@@ -1,10 +1,13 @@
 """Every module-level import in the package, the tests and the demos is read
-somewhere, and so is every top-level function and class of the package.
+somewhere, and every top-level function and class of the package is read
+by the package, a demo, the benchmark harness or the acceptance suite.
 
 No linter ships with the project, so these scans stand in for its
 unused-import and unused-definition rules.  ``__future__`` imports and the
 re-exports of the package ``__init__`` are exempt from the first; a
-re-export does not count as a read for the second.
+re-export does not count as a read for the second, and neither does a
+read in a unit test: a definition that only its own tests reach belongs
+in the tests.
 """
 
 import ast
@@ -60,8 +63,17 @@ def orphans(source: str, read: set[str]) -> list[str]:
             and node.name not in read]
 
 
-READ = set().union(*(names_read(p.read_text()) for p in
-                     MODULES + sorted((ROOT / "perfbench").glob("*.py"))))
+def names_reached(root: Path) -> set[str]:
+    """Every name read by the package, the demos, the benchmark harness or
+    the acceptance suite under ``root``."""
+    readers = [*sorted((root / "src" / "hptools").glob("*.py")),
+               *sorted((root / "demos").glob("*.py")),
+               *sorted((root / "perfbench").glob("*.py")),
+               root / "tests" / "test_acceptance.py"]
+    return set().union(*(names_read(p.read_text()) for p in readers))
+
+
+READ = names_reached(ROOT)
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
@@ -69,6 +81,14 @@ def test_no_orphaned_definitions(path):
     assert orphans(path.read_text(), READ) == []
 
 
-def test_scan_flags_an_orphaned_definition():
-    source = "def used():\n    pass\ndef left():\n    pass\nclass Kept:\n    pass\n"
-    assert orphans(source, names_read("used()\nx = m.Kept\n")) == ["line 3: left"]
+def test_scan_flags_an_orphaned_definition(tmp_path):
+    source = ("def used():\n    pass\ndef left():\n    pass\nclass Kept:\n"
+              "    pass\ndef tested():\n    pass\n")
+    files = {"src/hptools/a.py": source + "used()\n", "demos/d.py": "x = m.Kept\n",
+             "tests/test_acceptance.py": "", "tests/test_a.py": "tested()\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    # only a unit test reads tested(), which does not count
+    assert orphans(source, names_reached(tmp_path)) == ["line 3: left",
+                                                       "line 7: tested"]

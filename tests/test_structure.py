@@ -8,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hptools import (DomainError, PackingPiece, PackingReport, alpha_adjust,
-                     bits, clone_index, construct_generalized_universal,
+                     bits, construct_generalized_universal,
                      decompose, decomposition_failures,
                      extract_universal_packing, graph_from_edges,
-                     is_alpha_clone, mask_of, max_bad_set,
+                     mask_of, max_bad_set,
                      random_graph, shatters, verify_decomposition,
                      verify_packing_maximality, verify_packing_report)
 from hptools.graphs import MAX_EXACT_CLIQUE, greedy_maximal_clique, part_masks
 from hptools.structure import _cutoffs, clone_cutoff
 
-from oracles import naive_extract_universal_packing, naive_uk_copy
+from oracles import (naive_clone_index, naive_extract_universal_packing,
+                     naive_uk_copy)
 
 
 @st.composite
@@ -39,29 +40,6 @@ def outcome(f):
 
 
 # --- clones -------------------------------------------------------------------
-
-def test_clone_reflexive_and_twins():
-    G = graph_from_edges(6, [(0, 2), (1, 2), (0, 3), (1, 3)])
-    assert is_alpha_clone(G, 4, 4, G.vertex_mask, Fraction(1, 6))
-    assert is_alpha_clone(G, 0, 1, G.vertex_mask, Fraction(1, 6))  # twins
-
-
-def test_clone_complementary_false():
-    n = 8
-    edges = [(0, v) for v in range(2, n)]
-    G = graph_from_edges(n, edges)  # 0 adjacent to all but 1; 1 isolated
-    assert not is_alpha_clone(G, 0, 1, G.vertex_mask, Fraction(1, 2))
-
-
-def test_clone_symmetry_random():
-    rng = random.Random(1)
-    for _ in range(30):
-        G = random_graph(7, rng.random(), seed=rng.random())
-        u, v = rng.randrange(7), rng.randrange(7)
-        A = rng.randrange(1 << 7)
-        a = Fraction(rng.randint(1, 6), 7)
-        assert is_alpha_clone(G, u, v, A, a) == is_alpha_clone(G, v, u, A, a)
-
 
 def test_clone_cutoff_floor():
     assert clone_cutoff(Fraction(1, 3), 10) == 3
@@ -176,11 +154,11 @@ def test_bad_set_above_the_exact_cap_is_maximal():
 # --- clone index and adjustment -------------------------------------------------
 
 def test_clone_index_self():
+    # B holding every vertex: each vertex is its own clone in the first part
     G = random_graph(6, 0.5, seed=4)
-    parts = (0, 0, 0, 1, 1, 1)
-    B = 0b001001
-    for v in bits(B):
-        assert clone_index(G, parts, B, Fraction(1, 6), v) == 0
+    for parts in ((0, 0, 0, 1, 1, 1), (1, 0, 1, 0, 1, 0)):
+        for alpha in (Fraction(1, 24), Fraction(1, 12), Fraction(1, 3)):
+            assert alpha_adjust(G, parts, G.vertex_mask, alpha).labels == (0,) * 6
 
 
 def test_clone_index_planted_part():
@@ -188,16 +166,20 @@ def test_clone_index_planted_part():
     edges = [(0, 1), (0, 2), (5, 3), (5, 4), (0, 3), (0, 4)]
     G = graph_from_edges(6, edges)
     parts = (0, 0, 0, 1, 1, 1)
-    # B = {0}; within part 0, 5 differs from 0 on {1,2}; within part 1 equal
-    assert clone_index(G, parts, 0b000001, Fraction(1, 6), 5) == 1
+    # clone cutoff floor(2 alpha n) = 0: within part 0, 5 differs from 0 on
+    # {1,2} and from 1..4 on 0; within part 1 it equals 0.  Vertices 0..4
+    # are their own clones in part 0.
+    rep = alpha_adjust(G, parts, 0b011111, Fraction(1, 24))
+    assert rep.labels == (0, 0, 0, 0, 0, 1)
 
 
 def test_clone_index_error_when_not_maximal():
     edges = [(0, v) for v in range(2, 8)]
     G = graph_from_edges(8, edges)
     parts = tuple(v % 2 for v in range(8))
-    with pytest.raises(DomainError):
-        clone_index(G, parts, 0b10, Fraction(1, 8), 0)
+    # clone cutoff floor(2 alpha n) = 1; vertex 0 differs from 1 by 3 in each part
+    with pytest.raises(DomainError, match="vertex 0 has no clone in B"):
+        alpha_adjust(G, parts, 0b10, Fraction(1, 16))
 
 
 def test_clone_index_never_fails_on_max_bad_set():
@@ -208,8 +190,7 @@ def test_clone_index_never_fails_on_max_bad_set():
         parts = tuple(v % 2 for v in range(n))
         alpha = Fraction(1, 4)
         B = max_bad_set(G, parts, 2 * alpha)
-        for v in range(n):
-            clone_index(G, parts, B, 2 * alpha, v)  # must not raise
+        alpha_adjust(G, parts, B, alpha)  # must not raise
 
 
 def test_alpha_adjust_identity_when_settled():
@@ -218,9 +199,7 @@ def test_alpha_adjust_identity_when_settled():
     B = max_bad_set(G, parts, Fraction(1, 2))
     rep = alpha_adjust(G, parts, B, Fraction(1, 4))
     # every vertex clones B everywhere; first part wins for all
-    assert all(s <= clone_cutoff(Fraction(1, 4), 4) or True for s in rep.sym_diffs)
-    assert rep.labels == tuple(clone_index(G, parts, B, Fraction(1, 2), v)
-                               for v in range(4))
+    assert rep.labels == (0, 0, 0, 0)
 
 
 @given(partitioned_graphs(12, 3), st.booleans(), st.integers(0, (1 << 12) - 1),
@@ -233,9 +212,11 @@ def test_alpha_adjust_labels_are_clone_indices(graph_parts, maximal, B, alpha):
     two_alpha = 2 * Fraction(alpha)
     B = (max_bad_set(G, parts, two_alpha, r=r) if maximal
          else B & G.vertex_mask)
-    assert outcome(lambda: alpha_adjust(G, parts, B, alpha, r).labels) == \
-        outcome(lambda: tuple(clone_index(G, parts, B, two_alpha, v, r)
-                              for v in range(G.n)))
+    want = tuple(naive_clone_index(G, parts, B, two_alpha, v, r) for v in range(G.n))
+    if None in want:  # the first vertex without a clone is named
+        want = (f"DomainError: vertex {want.index(None)} has no clone in B within "
+                "any part (the bad set is not maximal)")
+    assert outcome(lambda: alpha_adjust(G, parts, B, alpha, r).labels) == want
 
 
 @given(partitioned_graphs(16, 4),

@@ -1,17 +1,14 @@
 import random
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hptools import (DomainError, TraceFamily, aligned_reverse_shatter, bits,
+from hptools import (DomainError, aligned_reverse_shatter, bits,
                      construct_generalized_universal, construct_universal,
-                     construct_universal_star, find_shattered,
-                     find_universal_star_embedding, graph_from_edges, mask_of,
-                     reverse_shatter, sauer_bound,
-                     sauer_find_shattered, shatters)
-from hptools.universal import first_realizers
+                     construct_universal_star, graph_from_edges, mask_of,
+                     sauer_bound, sauer_find_shattered, shatters)
+from hptools.universal import MAX_TRACE_GROUND, first_realizers
 
 
 # --- construct_universal ---------------------------------------------------
@@ -148,25 +145,31 @@ def test_star_pattern_validation():
 # --- Sauer search ------------------------------------------------------------
 
 def test_sauer_example():
-    fam = TraceFamily(0b0111, frozenset({0, 0b001, 0b010, 0b100, 0b011}))
-    X = sauer_find_shattered(fam, 2)
+    X = sauer_find_shattered(0b0111, {0, 0b001, 0b010, 0b100, 0b011}, 2)
     assert X == 0b011
 
 
 def test_sauer_full_powerset():
-    k = 3
-    fam = TraceFamily(0b111, frozenset(range(8)))
-    assert sauer_find_shattered(fam, k) == 0b111
+    assert sauer_find_shattered(0b111, range(8), 3) == 0b111
 
 
 def test_sauer_precondition_error():
-    fam = TraceFamily(0b1111, frozenset({0, 1, 2, 4, 8}))
-    assert len(fam.traces) == sauer_bound(4, 2)  # exactly at the bound
-    with pytest.raises(DomainError):
-        sauer_find_shattered(fam, 2)
-    # the relaxed entry point may still search
-    assert find_shattered(fam, 2) is None
-    assert find_shattered(fam, 1) is not None
+    traces = [0, 1, 2, 4, 8, 8]  # five distinct traces
+    assert sauer_bound(4, 2) == 5  # exactly at the bound
+    with pytest.raises(DomainError, match="Sauer bound not met"):
+        sauer_find_shattered(0b1111, traces, 2)
+    assert sauer_find_shattered(0b1111, traces, 1) == 0b0001
+
+
+def test_sauer_ground_capped():
+    ground = (1 << (MAX_TRACE_GROUND + 1)) - 1  # 31 bits
+    with pytest.raises(DomainError, match=f"larger than {MAX_TRACE_GROUND}"):
+        sauer_find_shattered(ground, range(64), 1)
+
+
+def test_sauer_trace_outside_ground():
+    with pytest.raises(DomainError, match="not contained in the ground set"):
+        sauer_find_shattered(0b0111, [0, 1, 2, 4, 0b1000], 1)
 
 
 def test_sauer_random_soundness():
@@ -179,8 +182,7 @@ def test_sauer_random_soundness():
             continue
         m = rng.randint(bound + 1, min(1 << g, bound + 30))
         traces = frozenset(rng.sample(range(1 << g), m))
-        fam = TraceFamily((1 << g) - 1, traces)
-        X = sauer_find_shattered(fam, k)
+        X = sauer_find_shattered((1 << g) - 1, traces, k)
         assert X.bit_count() == k
         assert len({t & X for t in traces}) == 1 << k
 
@@ -189,14 +191,14 @@ def test_sauer_random_soundness():
 
 def test_reverse_shatter_t1():
     uni = construct_universal(2)
-    A2, B2 = reverse_shatter(uni.graph, uni.A, uni.B, 1)
+    (A2,), B2 = aligned_reverse_shatter(uni.graph, [uni.A], uni.B, 1)
     assert A2.bit_count() == 1
     assert shatters(uni.graph, B2, A2) is not None
 
 
 def test_reverse_shatter_t2():
     uni = construct_universal(4)
-    A2, B2 = reverse_shatter(uni.graph, uni.A, uni.B, 2)
+    (A2,), B2 = aligned_reverse_shatter(uni.graph, [uni.A], uni.B, 2)
     assert A2.bit_count() == 2
     assert B2.bit_count() == 4
     assert shatters(uni.graph, B2, A2) is not None
@@ -204,7 +206,7 @@ def test_reverse_shatter_t2():
 
 def test_reverse_shatter_t0():
     uni = construct_universal(1)
-    A2, B2 = reverse_shatter(uni.graph, uni.A, uni.B, 0)
+    (A2,), B2 = aligned_reverse_shatter(uni.graph, [uni.A], uni.B, 0)
     assert A2 == 0 and B2.bit_count() == 1
     assert shatters(uni.graph, B2, A2) is not None
 
@@ -212,17 +214,19 @@ def test_reverse_shatter_t0():
 def test_reverse_shatter_preconditions():
     uni = construct_universal(2)
     with pytest.raises(DomainError):
-        reverse_shatter(uni.graph, uni.A, uni.B, 2)  # |B| = 2 < 4
+        aligned_reverse_shatter(uni.graph, [uni.A], uni.B, 2)  # |B| = 2 < 4
     G = graph_from_edges(4, [])
     with pytest.raises(DomainError):
-        reverse_shatter(G, 0b0011, 0b1100, 1)  # nothing shattered
+        aligned_reverse_shatter(G, [0b0011], 0b1100, 1)  # nothing shattered
 
 
 def test_aligned_reverse_r1_matches_reverse():
+    # the plain flip by hand: in U(2), A = {0..3} and B = {4, 5}; B' is
+    # {4, 5} labeled 0, 1, the origin face of bit 0 is {4} (label 0), and
+    # its realizer is vertex 1, adjacent to exactly vertex 4
     uni = construct_universal(2)
-    (A1,), B1 = aligned_reverse_shatter(uni.graph, [uni.A], uni.B, 1)
-    A2, B2 = reverse_shatter(uni.graph, uni.A, uni.B, 1)
-    assert (A1, B1) == (A2, B2)
+    assert aligned_reverse_shatter(uni.graph, [uni.A], uni.B, 1) == \
+        ([0b10], 0b110000)
 
 
 def test_aligned_reverse_r2():
@@ -247,39 +251,3 @@ def test_aligned_reverse_too_small():
     uni = construct_universal(2)  # |B| = 2
     with pytest.raises(DomainError):
         aligned_reverse_shatter(uni.graph, [uni.A, 0], uni.B, 1)
-
-
-# --- starred embedding search ------------------------------------------------
-
-def test_star_embedding_self():
-    target = construct_universal_star(2, 1, (0, 0))
-    found = find_universal_star_embedding(target.graph, 2, 1)
-    assert found is not None
-    v, phi = found
-    assert v == (0, 0)
-
-
-def test_star_embedding_k3_matches_all_maps_oracle(k3=None):
-    from conftest import complete_graph
-    G = complete_graph(3)
-    found = find_universal_star_embedding(G, 2, 1)
-    # oracle: try every pattern and every injection by hand
-    oracle_hit = False
-    for v in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        T = construct_universal_star(2, 1, v).graph
-        for image in permutations(range(3), T.n):
-            if all((T.adj[a] >> b & 1) == (G.adj[image[a]] >> image[b] & 1)
-                   for a in range(T.n) for b in range(a)):
-                oracle_hit = True
-    assert (found is not None) == oracle_hit
-
-
-def test_star_embedding_empty_graph_absent():
-    G = graph_from_edges(11, [])
-    assert find_universal_star_embedding(G, 3, 1) is None
-
-
-def test_star_embedding_cap():
-    # U*(2,4) would take 4 + 16 = 20 vertices, beyond the search cap
-    with pytest.raises(DomainError):
-        find_universal_star_embedding(graph_from_edges(12, []), 2, 4)
