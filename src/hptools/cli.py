@@ -367,6 +367,8 @@ def cmd_census(args) -> None:
         # n^(1-eps) is finite for every n in 1..n_max iff it is at n_max;
         # else every decompose would refuse it
         _budget(args.n_max, args.budget_eps)
+    if args.n_max < 0:
+        raise DomainError(f"--n-max must lie in 0..{MAX_ENUM_VERTICES}")
     if args.n_max > MAX_ENUM_VERTICES:
         raise DomainError(f"enumeration capped at n <= {MAX_ENUM_VERTICES}")
     spec = load_property(args.forbidden)

@@ -164,12 +164,14 @@ def induced_subgraph(G: Graph, S: int) -> Graph:
 # induced-subgraph search
 
 
-def _extend(seq, masks, hadj, adj, image) -> bool:
+def _extend(seq, masks, hadj, adj, image, found=None) -> bool:
     """Place pattern vertices ``seq`` (rows ``hadj``) into the host rows
     ``adj``: seq[0] goes onto a vertex of masks[0], masks[i] serves seq[i].
-    Fills ``image`` and returns True on the first induced copy found."""
+    Fills ``image`` and returns True on the first induced copy found; with
+    ``found``, each copy is passed to ``found(image)`` instead, and the
+    search stops at the first call that returns True."""
     if not seq:
-        return True
+        return found is None or found(image)
     h, later = seq[0], seq[1:]
     hrow, cand, rest = hadj[h], masks[0], masks[1:]
     while cand:
@@ -186,7 +188,7 @@ def _extend(seq, masks, hadj, adj, image) -> bool:
             nxt.append(m)
         else:
             image[h] = g
-            if _extend(later, nxt, hadj, adj, image):
+            if _extend(later, nxt, hadj, adj, image, found):
                 return True
     return False
 
@@ -198,9 +200,9 @@ def _degree_order(H: Graph) -> list[int]:
 
 @lru_cache(maxsize=256)
 def _pin_plan(H: Graph) -> tuple:
-    """One pinned search sequence per Aut(H) orbit: (h, rest of the degree
-    order) for each orbit's first vertex h in that order.  b joins a's
-    orbit when H has an induced copy in itself with a on b."""
+    """One entry per Aut(H) orbit: (h, rest of the degree order) for each
+    orbit's first vertex h in that order.  b joins a's orbit when H has an
+    induced copy in itself with a on b."""
     order = _degree_order(H)
     seqs = []
     for b in order:
@@ -210,14 +212,10 @@ def _pin_plan(H: Graph) -> tuple:
     return tuple(seqs)
 
 
-def contains_induced(G, H: Graph, pin: int | None = None):
+def contains_induced(G: Graph, H: Graph):
     """Find an injective map phi with uv in E(H) iff phi(u)phi(v) in E(G).
 
-    Returns the map as a tuple (phi[h] = image vertex) or None.  With
-    ``pin`` set, only maps whose image contains vertex ``pin`` count.  The
-    host G is a Graph or a pair ``(n, rows)`` of bit rows, of which only the
-    first n are read, so a caller can search a prefix of rows it is still
-    building.
+    Returns the map as a tuple (phi[h] = image vertex) or None.
 
     Bitset backtracking: pattern vertices are placed by descending degree
     (stable), each onto the candidates of its mask in ascending order, and
@@ -225,33 +223,12 @@ def contains_induced(G, H: Graph, pin: int | None = None):
     non-neighbours of g as H requires.  A branch ends as soon as a mask
     empties, which cuts only dead branches, so the first witness in this
     order is returned and results are deterministic.
-
-    The pinned search puts each pattern vertex on the pin in degree order,
-    but only the first vertex of each automorphism orbit of H: a later h'
-    with an automorphism from an earlier h succeeds exactly when h does, and
-    h has already failed.  The witness is the one trying every vertex gives.
     """
-    n, adj = G if isinstance(G, tuple) else (G.n, G.adj)
-    if H.n > n:
+    if H.n > G.n:
         return None
     image = [-1] * H.n
-    if pin is None:
-        found = _extend(_degree_order(H), [(1 << n) - 1] * H.n, H.adj, adj,
-                        image)
-        return tuple(image) if found else None
-    masks = [1 << pin] + [(1 << n) - 1] * (H.n - 1)
-    for seq in _pin_plan(H):
-        if _extend(seq, masks, H.adj, adj, image):
-            return tuple(image)
-    return None
-
-
-def _degree_profile(G: Graph) -> tuple:
-    """The multiset of (degree, sorted neighbour degrees) over the vertices,
-    an isomorphism invariant."""
-    deg = [row.bit_count() for row in G.adj]
-    return tuple(sorted((deg[v], tuple(sorted(deg[u] for u in bits(row))))
-                        for v, row in enumerate(G.adj)))
+    found = _extend(_degree_order(H), [G.vertex_mask] * H.n, H.adj, G.adj, image)
+    return tuple(image) if found else None
 
 
 class IsomorphismClasses:
@@ -259,21 +236,39 @@ class IsomorphismClasses:
     0, 1, ... in order of first appearance.  The first graph looked up of a
     class is its representative.
 
-    A lookup keeps the representatives with the graph's degree profile,
-    then asks each for an induced copy in the graph: on equal order an
-    induced copy is an isomorphism."""
+    Each vertex is labeled by its degree and the multiset of its neighbours'
+    degrees, which every isomorphism preserves.  A lookup keeps the
+    representatives with the graph's multiset of labels, then asks each for
+    an induced copy in the graph that puts every vertex on a vertex of its
+    own label, rarest label first: on equal order an induced copy is an
+    isomorphism."""
 
     def __init__(self):
-        self._buckets: dict[tuple, list[tuple[Graph, int]]] = {}
+        self._buckets: dict[tuple, list[tuple[Graph, list, list, int]]] = {}
         self.count = 0
 
     def index(self, G: Graph) -> int:
         """The number of G's class; a graph of a new class founds it."""
-        bucket = self._buckets.setdefault(_degree_profile(G), [])
-        for rep, i in bucket:
-            if contains_induced(G, rep) is not None:
+        deg = [row.bit_count() for row in G.adj]
+        # base 64: digit 0 holds the degree, digit d > 0 the degree-d neighbours
+        weight = [1 << 6 * d for d in deg]
+        labels = []
+        for label, row in zip(deg, G.adj):
+            while row:
+                low = row & -row
+                label += weight[low.bit_length() - 1]
+                row ^= low
+            labels.append(label)
+        where: dict[int, int] = {}
+        for v, label in enumerate(labels):
+            where[label] = where.get(label, 0) | 1 << v
+        bucket = self._buckets.setdefault(tuple(sorted(labels)), [])
+        for rep, seq, seq_labels, i in bucket:
+            if _extend(seq, [where[label] for label in seq_labels], rep.adj,
+                       G.adj, [-1] * G.n):
                 return i
-        bucket.append((G, self.count))
+        seq = sorted(range(G.n), key=lambda v: where[labels[v]].bit_count())
+        bucket.append((G, seq, [labels[v] for v in seq], self.count))
         self.count += 1
         return self.count - 1
 
@@ -292,7 +287,9 @@ def grow_rows(n: int, keep=None):
     0 .. 2^v - 1 in turn, and the bits it sets in the rows of earlier
     vertices are set and undone in place.  Vertex 1's block is the most
     significant, so the order is ascending by construction.  With ``keep``,
-    a prefix whose rows 0..v fail ``keep(v, rows)`` is not extended.
+    vertex v's backward row takes only the values that ``keep(v, rows)``
+    returns, which must be ascending.  It is called once per prefix, with
+    rows 0..v-1 set and vertex v not yet joined to any of them.
     """
     rows = [0] * n
 
@@ -302,15 +299,14 @@ def grow_rows(n: int, keep=None):
             return
         bit = 1 << v
         prev = 0
-        for row in range(1 << v):
+        for row in range(1 << v) if keep is None else keep(v, rows):
             flip = row ^ prev  # toggle bit v in the rows whose edge changed
             while flip:
                 low = flip & -flip
                 rows[low.bit_length() - 1] ^= bit
                 flip ^= low
             rows[v] = prev = row
-            if keep is None or keep(v, rows):
-                yield from rec(v + 1)
+            yield from rec(v + 1)
         for u in bits(prev):
             rows[u] ^= bit
         rows[v] = 0

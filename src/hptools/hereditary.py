@@ -8,11 +8,12 @@ captures the intended property is the caller's modeling choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb, log2
 
 from .errors import DomainError
-from .graphs import (Graph, MAX_ENUM_VERTICES, contains_induced, enumerate_labeled,
-                     graph6_decode, grow_rows)
+from .graphs import (Graph, MAX_ENUM_VERTICES, _extend, _pin_plan, contains_induced,
+                     enumerate_labeled, graph6_decode, grow_rows)
 
 MAX_FORBIDDEN_ORDER = 10
 MAX_PATTERN_LENGTH = 8
@@ -70,27 +71,57 @@ def _entropy(n: int, count: int) -> float:
     return log2(count) / comb(n, 2)
 
 
+def _kept_rows(forbidden, v: int, rows) -> list[int]:
+    """The backward rows, ascending, that vertex v may take over the prefix
+    rows 0..v-1 without completing a forbidden graph through v.
+
+    Row r completes F with v on x exactly when some induced copy of F - x
+    in the prefix, on vertex set S, has r & S equal to the image of x's
+    neighbours.  An automorphism of F carries x to any vertex of its orbit,
+    so one x per orbit of ``_pin_plan`` covers every placement of v.
+    """
+    full = (1 << v) - 1
+    marks = set()
+    for F in forbidden:
+        for x, *rest in _pin_plan(F):
+            nbrs = [h for h in rest if F.adj[x] >> h & 1]
+
+            def found(image):
+                S = P = 0
+                for h in rest:
+                    S |= 1 << image[h]
+                for h in nbrs:
+                    P |= 1 << image[h]
+                marks.add((S, P))
+                return False
+
+            _extend(rest, [full] * len(rest), F.adj, rows, [-1] * F.n, found)
+    marked = bytearray(1 << v)
+    for S, P in marks:
+        free = t = full & ~S
+        while True:  # every r with r & S == P is P plus a subset of ~S
+            marked[P | t] = 1
+            if not t:
+                break
+            t = (t - 1) & free
+    return [r for r in range(1 << v) if not marked[r]]
+
+
 def enumerate_property(spec: PropertySpec, n: int):
     """Stream the graphs of the property on [n] in canonical order.
 
     The row odometer of ``enumerate_labeled``, pruned: hereditary closure
     means a forbidden subgraph in a prefix kills every extension, so pruned
-    branches lose nothing.  Emits exactly the graphs of
+    branches lose nothing.  Vertex v takes only the rows that ``_kept_rows``
+    leaves after one search of rows 0..v-1.  Emits exactly the graphs of
     ``enumerate_labeled(n)`` with no forbidden induced subgraph, in the same
     ascending edge-bitmask order.
     """
-    if not 0 <= n <= MAX_ENUM_VERTICES:
+    if n < 0:
+        raise DomainError(f"n must lie in 0..{MAX_ENUM_VERTICES}")
+    if n > MAX_ENUM_VERTICES:
         raise DomainError(f"enumeration capped at n <= {MAX_ENUM_VERTICES}")
-    forb = spec.forbidden
-
-    def clean(v: int, rows) -> bool:
-        # does some forbidden graph appear induced in the prefix, touching v?
-        for F in forb:
-            if contains_induced((v + 1, rows), F, pin=v) is not None:
-                return False
-        return True
-
-    for rows in grow_rows(n, clean):
+    for rows in grow_rows(n, partial(_kept_rows, spec.forbidden)):
         yield Graph._trusted(n, tuple(rows))
 
 

@@ -10,7 +10,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
 
+import networkx as nx
 import numpy as np
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from hptools import (DomainError, Graph, PackingPiece, PackingReport, bits,
                      contains_induced, decompose, is_epsilon_regular, mask_of,
@@ -88,35 +90,48 @@ def naive_pinned_copy(G: Graph, H: Graph, pin: int):
     return None
 
 
-def ordered_copy(G: Graph, H: Graph, pin=None):
-    """The first induced copy of H in the order of ``contains_induced`` when
-    it tries every pattern vertex on the pin: pattern vertices by descending
-    degree (stable); with ``pin`` set, each of them in turn goes first, onto
-    the pin; every other one goes onto the smallest host vertex consistent
-    with those placed before it."""
-    order = sorted(range(H.n), key=lambda h: -H.adj[h].bit_count())
-    heads = [None] if pin is None else order
-    for head in heads:
-        seq = order if head is None else [head] + [x for x in order if x != head]
+def ordered_copy(G: Graph, H: Graph):
+    """The first induced copy of H in the order of ``contains_induced``:
+    pattern vertices by descending degree (stable), each onto the smallest
+    host vertex consistent with those placed before it."""
+    seq = sorted(range(H.n), key=lambda h: -H.adj[h].bit_count())
+    image = [-1] * H.n
+
+    def place(i):
+        if i == len(seq):
+            return True
+        x = seq[i]
+        for g in range(G.n):
+            if g not in image and all(
+                    (H.adj[x] >> y & 1) == (G.adj[g] >> image[y] & 1)
+                    for y in seq[:i]):
+                image[x] = g
+                if place(i + 1):
+                    return True
+                image[x] = -1
+        return False
+
+    return tuple(image) if place(0) else None
+
+
+def to_networkx(G: Graph) -> nx.Graph:
+    X = nx.Graph()
+    X.add_nodes_from(range(G.n))
+    X.add_edges_from(G.edges())
+    return X
+
+
+def nx_induced_copies(G: Graph, H: Graph) -> set:
+    """Every induced copy of H in G as an image tuple (image[h] in V(G)),
+    inverted from networkx's VF2 matches, which are induced and map host
+    vertices to pattern vertices."""
+    copies = set()
+    for phi in GraphMatcher(to_networkx(G), to_networkx(H)).subgraph_isomorphisms_iter():
         image = [-1] * H.n
-
-        def place(i):
-            if i == len(seq):
-                return True
-            x = seq[i]
-            for g in (range(G.n) if i or head is None else [pin]):
-                if g not in image and all(
-                        (H.adj[x] >> y & 1) == (G.adj[g] >> image[y] & 1)
-                        for y in seq[:i]):
-                    image[x] = g
-                    if place(i + 1):
-                        return True
-                    image[x] = -1
-            return False
-
-        if place(0):
-            return tuple(image)
-    return None
+        for g, h in phi.items():
+            image[h] = g
+        copies.add(tuple(image))
+    return copies
 
 
 def naive_uk_copy(G: Graph, k: int, parts=None) -> bool:

@@ -916,6 +916,26 @@ def test_census_above_the_enumeration_cap_exits_before_enumerating(
     assert_one_line_error(rc, err, "enumeration capped at n <= 8")
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["census", "--n-max", "-1"], "--n-max must lie in 0..8"),
+    (["census", "--n-max", "-1", "--certify"], "--n-max must lie in 0..8"),
+    (["speed", "--n", "-1"], "n must lie in 0..8"),
+])
+def test_negative_orders_exit_1_before_enumerating(tmp_path, capsys, monkeypatch,
+                                                   argv, needle):
+    # a negative order once read as an empty census, or as above the cap
+    def refuse(*args):
+        raise AssertionError("enumerated a negative order")
+
+    monkeypatch.setattr(hptools.hereditary, "grow_rows", refuse)
+    monkeypatch.setattr(hptools.cli, "count_hrv", refuse)
+    spec = write_spec(tmp_path, complete_graph(3))
+    rc, out, err = run(capsys, *argv, "--forbidden", spec)
+    assert out == ""
+    assert_one_line_error(rc, err, needle)
+    assert "capped" not in err
+
+
 # --- census rows -----------------------------------------------------------------
 
 # (count, hrv_lower, certified_fraction) for n = 1..5; P4-free members mostly
@@ -975,13 +995,17 @@ def test_class_census_equals_the_labeled_loop(name, orders):
             enumerate_property(spec, m), *args)
 
 
-def test_census_classes_count_triangle_free_classes(tmp_path, capsys):
+@pytest.mark.parametrize("name", sorted(CENSUS_ROWS))
+def test_census_classes_match_the_atlas(tmp_path, capsys, name):
     # the networkx atlas holds one graph of each class on up to 7 vertices
+    n, edges, _ = CENSUS_ROWS[name]
+    F = nx.Graph(edges)
     atlas = [X for X in nx.graph_atlas_g()[1:] if X.number_of_nodes() <= 6
-             and not any(nx.triangles(X).values())]
-    want = [sum(X.number_of_nodes() == n for X in atlas) for n in range(1, 7)]
-    assert want == [1, 2, 3, 7, 14, 38]
-    spec = write_spec(tmp_path, complete_graph(3))
+             and not nx.isomorphism.GraphMatcher(X, F).subgraph_is_isomorphic()]
+    want = [sum(X.number_of_nodes() == m for X in atlas) for m in range(1, 7)]
+    if name == "K3":
+        assert want == [1, 2, 3, 7, 14, 38]
+    spec = write_spec(tmp_path, relabeled(n, edges, seed=n))
     for _ in range(2):
         rc, out, _ = run(capsys, "census", "--forbidden", spec, "--certify",
                          "--n-max", "6")

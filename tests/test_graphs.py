@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from hptools import (DomainError, Graph, bits, contains_induced,
                      enumerate_labeled, graph6_decode, graph6_encode,
                      graph_from_edges, induced_subgraph, mask_of, random_graph)
-from hptools.graphs import (IsomorphismClasses, _pin_plan, edgelist_decode,
-                            greedy_maximal_clique, k_submasks, max_clique)
+from hptools.graphs import (IsomorphismClasses, _degree_order, _extend, _pin_plan,
+                            edgelist_decode, greedy_maximal_clique, k_submasks,
+                            max_clique)
 
 from conftest import (complement, complete_graph, cycle_graph, edgelist_encode,
                       path_graph)
 from oracles import (edge_mask_of, graph_from_edge_mask, is_induced_embedding,
                      naive_contains_induced, naive_enumerate_labeled,
-                     naive_pinned_copy, ordered_copy, same_as_checked)
+                     nx_induced_copies, ordered_copy, same_as_checked,
+                     to_networkx)
 
 
 def test_graph_from_edges_path():
@@ -94,13 +96,6 @@ def graphs(draw, max_n: int, min_n: int = 0):
     return graph_from_edge_mask(n, emask)
 
 
-def to_networkx(G: Graph):
-    X = nx.Graph()
-    X.add_nodes_from(range(G.n))
-    X.add_edges_from(G.edges())
-    return X
-
-
 @settings(max_examples=150, deadline=None)
 @given(graphs(9), graphs(6))
 def test_contains_induced_agrees_with_oracles(G, H):
@@ -115,27 +110,24 @@ def test_contains_induced_agrees_with_oracles(G, H):
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs(9, min_n=1), graphs(6), st.data())
-def test_pinned_contains_induced_agrees_with_oracle(G, H, data):
-    pin = data.draw(st.integers(0, G.n - 1))
-    pad = data.draw(st.integers(0, 3))  # zero rows past the prefix are never read
-    phi = contains_induced((G.n, list(G.adj) + [0] * pad), H, pin=pin)
-    assert (phi is None) == (naive_pinned_copy(G, H, pin) is None)
-    if phi is not None:
-        assert pin in phi and is_induced_embedding(G, H, phi)
-    assert phi == contains_induced(G, H, pin=pin)
+@given(graphs(8), graphs(5), st.booleans())
+def test_all_copies_search_finds_every_networkx_copy(G, H, stop_at_first):
+    # the found-callback mode of the one matcher kernel: every induced copy,
+    # each once, or with a callback that stops, the witness of contains_induced
+    copies = []
 
+    def found(image):
+        copies.append(tuple(image))
+        return stop_at_first
 
-# every graph on 1..5 vertices, one per isomorphism class
-ATLAS_5 = [graph_from_edges(X.number_of_nodes(), X.edges())
-           for X in nx.graph_atlas_g()[1:53]]
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs(8, min_n=1), st.sampled_from(ATLAS_5), st.data())
-def test_orbit_pruned_search_gives_the_witness_of_trying_every_vertex(G, H, data):
-    pin = data.draw(st.integers(0, G.n - 1))
-    assert contains_induced(G, H, pin=pin) == ordered_copy(G, H, pin)
+    hit = _extend(_degree_order(H), [G.vertex_mask] * H.n, H.adj, G.adj,
+                  [-1] * H.n, found)
+    if stop_at_first:
+        assert copies == ([contains_induced(G, H)] if hit else [])
+    else:
+        assert not hit
+        assert len(copies) == len(set(copies))
+        assert set(copies) == nx_induced_copies(G, H)
 
 
 def test_pin_plan_orbits_match_networkx():

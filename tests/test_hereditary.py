@@ -1,19 +1,23 @@
 import random
+from functools import lru_cache
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hptools import (ColouringNumber, DomainError, PropertySpec,
+from hptools import (ColouringNumber, DomainError, Graph, PropertySpec,
                      abt_bounds, colouring_number, count_hrv,
                      enumerate_property, graph6_encode, graph_from_edges,
-                     hrv_member, induced_subgraph, load_property, random_graph,
-                     speed, valid_hrv_patterns)
+                     hrv_member, induced_subgraph, load_property, mask_of,
+                     random_graph, speed, valid_hrv_patterns)
 from hptools.graphs import k_submasks
+from hptools.hereditary import _kept_rows
 
 from conftest import complete_graph, cycle_graph, path_graph
 from oracles import (brute_chi_c, brute_hrv, edge_mask_of, graph_from_edge_mask,
-                     is_member, naive_enumerate_labeled, same_as_checked)
+                     is_member, naive_enumerate_labeled, naive_pinned_copy,
+                     nx_induced_copies, same_as_checked)
 
 
 def spec_of(*graphs) -> PropertySpec:
@@ -105,15 +109,75 @@ def test_pruned_enumeration_matches_plain_filter(k3, c4):
             assert plain == pruned  # same graphs, same canonical order
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 63)), min_size=1,
-                max_size=2), st.integers(0, 5))
+@lru_cache(maxsize=None)
+def every_labeled_graph(n: int) -> list:
+    return naive_enumerate_labeled(n)
+
+
+def cut_graph(order: int, emask: int) -> Graph:
+    """The graph on ``order`` vertices with edge bitmask ``emask``, cut to
+    the order."""
+    return graph_from_edge_mask(order, emask % (1 << (order * (order - 1) // 2)))
+
+
+FORBIDDEN = st.lists(st.builds(cut_graph, st.integers(1, 5),
+                               st.integers(0, 1023)), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FORBIDDEN, st.integers(0, 6))
+@example([graph_from_edges(1, [])], 3)
+@example([graph_from_edges(4, [(0, 1), (2, 3)]), graph_from_edges(3, [(0, 1)])], 6)
+@example([graph_from_edges(5, [(0, 1)]), complete_graph(3)], 4)
 def test_trusted_property_members_are_valid_graphs(forbidden, n):
-    # each forbidden graph is (order, edge bitmask), the mask cut to the order
-    spec = spec_of(*(graph_from_edge_mask(m, e % (1 << (m * (m - 1) // 2)))
-                     for m, e in forbidden))
-    for G in enumerate_property(spec, n):
-        assert same_as_checked(G) and is_member(spec, G)
+    # members, and every member: the plain filter over all labeled graphs in
+    # ascending edge-bitmask order, for 1..3 forbidden graphs on 1..5
+    # vertices, the one-vertex graph, disconnected ones and ones above n
+    spec = spec_of(*forbidden)
+    members = list(enumerate_property(spec, n))
+    assert all(same_as_checked(G) and is_member(spec, G) for G in members)
+    assert members == [G for G in every_labeled_graph(n) if is_member(spec, G)]
+
+
+def joined(G: Graph, row: int) -> Graph:
+    """G with a new vertex G.n joined to the vertices of ``row``."""
+    return Graph(G.n + 1, tuple(a | (row >> u & 1) << G.n for u, a in enumerate(G.adj))
+                 + (row,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.builds(cut_graph, st.integers(0, 5), st.integers(0, 1023)),
+       FORBIDDEN, st.integers(0, 3))
+def test_kept_rows_are_the_rows_that_complete_no_forbidden_graph(G, forbidden, pad):
+    # brute force over the rows: vertex v = G.n may take row r iff no
+    # forbidden graph has an induced copy through v in G joined by r
+    v = G.n
+    rows = list(G.adj) + [0] * pad  # zero rows past the prefix are never read
+    assert _kept_rows(forbidden, v, rows) == [
+        r for r in range(1 << v)
+        if all(naive_pinned_copy(joined(G, r), F, v) is None for F in forbidden)]
+
+
+# every graph on 1..5 vertices, one per isomorphism class
+ATLAS_5 = [graph_from_edges(X.number_of_nodes(), X.edges())
+           for X in nx.graph_atlas_g()[1:53]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(cut_graph, st.integers(0, 6), st.integers(0, 1 << 15)),
+       st.sampled_from(ATLAS_5))
+def test_orbit_pruned_table_marks_the_rows_of_every_vertex(G, F):
+    # one x per orbit of Aut(F) marks what putting v on each vertex x of F
+    # marks, each copy of F - x from networkx
+    v = G.n
+    marked = set()
+    for x in range(F.n):
+        below = [h for h in range(F.n) if h != x]  # F - x relabels these
+        for image in nx_induced_copies(G, induced_subgraph(F, F.vertex_mask ^ 1 << x)):
+            S = mask_of(image)
+            P = mask_of(image[i] for i, h in enumerate(below) if F.adj[x] >> h & 1)
+            marked |= {r for r in range(1 << v) if r & S == P}
+    assert _kept_rows((F,), v, list(G.adj)) == sorted(set(range(1 << v)) - marked)
 
 
 def test_speed_monotone_in_forbidden_family(k3, c4):
