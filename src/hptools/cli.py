@@ -363,6 +363,8 @@ def cmd_speed(args) -> None:
 
 def cmd_census(args) -> None:
     k = _level(args.k, "--k")
+    if not 0 < args.eps <= 1:
+        raise DomainError("eps must lie in (0, 1]")
     if args.certify and args.n_max >= 1:
         # n^(1-eps) is finite for every n in 1..n_max iff it is at n_max;
         # else every decompose would refuse it

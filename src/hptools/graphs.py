@@ -106,7 +106,9 @@ class Graph:
         """A graph on rows that are valid by construction (n within the cap,
         one row per vertex inside [n], loopless and symmetric), built
         without the checks of ``__post_init__``.  Only producers that make
-        such rows themselves call it; every input path builds ``Graph``."""
+        such rows themselves call it.  Every input path builds ``Graph``,
+        except ``graph6_decode``, which checks the order and the bit vector
+        and then makes symmetric rows itself."""
         G = object.__new__(cls)
         object.__setattr__(G, "n", n)
         object.__setattr__(G, "adj", adj)
@@ -290,28 +292,46 @@ def grow_rows(n: int, keep=None):
     vertex v's backward row takes only the values that ``keep(v, rows)``
     returns, which must be ascending.  It is called once per prefix, with
     rows 0..v-1 set and vertex v not yet joined to any of them.
+
+    One flat loop: ``values`` holds the iterators of the vertices below the
+    last, and the last vertex's rows are yielded in a plain inner loop.
     """
     rows = [0] * n
-
-    def rec(v: int):
-        if v == n:
-            yield rows
+    if not n:
+        yield rows
+        return
+    last = n - 1
+    values = []  # values[u]: vertex u's remaining backward rows
+    while True:
+        v = len(values)
+        if v < last:
+            values.append(iter(range(1 << v) if keep is None else keep(v, rows)))
+        else:
+            bit = 1 << v
+            prev = 0
+            for row in range(1 << v) if keep is None else keep(v, rows):
+                flip = row ^ prev  # toggle bit v in the rows whose edge changed
+                while flip:
+                    low = flip & -flip
+                    rows[low.bit_length() - 1] ^= bit
+                    flip ^= low
+                rows[v] = prev = row
+                yield rows
+            for u in bits(prev):
+                rows[u] ^= bit
+            rows[v] = 0
+        while values:  # advance the deepest vertex left with a row to take
+            v = len(values) - 1
+            row = next(values[v], None)
+            for u in bits(rows[v] if row is None else row ^ rows[v]):
+                rows[u] ^= 1 << v
+            if row is not None:
+                rows[v] = row
+                break
+            rows[v] = 0
+            values.pop()
+        else:
             return
-        bit = 1 << v
-        prev = 0
-        for row in range(1 << v) if keep is None else keep(v, rows):
-            flip = row ^ prev  # toggle bit v in the rows whose edge changed
-            while flip:
-                low = flip & -flip
-                rows[low.bit_length() - 1] ^= bit
-                flip ^= low
-            rows[v] = prev = row
-            yield from rec(v + 1)
-        for u in bits(prev):
-            rows[u] ^= bit
-        rows[v] = 0
-
-    yield from rec(0)
 
 
 def enumerate_labeled(n: int, predicate=None):
@@ -370,7 +390,7 @@ def graph6_decode(data: bytes | str) -> Graph:
     data = data.strip()
     if not data:
         raise DomainError("empty graph6 string")
-    if any(c < 63 or c > 126 for c in data):
+    if min(data) < 63 or max(data) > 126:
         raise DomainError("graph6 data contains out-of-range bytes")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -389,22 +409,18 @@ def graph6_decode(data: bytes | str) -> Graph:
     if len(body) != expect:
         raise DomainError(f"graph6 bit vector truncated or overlong "
                           f"({len(body)} data bytes, expected {expect})")
-    bitstream = []
-    for c in body:
-        val = c - 63
-        for shift in range(5, -1, -1):
-            bitstream.append(val >> shift & 1)
-    if any(bitstream[m:]):
+    # the bit vector, last bit first, so that its bit k is bit k of x
+    x = int("".join(format(c - 63, "06b") for c in body)[::-1] or "0", 2)
+    if x >> m:
         raise DomainError("graph6 padding bits are not zero")
     adj = [0] * n
-    k = 0
-    for v in range(n):
-        for u in range(v):
-            if bitstream[k]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            k += 1
-    return Graph(n, tuple(adj))
+    start = 0
+    for v in range(1, n):
+        adj[v] = x >> start & (1 << v) - 1  # edges (u, v), u < v
+        start += v
+        for u in bits(adj[v]):
+            adj[u] |= 1 << v
+    return Graph._trusted(n, tuple(adj))
 
 
 def edgelist_decode(text: str) -> Graph:

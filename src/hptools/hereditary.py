@@ -12,8 +12,8 @@ from functools import partial
 from math import comb, log2
 
 from .errors import DomainError
-from .graphs import (Graph, MAX_ENUM_VERTICES, _extend, _pin_plan, contains_induced,
-                     enumerate_labeled, graph6_decode, grow_rows)
+from .graphs import (Graph, MAX_ENUM_VERTICES, _extend, _pin_plan, bits,
+                     contains_induced, enumerate_labeled, graph6_decode, grow_rows)
 
 MAX_FORBIDDEN_ORDER = 10
 MAX_PATTERN_LENGTH = 8
@@ -71,6 +71,21 @@ def _entropy(n: int, count: int) -> float:
     return log2(count) / comb(n, 2)
 
 
+def _marked(pairs, v: int) -> bytearray:
+    """One flag per row r in 0..2^v - 1, set when r & S == P for some pair
+    (S, P) of ``pairs``."""
+    full = (1 << v) - 1
+    marked = bytearray(1 << v)
+    for S, P in pairs:
+        free = t = full & ~S
+        while True:  # every r with r & S == P is P plus a subset of ~S
+            marked[P | t] = 1
+            if not t:
+                break
+            t = (t - 1) & free
+    return marked
+
+
 def _kept_rows(forbidden, v: int, rows) -> list[int]:
     """The backward rows, ascending, that vertex v may take over the prefix
     rows 0..v-1 without completing a forbidden graph through v.
@@ -96,14 +111,7 @@ def _kept_rows(forbidden, v: int, rows) -> list[int]:
                 return False
 
             _extend(rest, [full] * len(rest), F.adj, rows, [-1] * F.n, found)
-    marked = bytearray(1 << v)
-    for S, P in marks:
-        free = t = full & ~S
-        while True:  # every r with r & S == P is P plus a subset of ~S
-            marked[P | t] = 1
-            if not t:
-                break
-            t = (t - 1) & free
+    marked = _marked(marks, v)
     return [r for r in range(1 << v) if not marked[r]]
 
 
@@ -135,51 +143,106 @@ def speed(spec: PropertySpec, n: int) -> SpeedRow:
 # mixed partitions H(r,v) and the colouring number
 
 
+def _pattern(v) -> tuple[int, ...]:
+    """The pattern v as a tuple, refused unless it has 1..MAX_PATTERN_LENGTH
+    entries, each 0 or 1."""
+    v = tuple(v)
+    if not 1 <= len(v) <= MAX_PATTERN_LENGTH:
+        raise DomainError(f"pattern length must be 1..{MAX_PATTERN_LENGTH}")
+    if any(b not in (0, 1) for b in v):
+        raise DomainError("pattern entries must be 0 or 1")
+    return tuple(map(int, v))
+
+
+def _hrv_partitions(rows, v):
+    """Every (len(v), v)-partition of the graph on ``rows``, as one live list
+    of part masks that the caller must not keep: part j a clique iff
+    v[j] = 1 and independent otherwise, empty parts allowed.  Fresh parts
+    with the same pattern bit are interchangeable, so each partition comes
+    once up to relabeling them."""
+    n = len(rows)
+    members = [0] * len(v)
+
+    def bt(u: int):
+        if u == n:
+            yield members
+            return
+        row = rows[u]
+        tried_fresh = set()
+        for j, b in enumerate(v):
+            m = members[j]
+            if not m:
+                if b in tried_fresh:
+                    continue
+                tried_fresh.add(b)
+            elif (row & m != m) if b else row & m:
+                continue
+            members[j] = m | 1 << u
+            yield from bt(u + 1)
+            members[j] = m
+
+    return bt(0)
+
+
 def hrv_member(G: Graph, v):
     """A partition of V(G) into len(v) parts, part j a clique iff v[j] = 1
     and independent otherwise, or None.  Exhaustive backtracking; empty
     parts are allowed.  Returns the part label of each vertex."""
-    v = tuple(v)
-    r = len(v)
-    if not 1 <= r <= MAX_PATTERN_LENGTH:
-        raise DomainError(f"pattern length must be 1..{MAX_PATTERN_LENGTH}")
-    members = [0] * r
+    parts = next(_hrv_partitions(G.adj, _pattern(v)), None)
+    if parts is None:
+        return None
     assign = [-1] * G.n
-
-    def bt(u: int) -> bool:
-        if u == G.n:
-            return True
-        tried_fresh = set()
-        for j in range(r):
-            m = members[j]
-            if m == 0:
-                # fresh parts with the same pattern bit are interchangeable
-                if v[j] in tried_fresh:
-                    continue
-                tried_fresh.add(v[j])
-            elif v[j] == 1:
-                if (G.adj[u] & m) != m:
-                    continue
-            else:
-                if G.adj[u] & m:
-                    continue
-            members[j] |= 1 << u
+    for j, m in enumerate(parts):
+        for u in bits(m):
             assign[u] = j
-            if bt(u + 1):
-                return True
-            members[j] &= ~(1 << u)
-            assign[u] = -1
-        return False
+    return tuple(assign)
 
-    return tuple(assign) if bt(0) else None
+
+def _hrv_extensions(rows, v):
+    """One flag per backward row R of a new vertex k = len(rows), set when
+    joining k by R extends some (r,v)-partition of the graph on ``rows``;
+    None when every R does.
+
+    R extends a partition exactly when the partition has an empty part, R
+    contains one of its clique parts m (R & m == m) or R misses one of its
+    independent parts m (R & m == 0).  Below r vertices the singletons
+    leave a part empty, and the first partition with an empty part ends
+    the search.
+    """
+    if len(v) > len(rows):
+        return None
+    pairs = set()
+    for parts in _hrv_partitions(rows, v):
+        if not all(parts):
+            return None
+        pairs.update((m, m * b) for m, b in zip(parts, v))
+    return _marked(pairs, len(rows))
 
 
 def count_hrv(n: int, r: int, v) -> int:
-    """Exact number of labeled graphs on [n] admitting an (r,v)-partition."""
-    v = tuple(v)
+    """Exact number of labeled graphs on [n] admitting an (r,v)-partition.
+
+    Scans every labeled graph, and reads each one's verdict from a table of
+    its prefix on 0..n-2: ``_hrv_extensions`` of the prefix flags the
+    backward rows of vertex n-1 that extend one of the prefix's partitions,
+    and a graph admits a partition exactly when its last row is flagged.
+    The table is rebuilt whenever the prefix changes, so the verdicts do
+    not depend on the scan order.
+    """
+    v = _pattern(v)
     if len(v) != r:
         raise DomainError("pattern length must equal r")
-    return sum(1 for _ in enumerate_labeled(n, lambda G: hrv_member(G, v) is not None))
+    low = (1 << n - 1) - 1 if n > 0 else 0
+    prefix = table = None
+
+    def extends(G: Graph):
+        nonlocal prefix, table
+        rows = tuple(map(low.__and__, G.adj[:-1]))
+        if rows != prefix:
+            prefix, table = rows, _hrv_extensions(rows, v)
+        return table is None or table[G.adj[-1]]
+
+    return sum(1 for _ in enumerate_labeled(n, extends))
 
 
 @dataclass(frozen=True)

@@ -936,6 +936,23 @@ def test_negative_orders_exit_1_before_enumerating(tmp_path, capsys, monkeypatch
     assert "capped" not in err
 
 
+@pytest.mark.parametrize("eps", ["0", "-3", "3/2"])
+@pytest.mark.parametrize("n_max", ["0", "3"])
+def test_census_eps_outside_the_unit_interval_exits_1_before_enumerating(
+        tmp_path, capsys, monkeypatch, eps, n_max):
+    # --n-max 0 once exited 0 and echoed the bad eps in params
+    def refuse(*args):
+        raise AssertionError("census enumerated before checking --eps")
+
+    monkeypatch.setattr(hptools.hereditary, "grow_rows", refuse)
+    monkeypatch.setattr(hptools.cli, "count_hrv", refuse)
+    spec = write_spec(tmp_path, complete_graph(3))
+    rc, out, err = run(capsys, "census", "--forbidden", spec, "--n-max", n_max,
+                       f"--eps={eps}")
+    assert out == ""
+    assert_one_line_error(rc, err, "eps must lie in (0, 1]")
+
+
 # --- census rows -----------------------------------------------------------------
 
 # (count, hrv_lower, certified_fraction) for n = 1..5; P4-free members mostly

@@ -10,8 +10,8 @@ from hptools import (DomainError, Graph, bits, contains_induced,
                      enumerate_labeled, graph6_decode, graph6_encode,
                      graph_from_edges, induced_subgraph, mask_of, random_graph)
 from hptools.graphs import (IsomorphismClasses, _degree_order, _extend, _pin_plan,
-                            edgelist_decode, greedy_maximal_clique, k_submasks,
-                            max_clique)
+                            edgelist_decode, greedy_maximal_clique, grow_rows,
+                            k_submasks, max_clique)
 
 from conftest import (complement, complete_graph, cycle_graph, edgelist_encode,
                       path_graph)
@@ -224,6 +224,39 @@ def test_trusted_enumerated_graphs_are_valid_graphs(n, degree):
     assert found == naive_enumerate_labeled(n, pred)
 
 
+def kept_rows_of(seed: int, v: int, prefix: tuple) -> list[int]:
+    """An ascending random set of backward rows for vertex v, drawn from the
+    seed, v and the prefix rows 0..v-1."""
+    rng = random.Random(f"{seed}/{v}/{prefix}")
+    return sorted(rng.sample(range(1 << v), rng.randint(0, 1 << v)))
+
+
+def naive_kept(seed: int, n: int) -> list[tuple]:
+    """The rows of the graphs on [n], in ascending edge-bitmask order, whose
+    every vertex v has a backward row in ``kept_rows_of`` of its prefix."""
+    return [G.adj for G in naive_enumerate_labeled(n) if all(
+        G.adj[v] & (1 << v) - 1 in kept_rows_of(
+            seed, v, tuple(row & (1 << v) - 1 for row in G.adj[:v]))
+        for v in range(n))]
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("seed", range(3))
+def test_grow_rows_keeps_what_keep_returns_in_order(n, seed):
+    # keep runs once per prefix that every earlier vertex kept, with vertex
+    # v not yet joined; the rows are the naive order's graphs, filtered
+    calls = []
+
+    def keep(v, rows):
+        assert all(rows[u] >> v == 0 for u in range(v)) and not any(rows[v:])
+        calls.append((v, tuple(rows[:v])))
+        return kept_rows_of(seed, v, tuple(rows[:v]))
+
+    assert [tuple(rows) for rows in grow_rows(n, keep)] == naive_kept(seed, n)
+    assert sorted(calls) == sorted((v, adj) for v in range(n)
+                                   for adj in naive_kept(seed, v))
+
+
 def test_enumeration_cap():
     with pytest.raises(DomainError):
         next(enumerate_labeled(9))
@@ -240,6 +273,17 @@ def test_graph6_roundtrip():
     for n in [0, 1, 5, 20, 62, 63, 64]:
         G = random_graph(n, 0.4, seed=rng.random())
         assert graph6_decode(graph6_encode(G)) == G
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 64), st.floats(0, 1), st.integers(0, 2**32))
+def test_graph6_decode_agrees_with_networkx(n, p, seed):
+    data = graph6_encode(random_graph(n, p, seed=seed))
+    G = graph6_decode(data)
+    assert same_as_checked(G)
+    X = nx.from_graph6_bytes(data)
+    assert G.n == X.number_of_nodes()
+    assert sorted(G.edges()) == sorted((min(e), max(e)) for e in X.edges())
 
 
 def test_graph6_malformed():
