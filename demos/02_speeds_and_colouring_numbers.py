@@ -29,13 +29,12 @@ for name, forb in [("triangle-free", [K(3)]),
           f"(witness pattern v = {chi.witness_v})")
     print("=" * 64)
     patterns = valid_hrv_patterns(spec)
-    print(f"partition classes inside the property: "
-          f"{[(r, v) for r, v in patterns]}")
+    print(f"patterns v with H(len(v), v) inside the property: {patterns}")
     print(f"{'n':>2} {'|P_n|':>10} {'entropy':>9} {'H(r,v) lower':>13} "
           f"{'envelope log2':>22}")
     for n in range(1, 7):
         row = speed(spec, n)
-        lower = max(count_hrv(n, r, v) for r, v in patterns)
+        lower = max(count_hrv(n, v) for v in patterns)
         lo, hi = abt_bounds(n, chi.value, 0.5)
         print(f"{n:>2} {row.count:>10} {row.entropy:>9.4f} {lower:>13} "
               f"[{lo:>8.2f}, {hi:>8.2f}]")

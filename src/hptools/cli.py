@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError
-from .freeness import (MAX_UK_LEVEL, BipGraph, bipgraph_decode,
+from .freeness import (MAX_UK_HOST, MAX_UK_LEVEL, BipGraph, bipgraph_decode,
                        count_nonshattering_attachments, count_uk_free_bipartite,
                        distinguishing_set, extract_clone_classes,
                        max_separated_subset, separated_subset_ceiling)
@@ -205,6 +205,8 @@ def _pieces(data: dict, n: int, r: int, where: str = "") -> tuple[PackingPiece, 
 def packing_from_dict(data: dict) -> tuple[Graph, tuple[int, ...], PackingReport]:
     _schema(data, 1)
     G = graph6_decode(_need(data, "graph6", str))
+    if G.n > MAX_UK_HOST:
+        raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
     r = _need(data, "r", int)
     if r > MAX_VERTICES:
         raise DomainError(f"certificate field 'r' exceeds the "
@@ -249,6 +251,8 @@ def certificate_to_dict(cert: DecompositionCertificate, G: Graph,
 def certificate_from_dict(data: dict) -> tuple[Graph, DecompositionCertificate]:
     _schema(data, 1, 2)
     G = graph6_decode(_need(data, "graph6", str))
+    if G.n > MAX_UK_HOST:
+        raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
     n = _need(data, "n", int)
     if n != G.n:
         raise DomainError(f"certificate field 'n' is {n} but its graph has "
@@ -382,7 +386,7 @@ def cmd_census(args) -> None:
     rows = []
     for n in range(1, args.n_max + 1):
         row = speed(spec, n)
-        lower = max((count_hrv(n, rr, vv) for rr, vv in patterns), default=0)
+        lower = max((count_hrv(n, v) for v in patterns), default=0)
         lo2, hi2 = abt_bounds(n, r, args.eps)
         entry = {
             "n": n,

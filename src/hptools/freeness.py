@@ -61,15 +61,6 @@ class BipGraph:
                 out[b] |= 1 << a
         return tuple(out)
 
-    def to_graph(self) -> Graph:
-        """The host graph on m + n vertices (A first, then B)."""
-        adj = [0] * (self.m + self.n)
-        for a, row in enumerate(self.rows):
-            for b in bits(row):
-                adj[a] |= 1 << (self.m + b)
-                adj[self.m + b] |= 1 << a
-        return Graph(self.m + self.n, tuple(adj))
-
 
 def bipgraph_decode(text: str) -> BipGraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -101,32 +92,19 @@ def random_bipgraph(m: int, n: int, p: float, seed=None) -> BipGraph:
 # U(k) copies
 
 
-def find_uk_copy(G: Graph, k: int, parts: tuple[int, int] | None = None):
-    """First U(k) copy (A, B) in canonical order, or None.
-
-    Whole-graph mode scans every k-subset B of V(G) (ascending mask order)
-    and asks whether the remaining vertices realize all 2^k traces on B.
-    Cross-only mode restricts B to ``parts[1]`` and the realizers to
-    ``parts[0]``.
-    """
+def find_uk_copy(G: Graph, k: int):
+    """First U(k) copy (A, B) in canonical order, or None: scans every
+    k-subset B of V(G) (ascending mask order) and asks whether the
+    remaining vertices realize all 2^k traces on B."""
     if G.n > MAX_UK_HOST:
         raise DomainError(f"exhaustive search capped at {MAX_UK_HOST} vertices")
     if not 1 <= k <= MAX_UK_LEVEL:
         raise DomainError(f"universal level capped at {MAX_UK_LEVEL}")
-    if parts is not None:
-        a_pool, b_pool = parts
-        if a_pool & b_pool:
-            raise DomainError("cross-only parts must be disjoint")
-    else:
-        a_pool = b_pool = G.vertex_mask
-    need = 1 << k
+    need, full = 1 << k, G.vertex_mask
     if G.n < need + k:
         return None
-    for B in k_submasks(b_pool, k):
-        pool = a_pool & ~B
-        if pool.bit_count() < need:
-            continue
-        realizers = first_realizers(G.adj, pool, B, need)
+    for B in k_submasks(full, k):
+        realizers = first_realizers(G.adj, full & ~B, B, need)
         if len(realizers) == need:
             return mask_of(realizers.values()), B
     return None

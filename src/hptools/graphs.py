@@ -110,8 +110,7 @@ class Graph:
         except ``graph6_decode``, which checks the order and the bit vector
         and then makes symmetric rows itself."""
         G = object.__new__(cls)
-        object.__setattr__(G, "n", n)
-        object.__setattr__(G, "adj", adj)
+        G.__dict__.update(n=n, adj=adj)
         return G
 
     @property
@@ -336,7 +335,9 @@ def grow_rows(n: int, keep=None):
 
 def enumerate_labeled(n: int, predicate=None):
     """Stream every labeled graph on [n] passing ``predicate``, ascending edge
-    bitmask."""
+    bitmask: ``predicate`` sees every graph in that order, and under each
+    prefix on 0..n-2 the last vertex's backward row runs 0, 1, ...,
+    2^(n-1) - 1."""
     if not 0 <= n <= MAX_ENUM_VERTICES:
         raise DomainError(f"full enumeration capped at n <= {MAX_ENUM_VERTICES}")
     for rows in grow_rows(n):

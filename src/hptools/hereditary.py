@@ -219,28 +219,25 @@ def _hrv_extensions(rows, v):
     return _marked(pairs, len(rows))
 
 
-def count_hrv(n: int, r: int, v) -> int:
-    """Exact number of labeled graphs on [n] admitting an (r,v)-partition.
+def count_hrv(n: int, v) -> int:
+    """Exact number of labeled graphs on [n] admitting a (len(v), v)-partition.
 
-    Scans every labeled graph, and reads each one's verdict from a table of
-    its prefix on 0..n-2: ``_hrv_extensions`` of the prefix flags the
-    backward rows of vertex n-1 that extend one of the prefix's partitions,
-    and a graph admits a partition exactly when its last row is flagged.
-    The table is rebuilt whenever the prefix changes, so the verdicts do
-    not depend on the scan order.
+    Scans every labeled graph with ``enumerate_labeled``, whose order runs
+    the last vertex's backward row through 0, 1, ... under each prefix on
+    0..n-2.  So a graph whose last row is 0 starts a new prefix, free of
+    vertex n-1: ``_hrv_extensions`` of the prefix flags the rows of n-1
+    that extend one of its partitions, and each graph of the prefix admits
+    a partition exactly when its last row is flagged.
     """
     v = _pattern(v)
-    if len(v) != r:
-        raise DomainError("pattern length must equal r")
-    low = (1 << n - 1) - 1 if n > 0 else 0
-    prefix = table = None
+    table = None
 
     def extends(G: Graph):
-        nonlocal prefix, table
-        rows = tuple(map(low.__and__, G.adj[:-1]))
-        if rows != prefix:
-            prefix, table = rows, _hrv_extensions(rows, v)
-        return table is None or table[G.adj[-1]]
+        nonlocal table
+        row = G.adj[-1] if n else 0  # the empty graph is its own prefix
+        if not row:
+            table = _hrv_extensions(G.adj[:-1], v)
+        return table is None or table[row]
 
     return sum(1 for _ in enumerate_labeled(n, extends))
 
@@ -267,23 +264,22 @@ def colouring_number(spec: PropertySpec, r_max: int = MAX_PATTERN_LENGTH) -> Col
     patterns = valid_hrv_patterns(spec, r_max)
     if not patterns:
         return ColouringNumber(0, False, True, None)
-    value = patterns[-1][0]
-    witness = next(v for r, v in patterns if r == value)
+    value = len(patterns[-1])
+    witness = next(v for v in patterns if len(v) == value)
     return ColouringNumber(value, value >= r_max, False, witness)
 
 
 def valid_hrv_patterns(spec: PropertySpec, r_max: int = MAX_PATTERN_LENGTH):
-    """All (r, v) with H(r,v) inside the property, v up to permutation."""
+    """Every pattern v, up to permutation and by length r = len(v) up to
+    r_max, with H(r,v) inside the property."""
     out = []
     for r in range(1, r_max + 1):
-        any_at_r = False
-        for ones in range(r + 1):
-            v = (1,) * ones + (0,) * (r - ones)
-            if all(hrv_member(F, v) is None for F in spec.forbidden):
-                out.append((r, v))
-                any_at_r = True
-        if not any_at_r:
+        at_r = [v for ones in range(r + 1)
+                for v in [(1,) * ones + (0,) * (r - ones)]
+                if all(hrv_member(F, v) is None for F in spec.forbidden)]
+        if not at_r:
             break  # feasibility is downward closed in r
+        out += at_r
     return out
 
 

@@ -5,7 +5,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
-from hptools import BipGraph, Graph, graph_from_edges
+from hptools import BipGraph, Graph, bits, graph_from_edges
 
 
 def complement(G: Graph) -> Graph:
@@ -17,6 +17,16 @@ def edgelist_encode(G: Graph) -> str:
     lines = [str(G.n)]
     lines += [f"{u} {v}" for u, v in G.edges()]
     return "\n".join(lines) + "\n"
+
+
+def bipgraph_to_graph(bg: BipGraph) -> Graph:
+    """The host graph on m + n vertices (A first, then B)."""
+    adj = [0] * (bg.m + bg.n)
+    for a, row in enumerate(bg.rows):
+        for b in bits(row):
+            adj[a] |= 1 << (bg.m + b)
+            adj[bg.m + b] |= 1 << a
+    return Graph(bg.m + bg.n, tuple(adj))
 
 
 def bipgraph_encode(bg: BipGraph) -> str:

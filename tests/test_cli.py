@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hptools
-from hptools import (PropertySpec, certify_members, colouring_number, decompose,
+from hptools import (DecompositionCertificate, PackingReport, PropertySpec,
+                     certify_members, colouring_number, decompose,
                      enumerate_property, extract_universal_packing,
                      graph6_encode, graph_from_edges, random_graph)
 from hptools.cli import (_rational, build_parser, certificate_from_dict,
@@ -452,6 +453,36 @@ def test_verify_reports_overlapping_layers():
     assert (rc, err) == (0, "")
     assert parse(out)["results"]["valid"] is False
     assert "piece 0: layers overlap" in parse(out)["results"]["problems"]
+
+
+def _above_the_cap():
+    """A 64-vertex packing report and decomposition certificate: sparse, no
+    pieces, and two parts of 32 vertices in the certificate."""
+    G = random_graph(64, 0.02, seed=64)
+    halves = ((1 << 32) - 1, ((1 << 32) - 1) << 32)
+    cert = DecompositionCertificate(
+        n=64, r=2, k=1, exceptional=0, parts=halves, bad_set=0,
+        adjusted_labels=(0,) * 32 + (1,) * 32, adjustment_ok=True,
+        packing=PackingReport((), (), 1, 2), alpha=Fraction(1, 4),
+        eps_out=0.5, budget=8.0, budget_ok=True)
+    return [packing_to_dict(PackingReport((), (G.vertex_mask,), 4, 1), G,
+                            (0,) * 64),
+            certificate_to_dict(cert, G, None)]
+
+
+@pytest.mark.parametrize("data", _above_the_cap(), ids=["packing", "decomposition"])
+def test_verify_refuses_hosts_above_the_packing_cap(monkeypatch, data):
+    # the packing report once ran the maximality search for 16 s and read
+    # valid; the certificate verified with parts of at most 40 vertices
+    def refuse(*args):
+        raise AssertionError("searched a host above the cap")
+
+    for name in ("verify_decomposition", "verify_packing_report",
+                 "verify_packing_maximality"):
+        monkeypatch.setattr(hptools.cli, name, refuse)
+    rc, out, err = verify_text(json.dumps(data))
+    assert out == ""
+    assert_one_line_error(rc, err, "packing capped at 40 vertices")
 
 
 # K3 at r = 2, k = 1, alpha = 1/4: |A| = 2 misses the budget 3^(1/2)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hptools import (ColouringNumber, DomainError, Graph, PropertySpec,
-                     abt_bounds, colouring_number, count_hrv,
+                     abt_bounds, colouring_number, count_hrv, enumerate_labeled,
                      enumerate_property, graph6_encode, graph_from_edges,
                      hrv_member, induced_subgraph, load_property, mask_of,
                      random_graph, speed, valid_hrv_patterns)
@@ -231,65 +231,68 @@ def test_hrv_monotone_under_induced_subgraphs():
 
 
 def test_count_hrv_examples():
-    assert count_hrv(2, 1, (0,)) == 1
-    assert count_hrv(2, 2, (0, 0)) == 2
-    assert count_hrv(3, 2, (0, 0)) == 7
+    assert count_hrv(0, (0,)) == 1
+    assert count_hrv(0, (1, 0)) == 1
+    assert count_hrv(1, (1,)) == 1
+    assert count_hrv(1, (0, 1, 1)) == 1
+    assert count_hrv(2, (0,)) == 1
+    assert count_hrv(2, (0, 0)) == 2
+    assert count_hrv(3, (0, 0)) == 7
 
 
 @pytest.mark.parametrize("v", [v for r in (1, 2, 3, 4) for v in product((0, 1), repeat=r)])
 def test_count_hrv_matches_brute_force(v):
     # every pattern, from n = 0 and n < r up to n = 5 (n = 4 at r = 4)
     for n in range(6 if len(v) <= 3 else 5):
-        assert count_hrv(n, len(v), v) == sum(
+        assert count_hrv(n, v) == sum(
             brute_hrv(G, v) for G in every_labeled_graph(n)), n
 
 
 def test_count_hrv_counts_labeled_bipartite_graphs():
     # OEIS A047864: labeled bipartite graphs on n nodes
-    assert [count_hrv(n, 2, (0, 0)) for n in range(8)] == [
+    assert [count_hrv(n, (0, 0)) for n in range(8)] == [
         1, 1, 2, 7, 41, 376, 5177, 103237]
 
 
 @pytest.mark.parametrize("v", [v for r in (1, 2, 3) for v in product((0, 1), repeat=r)])
 def test_count_hrv_accepts_each_graph_by_its_own_verdict(monkeypatch, v):
-    # graph by graph, not only in total, and in shuffled order: each
-    # prefix's table is rebuilt when the prefix changes, which in this
-    # order is at almost every graph
-    graphs = list(every_labeled_graph(5))
-    random.Random(str(v)).shuffle(graphs)
-    accepted = []
+    # graph by graph, not only in total, in the scan's own order: every
+    # graph is read from the table built at its prefix's first graph
+    scanned, accepted = [], []
 
     def scan(n, predicate):
-        for G in graphs:
+        for G in enumerate_labeled(n):
+            scanned.append(G)
             if predicate(G):
                 accepted.append(G)
                 yield G
 
     monkeypatch.setattr(hereditary, "enumerate_labeled", scan)
-    assert count_hrv(5, len(v), v) == len(accepted)
-    assert accepted == [G for G in graphs if brute_hrv(G, v)]
+    assert count_hrv(5, v) == len(accepted)
+    assert len(scanned) == 1 << 10
+    assert accepted == [G for G in scanned if brute_hrv(G, v)]
 
 
-@pytest.mark.parametrize("r, v, needle", [
+@pytest.mark.parametrize("n, v, needle", [
     (1, (2,), "entries must be 0 or 1"),
     (2, (0, -1), "entries must be 0 or 1"),
     (1, (0.5,), "entries must be 0 or 1"),
     (1, ("1",), "entries must be 0 or 1"),
     (0, (), r"length must be 1\.\.8"),
     (9, (0,) * 9, r"length must be 1\.\.8"),
-    (3, (0, 1), "length must equal r"),
 ])
-def test_bad_patterns_are_refused_before_scanning(monkeypatch, r, v, needle):
-    # (2,) once read as (0,) here, and a truthiness test would read it as (1,)
+def test_bad_patterns_are_refused_before_scanning(monkeypatch, n, v, needle):
+    # (2,) once read as (0,) here, and a truthiness test would read it as (1,);
+    # the pattern is checked first at every order, 0 and 9 (past the
+    # enumeration cap) included
     def refuse(*args):
         raise AssertionError("scanned before checking the pattern")
 
     monkeypatch.setattr(hereditary, "enumerate_labeled", refuse)
     with pytest.raises(DomainError, match=needle):
-        count_hrv(3, r, v)
-    if needle != "length must equal r":
-        with pytest.raises(DomainError, match=needle):
-            hrv_member(complete_graph(3), v)
+        count_hrv(n, v)
+    with pytest.raises(DomainError, match=needle):
+        hrv_member(complete_graph(3), v)
 
 
 # --- colouring number ------------------------------------------------------------
@@ -344,7 +347,7 @@ def test_observation8_finite_inequality(k3, c4):
     for spec in (spec_of(k3), spec_of(c4)):
         patterns = valid_hrv_patterns(spec)
         for n in range(1, 5):
-            lower = max(count_hrv(n, r, v) for r, v in patterns)
+            lower = max(count_hrv(n, v) for v in patterns)
             assert speed(spec, n).count >= lower
 
 
