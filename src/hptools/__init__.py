@@ -26,9 +26,9 @@ from .freeness import (BipGraph, BlockTraceReport, DistinguishingSet,
                        trace_count_check)
 from .regularity import (is_epsilon_regular, is_grey, min_intra_edges_parts,
                          pair_density, toy_bbs_parts, toy_szemeredi_partition)
-from .structure import (AdjustmentReport, DecompositionCertificate,
-                        PackingPiece, PackingReport, alpha_adjust,
-                        certify_members, decompose, decomposition_failures,
-                        default_parts, extract_universal_packing, max_bad_set,
+from .structure import (DecompositionCertificate, PackingPiece, PackingReport,
+                        alpha_adjust, certify_members, decompose,
+                        decomposition_failures, default_parts,
+                        extract_universal_packing, max_bad_set,
                         verify_decomposition, verify_packing_maximality,
                         verify_packing_report)

@@ -241,7 +241,7 @@ def certificate_to_dict(cert: DecompositionCertificate, G: Graph,
             "hint_parts": list(hint_parts) if hint_parts is not None else None,
             "adjusted_labels": list(cert.adjusted_labels),
             "adjustment_ok": cert.adjustment_ok,
-            "packing": {"pieces": _pieces_to_list(cert.packing.pieces)},
+            "packing": {"pieces": _pieces_to_list(cert.pieces)},
         },
         "budget": cert.budget,
         "budget_ok": cert.budget_ok,
@@ -264,9 +264,7 @@ def certificate_from_dict(data: dict) -> tuple[Graph, DecompositionCertificate]:
         raise DomainError(f"certificate lists {len(parts)} parts but r = {r}")
     prov = _need(data, "provenance", dict)
     at = "provenance."
-    packing = PackingReport(
-        _pieces(_need(prov, "packing", dict, at), n, r, at + "packing."),
-        (), k, r)
+    pieces = _pieces(_need(prov, "packing", dict, at), n, r, at + "packing.")
     cert = DecompositionCertificate(
         n=n, r=r, k=k,
         exceptional=mask_of(_int_list(data, "A", 0, n)),
@@ -274,7 +272,7 @@ def certificate_from_dict(data: dict) -> tuple[Graph, DecompositionCertificate]:
         bad_set=mask_of(_int_list(prov, "bad_set", 0, n, at)),
         adjusted_labels=tuple(_int_list(prov, "adjusted_labels", 0, r, at)),
         adjustment_ok=_need(prov, "adjustment_ok", bool, at),
-        packing=packing, alpha=_alpha(prov, at),
+        pieces=pieces, alpha=_alpha(prov, at),
         eps_out=_number(prov, "eps_out", at),
         budget=_number(data, "budget"),
         budget_ok=_need(data, "budget_ok", bool))
@@ -309,7 +307,7 @@ def _log2_str(x: float) -> str:
 
 
 def cmd_construct(args) -> None:
-    if args.r is None:
+    if args.r is None and args.v is None:
         uni = construct_universal(args.k)
         w = shatters(uni.graph, uni.A, uni.B)
         results = {
@@ -323,7 +321,10 @@ def cmd_construct(args) -> None:
             pattern = args.v.replace(",", "")
             if not set(pattern) <= set("01"):
                 raise DomainError(f"--v is {args.v!r}, not a pattern of 0s and 1s")
-            lay = construct_universal_star(args.r, args.k, tuple(map(int, pattern)))
+            v = tuple(map(int, pattern))
+            # a pattern alone fixes the number of layers
+            lay = construct_universal_star(len(v) if args.r is None else args.r,
+                                           args.k, v)
         else:
             lay = construct_generalized_universal(args.r, args.k)
         results = {
@@ -412,7 +413,8 @@ def cmd_count_free(args) -> None:
 
 
 def cmd_count_attach(args) -> None:
-    exact, printed, corrected = count_nonshattering_attachments(args.a, args.n)
+    exact, printed, corrected = count_nonshattering_attachments(
+        _level(args.a, "--a"), args.n)
     emit(args, {"exact": str(exact), "printed_bound": str(printed),
                 "corrected_bound": str(corrected)})
 

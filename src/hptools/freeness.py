@@ -128,8 +128,8 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     adds no trace and no column splits it from its twin.  Containment is
     hereditary and the spare flags depend on m and n alone, so a value that
     completes a shattered k-set is cut with its subtree, checked only on the
-    k-sets it touches.  Whole mode being symmetric, it enumerates the side
-    with fewer row multisets: C(2^n + m - 1, m) or C(2^m + n - 1, n).
+    k-sets it touches.  Whole mode being symmetric, it swaps the sides when
+    n > m, so that the rows take at most 2^min(m, n) values.
     """
     if mode not in ("whole", "cross"):
         raise DomainError("mode must be 'whole' or 'cross'")
@@ -144,7 +144,7 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     a_live = whole and k <= m and n >= (1 << k) - (m > k)  # columns enough for A
     if not (b_live or a_live):
         return 1 << (m * n)
-    if whole and comb((1 << n) + m - 1, m) > comb((1 << m) + n - 1, n):
+    if whole and n > m:
         m, n, a_live = n, m, b_live
     values, w, ones = 1 << n, 1 << k, (1 << (1 << k)) - 1
     full = (1 << values) - 1  # masks over the 2^n row values
@@ -202,7 +202,6 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
 
 @dataclass(frozen=True)
 class BlockTraceReport:
-    block: int
     size: int
     trace_count: int
     sauer_ceiling: int
@@ -235,7 +234,7 @@ def trace_count_check(bg: BipGraph, blocks, k: int):
     out = []
     for blk in blocks:
         size = blk.bit_count()
-        out.append(BlockTraceReport(blk, size, len({row & blk for row in bg.rows}),
+        out.append(BlockTraceReport(size, len({row & blk for row in bg.rows}),
                                     sauer_bound(size, k), k * comb(size, k - 1)))
     return out
 
@@ -249,9 +248,12 @@ def count_nonshattering_attachments(a: int, n: int) -> tuple[int, int, int]:
     no subset of B shatters A, together with two ceilings: the printed
     (2^a - 1)^n, which undercounts by the choice of missing trace, and the
     corrected 2^a * (2^a - 1)^n.  Only the corrected one is an upper bound
-    at every scale (a=1, n=2 already has exact count 2 > 1)."""
-    if not (1 <= a <= 3 and 1 <= n <= 6):
-        raise DomainError("caps: 1 <= a <= 3 and 1 <= n <= 6")
+    at every scale (a=1, n=2 already has exact count 2 > 1).  The caps are
+    those of the count it makes: 1 <= a <= ``MAX_UK_LEVEL``, n >= 0 and
+    a*n <= ``MAX_COUNT_CELLS``."""
+    if n < 0 or a * n > MAX_COUNT_CELLS:
+        raise DomainError(f"need n >= 0 and a*n <= {MAX_COUNT_CELLS}; "
+                          f"got a = {a}, n = {n}")
     # B shatters A when its rows realize every trace on A: a cross U(a) copy
     count = count_uk_free_bipartite(n, a, a, "cross")
     printed = (2 ** a - 1) ** n
@@ -262,7 +264,6 @@ def count_nonshattering_attachments(a: int, n: int) -> tuple[int, int, int]:
 @dataclass(frozen=True)
 class SparseCount:
     count: int
-    bound_log2: float
     bound: float
 
 
@@ -276,8 +277,7 @@ def count_sparse_bipartite(n: int, delta: float) -> SparseCount:
     limit = int(d * d * n * n)  # floor; edge counts are integers
     cells = n * n
     count = sum(comb(cells, j) for j in range(min(limit, cells) + 1))
-    bound_log2 = float(d * n * n)
-    return SparseCount(count, bound_log2, 2.0 ** bound_log2)
+    return SparseCount(count, 2.0 ** float(d * n * n))
 
 
 # ---------------------------------------------------------------------------

@@ -117,12 +117,6 @@ class Graph:
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.adj) // 2
 
@@ -368,19 +362,14 @@ def graph6_encode(G: Graph) -> bytes:
         head = bytes([n + 63])
     else:
         head = bytes([126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)])
-    bitstream = []
-    for v in range(n):
-        for u in range(v):
-            bitstream.append(G.adj[v] >> u & 1)
-    while len(bitstream) % 6:
-        bitstream.append(0)
-    data = bytearray()
-    for i in range(0, len(bitstream), 6):
-        val = 0
-        for b in bitstream[i:i + 6]:
-            val = val << 1 | b
-        data.append(val + 63)
-    return head + bytes(data)
+    m = n * (n - 1) // 2
+    x = start = 0
+    for v in range(1, n):
+        x |= (G.adj[v] & (1 << v) - 1) << start  # edges (u, v), u < v
+        start += v
+    # bit k of x is bit k of the bit vector, which is written first bit first
+    stream = format(x, f"0{m}b")[::-1][:m].ljust((m + 5) // 6 * 6, "0")
+    return head + bytes(int(stream[i:i + 6], 2) + 63 for i in range(0, len(stream), 6))
 
 
 def graph6_decode(data: bytes | str) -> Graph:

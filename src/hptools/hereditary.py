@@ -134,7 +134,7 @@ def enumerate_property(spec: PropertySpec, n: int):
 
 
 def speed(spec: PropertySpec, n: int) -> SpeedRow:
-    """Exact |P_n| by filtered enumeration (pruned DFS fast path)."""
+    """Exact |P_n| by filtered enumeration."""
     count = sum(1 for _ in enumerate_property(spec, n))
     return SpeedRow(n, count, _entropy(n, count))
 

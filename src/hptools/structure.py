@@ -8,7 +8,7 @@ every part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations, product
 from operator import or_
@@ -56,36 +56,22 @@ def _clone_part(adj, pmasks, bad, cutoff: int, v: int) -> int:
                       "(the bad set is not maximal)")
 
 
-@dataclass
-class AdjustmentReport:
-    labels: tuple[int, ...]
-    sym_diffs: tuple[int, ...]
-    is_adjustment: bool
-    issues: list[str] = field(default_factory=list)
-
-
 def alpha_adjust(G: Graph, parts, B: int, alpha,
-                 r: int | None = None) -> AdjustmentReport:
-    """Move every vertex to the first part where it clones a bad vertex
-    (clone threshold 2*alpha, matching a maximal (2 alpha)-bad B), then
-    report whether the result is an alpha-adjustment: every part moved by
-    at most alpha*n (diagnosed, never asserted).  That bound also makes
+                 r: int | None = None) -> tuple[tuple[int, ...], bool]:
+    """(labels, ok): move every vertex to the first part where it clones a
+    bad vertex (clone threshold 2*alpha, matching a maximal (2 alpha)-bad
+    B), and say whether the result is an alpha-adjustment: every part moved
+    by at most alpha*n (diagnosed, never asserted).  That bound also makes
     each vertex a (3 alpha)-clone of B in its new part S'_j, unchecked: it
     lies within floor(2 alpha n) of some b in B inside its old part S_j,
     and |S_j ^ S'_j| <= floor(alpha n)."""
-    parts = tuple(parts)
-    if r is None:
-        r = max(parts) + 1 if parts else 0
-    n = G.n
-    old_masks = part_masks(parts, r)
+    old_masks = part_masks(tuple(parts), r)
     bad = list(bits(B))
-    budget, cutoff2 = _cutoffs(alpha, n)
-    labels = tuple(_clone_part(G.adj, old_masks, bad, cutoff2, v) for v in range(n))
-    new_masks = part_masks(labels, r)
-    sym = tuple((old_masks[j] ^ new_masks[j]).bit_count() for j in range(r))
-    issues = [f"part {j} moved by {sym[j]} > alpha*n = {budget}"
-              for j in range(r) if sym[j] > budget]
-    return AdjustmentReport(labels, sym, not issues, issues)
+    budget, cutoff2 = _cutoffs(alpha, G.n)
+    labels = tuple(_clone_part(G.adj, old_masks, bad, cutoff2, v) for v in range(G.n))
+    new_masks = part_masks(labels, len(old_masks))
+    return labels, all((S ^ T).bit_count() <= budget
+                       for S, T in zip(old_masks, new_masks))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +266,7 @@ class DecompositionCertificate:
     bad_set: int
     adjusted_labels: tuple[int, ...]
     adjustment_ok: bool
-    packing: PackingReport
+    pieces: tuple[PackingPiece, ...]   # the universal packing
     alpha: Fraction
     eps_out: float
     budget: float
@@ -336,14 +322,14 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
     if any(not 0 <= j < r for j in parts):
         raise DomainError("parts hint uses a label outside 0..r-1")
     bad = max_bad_set(G, parts, 2 * alpha, r)
-    adj = alpha_adjust(G, parts, bad, alpha, r)
-    packing = extract_universal_packing(G, adj.labels, k, r)
+    labels, adjustment_ok = alpha_adjust(G, parts, bad, alpha, r)
+    packing = extract_universal_packing(G, labels, k, r)
     A = bad | packing.packed_mask()
     return DecompositionCertificate(
         n=G.n, r=r, k=k, exceptional=A,
         parts=tuple(S & ~bad for S in packing.residual),
-        bad_set=bad, adjusted_labels=adj.labels,
-        adjustment_ok=adj.is_adjustment, packing=packing,
+        bad_set=bad, adjusted_labels=labels,
+        adjustment_ok=adjustment_ok, pieces=packing.pieces,
         alpha=alpha, eps_out=float(eps_out), budget=budget,
         budget_ok=A.bit_count() <= budget)
 

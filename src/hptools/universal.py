@@ -88,7 +88,6 @@ class BipartiteUniversal:
     graph: Graph
     A: int
     B: int
-    k: int
 
 
 def construct_universal(k: int) -> BipartiteUniversal:
@@ -107,7 +106,7 @@ def construct_universal(k: int) -> BipartiteUniversal:
                 adj[b] |= 1 << a
     A = (1 << na) - 1
     B = ((1 << n) - 1) ^ A
-    return BipartiteUniversal(Graph(n, tuple(adj)), A, B, k)
+    return BipartiteUniversal(Graph(n, tuple(adj)), A, B)
 
 
 @dataclass(frozen=True)
@@ -118,12 +117,6 @@ class LayeredUniversal:
 
     graph: Graph
     layers: tuple[int, ...]
-    k: int
-    v: tuple[int, ...] | None = None
-
-    @property
-    def r(self) -> int:
-        return len(self.layers)
 
 
 def universal_layer_sizes(r: int, k: int) -> list[int]:
@@ -164,7 +157,7 @@ def _build_layered(r: int, k: int, v: tuple[int, ...] | None) -> LayeredUniversa
                     adj[y] |= 1 << x
         prefix_vertices.extend(range(offset, offset + size))
         offset += size
-    return LayeredUniversal(Graph(n, tuple(adj)), tuple(layers), k, v)
+    return LayeredUniversal(Graph(n, tuple(adj)), tuple(layers))
 
 
 def construct_generalized_universal(r: int, k: int) -> LayeredUniversal:

@@ -135,13 +135,17 @@ def nx_induced_copies(G: Graph, H: Graph) -> set:
 
 
 def naive_uk_copy(G: Graph, k: int, parts=None) -> bool:
-    """Scan every disjoint pair (A, B) with |B| = k, |A| = 2^k directly."""
+    """Scan every disjoint pair (A, B) with |B| = k, |A| = 2^k directly.  A
+    B whose pool leaves fewer than 2^k distinct traces on it is skipped, as
+    no A drawn from that pool can realize them all."""
     verts = range(G.n)
     b_pool = verts if parts is None else list(bits(parts[1]))
     for B in combinations(b_pool, k):
         Bmask = mask_of(B)
         a_pool = [v for v in (verts if parts is None else bits(parts[0]))
                   if not Bmask >> v & 1]
+        if len({G.adj[a] & Bmask for a in a_pool}) < 1 << k:
+            continue
         for A in combinations(a_pool, 1 << k):
             traces = {G.adj[a] & Bmask for a in A}
             if len(traces) == 1 << k:
@@ -443,7 +447,7 @@ def naive_clone_index(G: Graph, parts, B: int, alpha, v: int, r: int):
     at most floor(alpha n) vertices of part j are adjacent to exactly one
     of v and b.  None when v clones no b in any part."""
     cutoff = int(Fraction(alpha) * G.n)
-    nbrs = [{u for u in range(G.n) if G.has_edge(w, u)} for w in range(G.n)]
+    nbrs = [{u for u in range(G.n) if G.adj[w] >> u & 1} for w in range(G.n)]
     for j in range(r):
         part = {u for u in range(G.n) if parts[u] == j}
         if any(len((nbrs[v] ^ nbrs[b]) & part) <= cutoff

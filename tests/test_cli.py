@@ -27,7 +27,7 @@ from hptools.cli import (_rational, build_parser, certificate_from_dict,
 from hptools.freeness import BipGraph, planted_clone_instance, random_bipgraph
 
 from conftest import bipgraph_encode, complete_graph, edgelist_encode, path_graph
-from oracles import labeled_certified_fraction
+from oracles import labeled_certified_fraction, nonshattering_by_inclusion_exclusion
 
 
 def run(capsys, *argv):
@@ -98,11 +98,27 @@ def test_construct_star(capsys):
     assert parse(out)["results"]["layer_sizes"] == [1, 2, 8]
 
 
+def test_construct_pattern_alone_fixes_r(capsys):
+    _, with_r, _ = run(capsys, "construct", "--k", "1", "--r", "3", "--v", "010")
+    rc, out, _ = run(capsys, "construct", "--k", "1", "--v", "010")
+    assert rc == 0
+    assert parse(out)["results"] == parse(with_r)["results"]
+
+
 def test_count_attach_subcommand(capsys):
     rc, out, _ = run(capsys, "count-attach", "--a", "1", "--n", "2")
     assert rc == 0
     res = parse(out)["results"]
     assert res["exact"] == "2" and res["printed_bound"] == "1"
+
+
+@pytest.mark.parametrize("a,n", [(4, 6), (2, 0), (2, 12), (1, 25)])
+def test_count_attach_runs_under_the_count_caps(capsys, a, n):
+    # 1 <= a <= 4, n >= 0 and a*n <= 25, as for count-free
+    rc, out, _ = run(capsys, "count-attach", "--a", str(a), "--n", str(n))
+    assert rc == 0
+    assert parse(out)["results"]["exact"] == str(
+        nonshattering_by_inclusion_exclusion(a, n))
 
 
 def test_separated_subcommand(tmp_path, capsys):
@@ -463,7 +479,7 @@ def _above_the_cap():
     cert = DecompositionCertificate(
         n=64, r=2, k=1, exceptional=0, parts=halves, bad_set=0,
         adjusted_labels=(0,) * 32 + (1,) * 32, adjustment_ok=True,
-        packing=PackingReport((), (), 1, 2), alpha=Fraction(1, 4),
+        pieces=(), alpha=Fraction(1, 4),
         eps_out=0.5, budget=8.0, budget_ok=True)
     return [packing_to_dict(PackingReport((), (G.vertex_mask,), 4, 1), G,
                             (0,) * 64),
@@ -618,10 +634,10 @@ def test_pack_parts_must_match_graph(tmp_path, capsys):
      "sides must be non-negative; got m = 3, n = -1"),
     (["count-free", "--m", "2", "--n", "2", "--k", "0"], "--k must lie in 1..4"),
     (["count-free", "--m", "2", "--n", "2", "--k", "5"], "--k must lie in 1..4"),
-    (["count-attach", "--a", "0", "--n", "2"], "caps: 1 <= a <= 3 and 1 <= n <= 6"),
-    (["count-attach", "--a", "4", "--n", "2"], "caps: 1 <= a <= 3 and 1 <= n <= 6"),
-    (["count-attach", "--a", "2", "--n", "0"], "caps: 1 <= a <= 3 and 1 <= n <= 6"),
-    (["count-attach", "--a", "2", "--n", "7"], "caps: 1 <= a <= 3 and 1 <= n <= 6"),
+    (["count-attach", "--a", "0", "--n", "2"], "--a must lie in 1..4"),
+    (["count-attach", "--a", "5", "--n", "2"], "--a must lie in 1..4"),
+    (["count-attach", "--a", "2", "--n", "-1"], "need n >= 0 and a*n <= 25"),
+    (["count-attach", "--a", "2", "--n", "13"], "need n >= 0 and a*n <= 25"),
 ])
 def test_malformed_list_options_exit_1(tmp_path, capsys, argv, needle):
     gpath = tmp_path / "g.g6"

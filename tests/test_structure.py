@@ -158,7 +158,7 @@ def test_clone_index_self():
     G = random_graph(6, 0.5, seed=4)
     for parts in ((0, 0, 0, 1, 1, 1), (1, 0, 1, 0, 1, 0)):
         for alpha in (Fraction(1, 24), Fraction(1, 12), Fraction(1, 3)):
-            assert alpha_adjust(G, parts, G.vertex_mask, alpha).labels == (0,) * 6
+            assert alpha_adjust(G, parts, G.vertex_mask, alpha)[0] == (0,) * 6
 
 
 def test_clone_index_planted_part():
@@ -169,8 +169,8 @@ def test_clone_index_planted_part():
     # clone cutoff floor(2 alpha n) = 0: within part 0, 5 differs from 0 on
     # {1,2} and from 1..4 on 0; within part 1 it equals 0.  Vertices 0..4
     # are their own clones in part 0.
-    rep = alpha_adjust(G, parts, 0b011111, Fraction(1, 24))
-    assert rep.labels == (0, 0, 0, 0, 0, 1)
+    labels, _ = alpha_adjust(G, parts, 0b011111, Fraction(1, 24))
+    assert labels == (0, 0, 0, 0, 0, 1)
 
 
 def test_clone_index_error_when_not_maximal():
@@ -197,9 +197,9 @@ def test_alpha_adjust_identity_when_settled():
     G = graph_from_edges(4, [])
     parts = (0, 0, 1, 1)
     B = max_bad_set(G, parts, Fraction(1, 2))
-    rep = alpha_adjust(G, parts, B, Fraction(1, 4))
+    labels, _ = alpha_adjust(G, parts, B, Fraction(1, 4))
     # every vertex clones B everywhere; first part wins for all
-    assert rep.labels == (0, 0, 0, 0)
+    assert labels == (0, 0, 0, 0)
 
 
 @given(partitioned_graphs(12, 3), st.booleans(), st.integers(0, (1 << 12) - 1),
@@ -216,7 +216,7 @@ def test_alpha_adjust_labels_are_clone_indices(graph_parts, maximal, B, alpha):
     if None in want:  # the first vertex without a clone is named
         want = (f"DomainError: vertex {want.index(None)} has no clone in B within "
                 "any part (the bad set is not maximal)")
-    assert outcome(lambda: alpha_adjust(G, parts, B, alpha, r).labels) == want
+    assert outcome(lambda: alpha_adjust(G, parts, B, alpha, r)[0]) == want
 
 
 @given(partitioned_graphs(16, 4),
@@ -229,17 +229,16 @@ def test_alpha_adjust_budget_implies_3alpha_clones(graph_parts, alpha):
     G, parts = graph_parts
     r = max(parts) + 1
     B = max_bad_set(G, parts, 2 * Fraction(alpha), r)
-    rep = alpha_adjust(G, parts, B, alpha, r)
+    labels, ok = alpha_adjust(G, parts, B, alpha, r)
     n = G.n
     a = Fraction(alpha)
     old = [{v for v in range(n) if parts[v] == j} for j in range(r)]
-    new = [{v for v in range(n) if rep.labels[v] == j} for j in range(r)]
-    assert rep.is_adjustment == all(len(old[j] ^ new[j]) <= int(a * n)
-                                    for j in range(r))
-    if rep.is_adjustment:
+    new = [{v for v in range(n) if labels[v] == j} for j in range(r)]
+    assert ok == all(len(old[j] ^ new[j]) <= int(a * n) for j in range(r))
+    if ok:
         for j in range(r):
             for v in new[j]:
-                assert any(sum(G.has_edge(v, u) != G.has_edge(b, u)
+                assert any(sum(G.adj[v] >> u & 1 != G.adj[b] >> u & 1
                                for u in new[j]) <= int(3 * a * n)
                            for b in bits(B))
 
@@ -251,10 +250,9 @@ def test_alpha_adjust_moves_single_misplaced_vertex():
     edges += [(8, u) for u in (5, 6, 7)] + [(9, u) for u in (5, 6, 7)]
     G = graph_from_edges(10, edges)
     parts = tuple([0] * 8 + [1] * 2)
-    rep = alpha_adjust(G, parts, 0b1, Fraction(1, 10))
-    assert rep.is_adjustment
-    assert rep.labels == (0, 0, 0, 0, 1, 0, 0, 0, 1, 1)  # only vertex 4 moved
-    assert rep.sym_diffs == (1, 1)
+    labels, ok = alpha_adjust(G, parts, 0b1, Fraction(1, 10))
+    assert ok  # each part moved by 1 <= floor(alpha n) = 1
+    assert labels == (0, 0, 0, 0, 1, 0, 0, 0, 1, 1)  # only vertex 4 moved
 
 
 def test_alpha_adjust_diagnoses_violation():
@@ -263,9 +261,10 @@ def test_alpha_adjust_diagnoses_violation():
     edges += [(u, 8) for u in (1, 2, 3)]
     G = graph_from_edges(10, edges)
     parts = tuple([0] * 8 + [1] * 2)
-    rep = alpha_adjust(G, parts, 0b1, Fraction(1, 10))
-    assert not rep.is_adjustment
-    assert any("alpha*n" in msg for msg in rep.issues)
+    labels, ok = alpha_adjust(G, parts, 0b1, Fraction(1, 10))
+    assert not ok
+    # part 0 loses 1..7 and gains 9: it moves by 8 > floor(alpha n) = 1
+    assert labels == (0, 1, 1, 1, 1, 1, 1, 1, 1, 0)
 
 
 # --- packing ----------------------------------------------------------------------
@@ -441,7 +440,7 @@ def test_decompose_bipartite_hint_k1():
     hint = tuple([0] * 8 + [1] * 3)
     cert = decompose(G, 2, 1, Fraction(3, 22), parts_hint=hint)
     assert cert.adjusted_labels == hint and cert.adjustment_ok
-    assert cert.packing.pieces == ()  # edgeless parts pack nothing
+    assert cert.pieces == ()  # edgeless parts pack nothing
     assert cert.exceptional == cert.bad_set == 0b1
     assert verify_decomposition(G, cert)
 
@@ -453,7 +452,7 @@ def test_decompose_planted_copy_lands_in_A():
     G = graph_from_edges(8, edges)
     hint = (0, 0, 0, 0, 1, 1, 1, 1)
     cert = decompose(G, 2, 1, Fraction(1, 8), parts_hint=hint)
-    packed = cert.packing.packed_mask()
+    packed = mask_of(v for p in cert.pieces for v in bits(p.vertices))
     assert packed & 0b0111  # the planted copy's vertices were packed
     assert packed & cert.exceptional == packed
     assert verify_decomposition(G, cert)
