@@ -10,9 +10,9 @@ import json
 from fractions import Fraction
 
 from hptools import (PropertySpec, bits, certify_members, decompose,
-                     extract_universal_packing, graph_from_edges, random_graph,
-                     verify_decomposition, verify_packing_maximality,
-                     verify_packing_report)
+                     extract_universal_packing, graph_from_edges,
+                     provenance_failures, random_graph, verify_decomposition,
+                     verify_packing_maximality, verify_packing_report)
 from hptools.cli import certificate_to_dict
 from hptools.hereditary import enumerate_property
 
@@ -40,10 +40,12 @@ print(f"exceptional A = B + packed = {sorted(bits(cert.exceptional))} "
       f"(|A| = {cert.exceptional.bit_count()}, budget n^(1-eps) = "
       f"{cert.budget:.2f}, within: {cert.budget_ok})")
 print(f"parts after removal: {[sorted(bits(m)) for m in cert.parts]}")
-print(f"re-verified (partition + U(k)-free parts): "
-      f"{verify_decomposition(G, cert)}")
+print(f"re-verified (A, parts and budget from the provenance, U(k)-free "
+      f"parts): {verify_decomposition(G, cert)}")
+print(f"provenance re-checked (bad set far apart, adjustment replayed, "
+      f"pieces a packing): {provenance_failures(G, cert) or 'clean'}")
 print("\ncertificate as JSON (truncated):")
-print(json.dumps(certificate_to_dict(cert, G, parts), sort_keys=True)[:240], "...")
+print(json.dumps(certificate_to_dict(cert, G), sort_keys=True)[:240], "...")
 
 print()
 print("=" * 64)

@@ -30,5 +30,5 @@ from .structure import (DecompositionCertificate, PackingPiece, PackingReport,
                         alpha_adjust, certify_members, decompose,
                         decomposition_failures, default_parts,
                         extract_universal_packing, max_bad_set,
-                        verify_decomposition, verify_packing_maximality,
-                        verify_packing_report)
+                        provenance_failures, verify_decomposition,
+                        verify_packing_maximality, verify_packing_report)

@@ -30,8 +30,10 @@ from .hereditary import (abt_bounds, colouring_number, count_hrv,
                          valid_hrv_patterns)
 from .structure import (DecompositionCertificate, PackingPiece, PackingReport,
                         _budget, certify_members, decompose,
-                        extract_universal_packing, verify_decomposition,
-                        verify_packing_maximality, verify_packing_report)
+                        decomposition_failures, default_parts,
+                        extract_universal_packing, provenance_failures,
+                        verify_decomposition, verify_packing_maximality,
+                        verify_packing_report)
 from .universal import (construct_generalized_universal, construct_universal,
                         construct_universal_star, shatters)
 
@@ -167,6 +169,24 @@ def _int_list(data: dict, key: str, lo: int, hi: int, where: str = "") -> list[i
     return _ints(_need(data, key, list, where), lo, hi, where + key)
 
 
+def _labels(data: dict, key: str, n: int, r: int,
+            where: str = "") -> tuple[int, ...]:
+    """A part label in 0..r-1 for each of the n vertices."""
+    labels = tuple(_int_list(data, key, 0, r, where))
+    if len(labels) != n:
+        raise DomainError(f"certificate field {where + key!r} labels "
+                          f"{len(labels)} vertices but its graph has {n}")
+    return labels
+
+
+def _part_count(data: dict) -> int:
+    r = _need(data, "r", int)
+    if r > MAX_VERTICES:
+        raise DomainError(f"certificate field 'r' exceeds the "
+                          f"{MAX_VERTICES}-part cap")
+    return r
+
+
 def _vertex_sets(data: dict, key: str, n: int, where: str = "") -> tuple[int, ...]:
     """A list of vertex lists over 0..n-1, as masks."""
     return tuple(mask_of(_ints(s, 0, n, f"{where}{key}[{i}]"))
@@ -207,14 +227,8 @@ def packing_from_dict(data: dict) -> tuple[Graph, tuple[int, ...], PackingReport
     G = graph6_decode(_need(data, "graph6", str))
     if G.n > MAX_UK_HOST:
         raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
-    r = _need(data, "r", int)
-    if r > MAX_VERTICES:
-        raise DomainError(f"certificate field 'r' exceeds the "
-                          f"{MAX_VERTICES}-part cap")
-    parts = tuple(_int_list(data, "parts", 0, r))
-    if len(parts) != G.n:
-        raise DomainError(f"certificate labels {len(parts)} vertices but its "
-                          f"graph has {G.n}")
+    r = _part_count(data)
+    parts = _labels(data, "parts", G.n, r)
     if (max(parts) + 1 if parts else 0) != r:
         raise DomainError(f"certificate parts do not use all r = {r} labels")
     k = _level(_need(data, "k", int), "certificate field 'k'")
@@ -223,8 +237,7 @@ def packing_from_dict(data: dict) -> tuple[Graph, tuple[int, ...], PackingReport
     return G, parts, report
 
 
-def certificate_to_dict(cert: DecompositionCertificate, G: Graph,
-                        hint_parts) -> dict:
+def certificate_to_dict(cert: DecompositionCertificate, G: Graph) -> dict:
     return {
         "type": "decomposition-certificate",
         "schema_version": 2,
@@ -238,7 +251,7 @@ def certificate_to_dict(cert: DecompositionCertificate, G: Graph,
             "bad_set": _vlist(cert.bad_set),
             "alpha": str(cert.alpha),
             "eps_out": cert.eps_out,
-            "hint_parts": list(hint_parts) if hint_parts is not None else None,
+            "hint_parts": list(cert.hint),
             "adjusted_labels": list(cert.adjusted_labels),
             "adjustment_ok": cert.adjustment_ok,
             "packing": {"pieces": _pieces_to_list(cert.pieces)},
@@ -257,7 +270,7 @@ def certificate_from_dict(data: dict) -> tuple[Graph, DecompositionCertificate]:
     if n != G.n:
         raise DomainError(f"certificate field 'n' is {n} but its graph has "
                           f"{G.n} vertices")
-    r = _need(data, "r", int)
+    r = _part_count(data)
     k = _level(_need(data, "k", int), "certificate field 'k'")
     parts = _vertex_sets(data, "parts", n)
     if len(parts) != r:
@@ -270,7 +283,11 @@ def certificate_from_dict(data: dict) -> tuple[Graph, DecompositionCertificate]:
         exceptional=mask_of(_int_list(data, "A", 0, n)),
         parts=parts,
         bad_set=mask_of(_int_list(prov, "bad_set", 0, n, at)),
-        adjusted_labels=tuple(_int_list(prov, "adjusted_labels", 0, r, at)),
+        adjusted_labels=_labels(prov, "adjusted_labels", n, r, at),
+        # null in certificates written before the hint was recorded, each
+        # made from decompose's default hint
+        hint=(default_parts(G, r) if prov.get("hint_parts", ()) is None
+              else _labels(prov, "hint_parts", n, r, at)),
         adjustment_ok=_need(prov, "adjustment_ok", bool, at),
         pieces=pieces, alpha=_alpha(prov, at),
         eps_out=_number(prov, "eps_out", at),
@@ -476,7 +493,7 @@ def cmd_decompose(args) -> None:
     hint = _parse_parts(args.parts) if args.parts else None
     cert = decompose(G, args.r, _level(args.k, "--k"), args.alpha,
                      parts_hint=hint, eps_out=args.eps_out)
-    data = certificate_to_dict(cert, G, hint)
+    data = certificate_to_dict(cert, G)
     data["verified"] = verify_decomposition(G, cert)
     emit(args, data)
 
@@ -512,16 +529,20 @@ def cmd_verify(args) -> None:
     if kind == "decomposition-certificate":
         G, cert = certificate_from_dict(data)
         G = _cross_check_graph(args, G)
-        ok = verify_decomposition(G, cert, args.budget_eps)
-        emit(args, {"type": kind, "valid": ok})
+        problems = (decomposition_failures(G, cert, args.budget_eps)
+                    + provenance_failures(G, cert))
+        ok = not problems
     elif kind == "packing-report":
+        if args.budget_eps is not None:
+            raise DomainError("--budget-eps applies to decomposition "
+                              "certificates only")
         G, parts, report = packing_from_dict(data)
         G = _cross_check_graph(args, G)
         problems = verify_packing_report(G, parts, report)
         ok = not problems and verify_packing_maximality(G, parts, report)
-        emit(args, {"type": kind, "valid": ok, "problems": problems})
     else:
         raise DomainError(f"unknown certificate type {kind!r}")
+    emit(args, {"type": kind, "valid": ok, "problems": problems})
 
 
 # ---------------------------------------------------------------------------

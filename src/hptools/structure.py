@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations, product
+from functools import reduce
+from itertools import accumulate, combinations, permutations, product
 from operator import or_
 
 from .errors import DomainError
@@ -86,10 +87,7 @@ class PackingPiece:
 
     @property
     def vertices(self) -> int:
-        m = 0
-        for layer in self.layers:
-            m |= layer
-        return m
+        return reduce(or_, self.layers, 0)
 
 
 @dataclass(frozen=True)
@@ -98,12 +96,6 @@ class PackingReport:
     residual: tuple[int, ...]
     k: int
     r: int
-
-    def packed_mask(self) -> int:
-        m = 0
-        for p in self.pieces:
-            m |= p.vertices
-        return m
 
 
 def _layer_chain_ok(G: Graph, layers) -> bool:
@@ -193,10 +185,11 @@ def extract_universal_packing(G: Graph, parts, k: int,
 
 
 def verify_packing_report(G: Graph, parts, report: PackingReport) -> list[str]:
-    """Structural checks on a packing: piece disjointness, layer sizes and
-    shattering chains, and the placement rules."""
+    """Structural checks on a packing of ``report.r`` parts: piece
+    disjointness, layer sizes and shattering chains, the placement rules,
+    and the residual (each part minus the packed vertices)."""
     problems = []
-    pmasks = part_masks(tuple(parts))
+    pmasks = part_masks(tuple(parts), report.r)
     seen = 0
     for idx, piece in enumerate(report.pieces):
         v = piece.vertices
@@ -227,6 +220,8 @@ def verify_packing_report(G: Graph, parts, report: PackingReport) -> list[str]:
               if report.pieces[i].level > report.pieces[i - 1].level]
     if rising:
         problems.append(f"piece levels increase at positions {rising}")
+    if report.residual != tuple(S & ~seen for S in pmasks):
+        problems.append("residual is not each part minus the packed vertices")
     return problems
 
 
@@ -245,9 +240,8 @@ def verify_packing_maximality(G: Graph, parts, report: PackingReport) -> bool:
                 continue
             if shatters(G, S & ~used, body) is not None:
                 return False
-    X = report.packed_mask()
     for t in range(len(pmasks) + 1, 1, -1):
-        if _find_placed_copy(G, pmasks, X, report.k, t) is not None:
+        if _find_placed_copy(G, pmasks, used, report.k, t) is not None:
             return False
     return True
 
@@ -263,6 +257,7 @@ class DecompositionCertificate:
     k: int
     exceptional: int               # the set A
     parts: tuple[int, ...]         # masks S_1..S_r after removing A
+    hint: tuple[int, ...]          # the partition the pipeline started from
     bad_set: int
     adjusted_labels: tuple[int, ...]
     adjustment_ok: bool
@@ -315,7 +310,6 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
         raise DomainError("alpha must lie in (0,1)") from None
     if not 0 < alpha.numerator < alpha.denominator:  # 0 < alpha < 1
         raise DomainError("alpha must lie in (0,1)")
-    budget = _budget(G.n, eps_out)
     parts = tuple(parts_hint) if parts_hint is not None else default_parts(G, r)
     if len(parts) != G.n:
         raise DomainError("parts hint does not match the graph")
@@ -323,40 +317,41 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
         raise DomainError("parts hint uses a label outside 0..r-1")
     bad = max_bad_set(G, parts, 2 * alpha, r)
     labels, adjustment_ok = alpha_adjust(G, parts, bad, alpha, r)
-    packing = extract_universal_packing(G, labels, k, r)
-    A = bad | packing.packed_mask()
+    pieces = extract_universal_packing(G, labels, k, r).pieces
     return DecompositionCertificate(
-        n=G.n, r=r, k=k, exceptional=A,
-        parts=tuple(S & ~bad for S in packing.residual),
-        bad_set=bad, adjusted_labels=labels,
-        adjustment_ok=adjustment_ok, pieces=packing.pieces,
-        alpha=alpha, eps_out=float(eps_out), budget=budget,
-        budget_ok=A.bit_count() <= budget)
+        r=r, k=k, hint=parts, bad_set=bad, adjusted_labels=labels,
+        adjustment_ok=adjustment_ok, pieces=pieces, alpha=alpha,
+        eps_out=float(eps_out),
+        **_consequences(G.n, r, bad, labels, pieces, eps_out))
+
+
+def _consequences(n: int, r: int, bad_set: int, adjusted_labels, pieces,
+                  eps_out) -> dict:
+    """The fields that a certificate's recorded choices fix: n, A (the bad
+    set plus the packed vertices), part j (adjusted part j minus A, so A and
+    the parts partition the vertices), budget n^(1-eps_out) and budget_ok."""
+    if len(adjusted_labels) != n:
+        raise DomainError("adjusted labels do not match the graph")
+    A = reduce(or_, (p.vertices for p in pieces), bad_set)
+    budget = _budget(n, eps_out)
+    return {"n": n, "exceptional": A,
+            "parts": tuple(S & ~A for S in part_masks(adjusted_labels, r)),
+            "budget": budget, "budget_ok": A.bit_count() <= budget}
 
 
 def decomposition_failures(G: Graph, cert: DecompositionCertificate,
                            budget_eps: float | None = None) -> list[str]:
-    problems = []
-    union = cert.exceptional
-    for j, S in enumerate(cert.parts):
-        if S & union:
-            problems.append(f"part {j} overlaps A or an earlier part")
-        union |= S
-    if union != G.vertex_mask:
-        problems.append("certificate does not partition the vertex set")
+    derived = _consequences(G.n, cert.r, cert.bad_set, cert.adjusted_labels,
+                            cert.pieces, cert.eps_out)
+    problems = [f"{'A' if field == 'exceptional' else field} is not what "
+                "the provenance gives" for field, value in derived.items()
+                if getattr(cert, field) != value]
     for j, S in enumerate(cert.parts):
         sub = induced_subgraph(G, S)
         if sub.n >= (1 << cert.k) + cert.k and find_uk_copy(sub, cert.k) is not None:
             problems.append(f"part {j} contains a U({cert.k}) copy")
-    size = cert.exceptional.bit_count()
-    if cert.budget != _budget(G.n, cert.eps_out):
-        problems.append(f"budget {cert.budget} is not n^(1-eps_out) for "
-                        f"eps_out = {cert.eps_out}")
-    if cert.budget_ok != (size <= cert.budget):
-        problems.append(f"budget_ok is {cert.budget_ok} for |A| = {size} "
-                        f"and budget {cert.budget:.3f}")
     if budget_eps is not None:
-        budget = _budget(G.n, budget_eps)
+        size, budget = cert.exceptional.bit_count(), _budget(G.n, budget_eps)
         if size > budget:
             problems.append(f"|A| = {size} exceeds n^(1-eps) = {budget:.3f}")
     return problems
@@ -364,11 +359,48 @@ def decomposition_failures(G: Graph, cert: DecompositionCertificate,
 
 def verify_decomposition(G: Graph, cert: DecompositionCertificate,
                          budget_eps: float | None = None) -> bool:
-    """Re-check partition validity, U(k)-freeness of every part, the
-    certificate's own budget claim (``budget`` is n^(1-eps_out) and
-    ``budget_ok`` says whether |A| meets it), and (when ``budget_eps`` is
-    given) the |A| budget n^(1-budget_eps)."""
+    """Re-check that n, A, the parts, ``budget`` and ``budget_ok`` follow
+    from the bad set, the adjusted labels, the pieces and eps_out (which
+    makes A and the parts a partition), that every part is U(k)-free, and
+    (when ``budget_eps`` is given) the |A| budget n^(1-budget_eps).  The
+    recorded choices themselves are ``provenance_failures``' to check."""
     return not decomposition_failures(G, cert, budget_eps)
+
+
+def provenance_failures(G: Graph, cert: DecompositionCertificate) -> list[str]:
+    """Re-check the recorded choices: ``bad_set`` is pairwise (2 alpha)-far
+    inside every hint part, the alpha-adjustment of the hint replays to
+    ``adjusted_labels`` and ``adjustment_ok``, and the pieces pass
+    ``verify_packing_report`` on the adjusted parts.  Neither maximality is
+    re-checked beyond the replay (every vertex clones a bad vertex): the
+    packing's would re-run its own search, and the U(k)-free parts it
+    guarantees are checked by ``decomposition_failures``."""
+    problems = []
+    hint = part_masks(cert.hint, cert.r)
+    cutoff = clone_cutoff(2 * cert.alpha, G.n)
+    for u, v in combinations(bits(cert.bad_set), 2):
+        if any(((G.adj[u] ^ G.adj[v]) & S).bit_count() < cutoff for S in hint):
+            problems.append(f"provenance.bad_set holds {u} and {v}, which are "
+                            "not (2 alpha)-far inside every hint part")
+            break
+    try:
+        labels, ok = alpha_adjust(G, cert.hint, cert.bad_set, cert.alpha, cert.r)
+    except DomainError as exc:
+        problems.append(f"provenance.bad_set: {exc}")
+    else:
+        if labels != cert.adjusted_labels:
+            problems.append("provenance.adjusted_labels is not the "
+                            "alpha-adjustment of provenance.hint_parts")
+        if ok != cert.adjustment_ok:
+            problems.append("provenance.adjustment_ok does not say whether "
+                            "each part moved by at most alpha n")
+    packed = reduce(or_, (p.vertices for p in cert.pieces), 0)
+    report = PackingReport(cert.pieces, tuple(
+        S & ~packed for S in part_masks(cert.adjusted_labels, cert.r)),
+        cert.k, cert.r)
+    problems += [f"provenance.packing.pieces: {problem}" for problem
+                 in verify_packing_report(G, cert.adjusted_labels, report)]
+    return problems
 
 
 def certify_members(graphs, r: int, k: int, alpha,

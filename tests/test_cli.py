@@ -21,7 +21,8 @@ import hptools
 from hptools import (DecompositionCertificate, PackingReport, PropertySpec,
                      certify_members, colouring_number, decompose,
                      enumerate_property, extract_universal_packing,
-                     graph6_encode, graph_from_edges, random_graph)
+                     graph6_decode, graph6_encode, graph_from_edges,
+                     random_graph)
 from hptools.cli import (_rational, build_parser, certificate_from_dict,
                          certificate_to_dict, main, packing_to_dict)
 from hptools.freeness import BipGraph, planted_clone_instance, random_bipgraph
@@ -344,7 +345,7 @@ def _certificates():
     H = random_graph(12, 0.5, seed=5)
     parts = tuple(v % 2 for v in range(12))
     packing = extract_universal_packing(H, parts, 1)
-    return (certificate_to_dict(cert, G, None),
+    return (certificate_to_dict(cert, G),
             packing_to_dict(packing, H, parts))
 
 
@@ -450,6 +451,17 @@ def _mutated(data, path, value):
     (DECOMPOSITION, ("schema_version",), DELETE, "lacks field 'schema_version'"),
     (PACKING, ("schema_version",), 2, "'schema_version' must be 1"),
     (PACKING, ("schema_version",), None, "'schema_version' must be an integer"),
+    (DECOMPOSITION, ("provenance", "hint_parts"),
+     DECOMPOSITION["provenance"]["hint_parts"][:-1],
+     "'provenance.hint_parts' labels 9 vertices but its graph has 10"),
+    (DECOMPOSITION, ("provenance", "hint_parts"),
+     DECOMPOSITION["provenance"]["hint_parts"] + [0],
+     "'provenance.hint_parts' labels 11 vertices but its graph has 10"),
+    (DECOMPOSITION, ("provenance", "adjusted_labels"),
+     DECOMPOSITION["provenance"]["adjusted_labels"][:-1],
+     "'provenance.adjusted_labels' labels 9 vertices but its graph has 10"),
+    (DECOMPOSITION, ("provenance", "hint_parts"), DELETE,
+     "lacks field 'provenance.hint_parts'"),
 ])
 def test_verify_rejects_malformed_fields(data, path, value, needle):
     rc, out, err = verify_text(json.dumps(_mutated(data, path, value)))
@@ -477,13 +489,14 @@ def _above_the_cap():
     G = random_graph(64, 0.02, seed=64)
     halves = ((1 << 32) - 1, ((1 << 32) - 1) << 32)
     cert = DecompositionCertificate(
-        n=64, r=2, k=1, exceptional=0, parts=halves, bad_set=0,
+        n=64, r=2, k=1, exceptional=0, parts=halves,
+        hint=(0,) * 32 + (1,) * 32, bad_set=0,
         adjusted_labels=(0,) * 32 + (1,) * 32, adjustment_ok=True,
         pieces=(), alpha=Fraction(1, 4),
         eps_out=0.5, budget=8.0, budget_ok=True)
     return [packing_to_dict(PackingReport((), (G.vertex_mask,), 4, 1), G,
                             (0,) * 64),
-            certificate_to_dict(cert, G, None)]
+            certificate_to_dict(cert, G)]
 
 
 @pytest.mark.parametrize("data", _above_the_cap(), ids=["packing", "decomposition"])
@@ -493,8 +506,8 @@ def test_verify_refuses_hosts_above_the_packing_cap(monkeypatch, data):
     def refuse(*args):
         raise AssertionError("searched a host above the cap")
 
-    for name in ("verify_decomposition", "verify_packing_report",
-                 "verify_packing_maximality"):
+    for name in ("decomposition_failures", "provenance_failures",
+                 "verify_packing_report", "verify_packing_maximality"):
         monkeypatch.setattr(hptools.cli, name, refuse)
     rc, out, err = verify_text(json.dumps(data))
     assert out == ""
@@ -503,7 +516,7 @@ def test_verify_refuses_hosts_above_the_packing_cap(monkeypatch, data):
 
 # K3 at r = 2, k = 1, alpha = 1/4: |A| = 2 misses the budget 3^(1/2)
 K3_CERTIFICATE = certificate_to_dict(
-    decompose(complete_graph(3), 2, 1, Fraction(1, 4)), complete_graph(3), None)
+    decompose(complete_graph(3), 2, 1, Fraction(1, 4)), complete_graph(3))
 
 
 @pytest.mark.parametrize("data, field, value", [
@@ -519,6 +532,116 @@ def test_verify_refuses_a_forged_budget_claim(data, field, value):
     assert rc == 0 and parse(out)["results"]["valid"] is True
     rc, out, _ = verify_text(json.dumps({**data, field: value}))
     assert rc == 0 and parse(out)["results"]["valid"] is False
+
+
+# perfbench's certify pool graphs for n = 10, r = 2 (decompose's default
+# hint is the toy partition) and n = 28, r = 3 (the minimum-intra-edge one)
+POOL_10 = "I|~MOGgyW"
+POOL_28 = r"[__BAvF_w^y?_bv^urkAPw`i@@LkLUN]u^zXjvy~Mn]oNdvDz|^e~Jfy~L\tEP?A"
+
+
+def _decomposed(g6: str, r: int, **kwargs) -> dict:
+    G = graph6_decode(g6)
+    return certificate_to_dict(decompose(G, r, 1, Fraction(1, 4), **kwargs), G)
+
+
+# k = 1: bad set {0}; nine 2-level pieces, the first with layers {0} and
+# {1, 2}; every vertex adjusted into part 0; A all but vertex 26
+POOL_CERT = _decomposed(POOL_28, 3)
+
+
+def _tamper(data, edit):
+    data = copy.deepcopy(data)
+    edit(data, data.get("provenance"))
+    return data
+
+
+def _swap_first_layers(data, prov):
+    # {0, 1} must realize both traces on {2}, but neither 0 nor 1 is
+    # adjacent to 2
+    prov["packing"]["pieces"][0]["layers"] = [[2], [0, 1]]
+
+
+def _move_label(data, prov):
+    prov["adjusted_labels"][26] = 1
+    data["parts"] = [[], [26], []]
+
+
+def _add_close_vertex(data, prov):
+    # 26 and 0 differ on fewer than floor(2 alpha n) = 14 vertices of some
+    # hint part
+    prov["bad_set"].append(26)
+    data["A"].append(26)
+    data["parts"] = [[], [], []]
+
+
+@pytest.mark.parametrize("base, edit, problems", [
+    (POOL_CERT, lambda data, prov: prov.update(bad_set=[]),
+     ["provenance.bad_set: vertex 0 has no clone in B within any part "
+      "(the bad set is not maximal)"]),
+    (POOL_CERT, lambda data, prov: prov["packing"]["pieces"].pop(),
+     ["A is not what the provenance gives",
+      "parts is not what the provenance gives"]),
+    (POOL_CERT, _move_label,
+     ["provenance.adjusted_labels is not the alpha-adjustment of "
+      "provenance.hint_parts"]),
+    (POOL_CERT, lambda data, prov: prov.update(adjustment_ok=True),
+     ["provenance.adjustment_ok does not say whether each part moved by at "
+      "most alpha n"]),
+    (POOL_CERT, _swap_first_layers,
+     ["provenance.packing.pieces: piece 0 fails its shattering chain"]),
+    (POOL_CERT, _add_close_vertex,
+     ["provenance.bad_set holds 0 and 26, which are not (2 alpha)-far "
+      "inside every hint part"]),
+    (PACKING, lambda data, prov: data.update(residual=[[], []]),
+     ["residual is not each part minus the packed vertices"]),
+], ids=["bad-set-emptied", "piece-dropped", "label-moved",
+        "adjustment-ok-flipped", "layers-swapped", "close-vertex-added",
+        "residual-emptied"])
+def test_verify_names_each_tampered_field(base, edit, problems):
+    # each of these once read valid: the provenance and the residual were
+    # parsed and then ignored
+    rc, out, _ = verify_text(json.dumps(base))
+    assert rc == 0 and parse(out)["results"]["problems"] == []
+    rc, out, err = verify_text(json.dumps(_tamper(base, edit)))
+    results = parse(out)["results"]
+    assert (rc, err, results["valid"]) == (0, "", False)
+    assert results["problems"] == problems
+
+
+@pytest.mark.parametrize("g6, r", [(POOL_10, 2), (POOL_28, 3)],
+                         ids=["toy-hint", "min-intra-edges-hint"])
+def test_verify_reads_a_null_hint_as_the_default_hint(g6, r):
+    # certificates written without --parts once recorded hint_parts: null
+    data = _decomposed(g6, r)
+    data["provenance"]["hint_parts"] = None
+    rc, out, _ = verify_text(json.dumps(data))
+    assert rc == 0 and parse(out)["results"]["problems"] == []
+
+
+def test_verify_replays_a_null_hint_from_the_default_hint():
+    # an empty part 1 in the hint gives another adjustment than the toy
+    # hint does
+    data = _decomposed(POOL_10, 2, parts_hint=[0] * 10)
+    assert _decomposed(POOL_10, 2)["provenance"]["adjusted_labels"] != \
+        data["provenance"]["adjusted_labels"]
+    rc, out, _ = verify_text(json.dumps(data))
+    assert rc == 0 and parse(out)["results"]["valid"] is True
+    data["provenance"]["hint_parts"] = None
+    rc, out, _ = verify_text(json.dumps(data))
+    assert "provenance.adjusted_labels is not the alpha-adjustment of " \
+        "provenance.hint_parts" in parse(out)["results"]["problems"]
+
+
+def test_verify_refuses_budget_eps_on_a_packing_report(tmp_path, capsys):
+    # it was echoed in params and never applied
+    path = tmp_path / "pack.json"
+    path.write_text(json.dumps(PACKING))
+    rc, out, err = run(capsys, "verify", "--certificate", str(path),
+                       "--budget-eps", "0.5")
+    assert out == ""
+    assert_one_line_error(rc, err, "--budget-eps applies to decomposition "
+                                   "certificates only")
 
 
 def _field_paths(node, prefix=()):

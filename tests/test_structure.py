@@ -345,6 +345,8 @@ def tampered_piece(i, **fields):
     (tampered_piece(1, placement=(1, 1)), "piece 1: a layer leaves its part"),
     (replace(TAMPER_REPORT, pieces=TAMPER_REPORT.pieces[::-1]),
      "piece levels increase at positions [1]"),
+    (replace(TAMPER_REPORT, residual=TAMPER_REPORT.residual[::-1]),
+     "residual is not each part minus the packed vertices"),
 ])
 def test_packing_verifier_names_each_tampering(tampered, problem):
     assert [(p.level, p.placement) for p in TAMPER_REPORT.pieces] == \
