@@ -411,15 +411,38 @@ def certify_members(graphs, r: int, k: int, alpha,
     A graph is certified when ``decompose`` from the minimum-intra-edge
     hint succeeds, ``verify_decomposition`` accepts its certificate, and |A|
     meets the budget n^(1-budget_eps).  Only the first graph of each class
-    is decomposed; its verdict counts for every later graph of the class.
-    Fed in ascending edge-bitmask order, as ``enumerate_property`` yields
-    them, that first graph is the class's least-bitmask labeling, the one
-    that orderly generation keeps."""
+    in stream order, whatever the order, is decomposed; its verdict counts
+    for every later graph of the class.  In ascending edge-bitmask order, as
+    ``enumerate_property`` yields them, that is the class's least-bitmask
+    labeling, the one that orderly generation keeps.
+
+    A graph on n >= 1 vertices is its prefix P on 0..n-2 plus the row R of
+    vertex n-1, so it is isomorphic to P's class representative plus R
+    carried back onto it.  A memo from (P's class, carried-back R) to the
+    graph's class is therefore exact, and a hit names a class met before.
+    A full lookup runs only on a miss.  Graphs that share a prefix one
+    after another, as in ascending order, share its lookup and mostly hit."""
     classes = IsomorphismClasses()
+    prefixes = IsomorphismClasses()
+    # (prefix class, carried-back R) -> class; None keys the empty graph
+    memo: dict[tuple[int, int] | None, int] = {}
     verdicts: list[bool] = []
+    image: list[int] = []
+    prefix = None
     good = total = 0
     for G in graphs:
-        i = classes.index(G)
+        key = None
+        if G.n:
+            low = (1 << G.n - 1) - 1
+            rows = tuple(row & low for row in G.adj[:-1])
+            if rows != prefix:
+                prefix = rows
+                j = prefixes.index(Graph._trusted(G.n - 1, rows), image)
+            R = G.adj[-1]
+            key = (j, sum(1 << h for h, g in enumerate(image) if R >> g & 1))
+        i = memo.get(key)
+        if i is None:
+            i = memo[key] = classes.index(G)
         if i == len(verdicts):
             # the min-intra-edge hint rather than decompose's default
             # partition: pinned census fractions depend on this hint

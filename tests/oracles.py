@@ -513,18 +513,39 @@ def clone_class_failures(G: Graph, parts, t: int, direction: str, out) -> list[s
     return problems
 
 
+def certified(G: Graph, r: int, k: int, alpha, budget_eps) -> bool:
+    """Is G decomposed from the minimum-intra-edge hint, re-verified, with
+    |A| within n^(1-budget_eps)?"""
+    try:
+        cert = decompose(G, r, k, alpha, parts_hint=min_intra_edges_parts(G, r),
+                         eps_out=budget_eps)
+    except DomainError:
+        return False
+    return verify_decomposition(G, cert) and cert.budget_ok
+
+
 def labeled_certified_fraction(graphs, r: int, k: int, alpha,
                                budget_eps) -> tuple[int, int]:
-    """(good, total) with every labeled member decomposed on its own: from
-    the minimum-intra-edge hint, re-verified, |A| within n^(1-budget_eps)."""
-    good = total = 0
+    """(good, total) with every labeled member decomposed on its own."""
+    verdicts = [certified(G, r, k, alpha, budget_eps) for G in graphs]
+    return sum(verdicts), len(verdicts)
+
+
+def class_certified_fraction(graphs, r: int, k: int, alpha,
+                             budget_eps) -> tuple[int, int, int]:
+    """(good, total, classes) with the graphs grouped by ``nx.is_isomorphic``
+    and the first graph of each class, in stream order, decomposed for the
+    whole class.  Graphs are compared only within equal degree sequences."""
+    reps: dict[tuple, list[tuple[nx.Graph, bool]]] = {}
+    good = total = classes = 0
     for G in graphs:
+        X = to_networkx(G)
+        bucket = reps.setdefault(tuple(sorted(d for _, d in X.degree)), [])
+        verdict = next((ok for Y, ok in bucket if nx.is_isomorphic(X, Y)), None)
+        if verdict is None:
+            verdict = certified(G, r, k, alpha, budget_eps)
+            bucket.append((X, verdict))
+            classes += 1
+        good += verdict
         total += 1
-        try:
-            cert = decompose(G, r, k, alpha, parts_hint=min_intra_edges_parts(G, r),
-                             eps_out=budget_eps)
-        except DomainError:
-            continue
-        if verify_decomposition(G, cert) and cert.budget_ok:
-            good += 1
-    return good, total
+    return good, total, classes

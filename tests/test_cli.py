@@ -18,17 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hptools
-from hptools import (DecompositionCertificate, PackingReport, PropertySpec,
-                     certify_members, colouring_number, decompose,
+from hptools import (DecompositionCertificate, Graph, PackingReport,
+                     PropertySpec, certify_members, colouring_number, decompose,
                      enumerate_property, extract_universal_packing,
                      graph6_decode, graph6_encode, graph_from_edges,
                      random_graph)
 from hptools.cli import (_rational, build_parser, certificate_from_dict,
                          certificate_to_dict, main, packing_to_dict)
 from hptools.freeness import BipGraph, planted_clone_instance, random_bipgraph
+from hptools.graphs import IsomorphismClasses
 
 from conftest import bipgraph_encode, complete_graph, edgelist_encode, path_graph
-from oracles import labeled_certified_fraction, nonshattering_by_inclusion_exclusion
+from oracles import (class_certified_fraction, labeled_certified_fraction,
+                     nonshattering_by_inclusion_exclusion)
 
 
 def run(capsys, *argv):
@@ -1168,18 +1170,94 @@ def relabeled(n: int, edges, seed: int):
     return graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
 
 
+CENSUS_ARGS = (2, Fraction(1, 4), Fraction(1, 2))  # k, alpha, budget_eps
+
+
+def census_spec(name: str) -> tuple[PropertySpec, int]:
+    n, edges, _ = CENSUS_ROWS[name]
+    spec = PropertySpec.from_graphs([relabeled(n, edges, seed=n)])
+    return spec, colouring_number(spec).value
+
+
 @pytest.mark.parametrize("name, orders", [
     *((name, range(1, 6)) for name in sorted(CENSUS_ROWS)),
     ("K3", [6]), ("P4", [6])])
 def test_class_census_equals_the_labeled_loop(name, orders):
-    n, edges, _ = CENSUS_ROWS[name]
-    spec = PropertySpec.from_graphs([relabeled(n, edges, seed=n)])
-    r = colouring_number(spec).value
+    spec, r = census_spec(name)
     for m in orders:
-        args = (r, 2, Fraction(1, 4), Fraction(1, 2))
-        good, total, _ = certify_members(enumerate_property(spec, m), *args)
+        good, total, _ = certify_members(enumerate_property(spec, m), r,
+                                         *CENSUS_ARGS)
         assert (good, total) == labeled_certified_fraction(
-            enumerate_property(spec, m), *args)
+            enumerate_property(spec, m), r, *CENSUS_ARGS)
+
+
+def sampled_runs(graphs, keep, rng):
+    """The runs of consecutive graphs sharing a prefix, each kept whole
+    with probability ``keep``."""
+    prefix = kept = None
+    for G in graphs:
+        low = (1 << G.n - 1) - 1 if G.n else 0
+        rows = tuple(row & low for row in G.adj[:-1])
+        if rows != prefix:
+            prefix, kept = rows, rng.random() < keep
+        if kept:
+            yield G
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(CENSUS_ROWS)),
+       st.sampled_from(["ascending", "reversed", "shuffled", "mixed"]),
+       st.data())
+def test_class_census_equals_the_isomorphism_oracle(name, order, data):
+    spec, r = census_spec(name)
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    sizes = data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=3,
+                                unique=True) if order == "mixed"
+                       else st.lists(st.integers(0, 6), min_size=1, max_size=1))
+    # the oracle's networkx matching costs about 0.2 ms a graph, so at n = 6
+    # a stream keeps 1 prefix run in 32, whole
+    streams = [list(sampled_runs(enumerate_property(spec, m),
+                                 1 if m < 6 else 1 / 32, rng)) for m in sizes]
+    if order == "mixed":  # each size's stream ascending, interleaved at random
+        picks = [i for i, stream in enumerate(streams) for _ in stream]
+        rng.shuffle(picks)
+        its = [iter(stream) for stream in streams]
+        members = [next(its[i]) for i in picks]
+    else:
+        members = streams[0]
+        if order == "reversed":
+            members.reverse()
+        elif order == "shuffled":
+            rng.shuffle(members)
+    assert (certify_members(members, r, *CENSUS_ARGS)
+            == class_certified_fraction(members, r, *CENSUS_ARGS))
+
+
+def test_certify_members_edge_streams():
+    spec, r = census_spec("K3")
+    empty, one = Graph(0, ()), Graph(1, (0,))
+    assert certify_members([], r, *CENSUS_ARGS) == (0, 0, 0)
+    for members in ([empty], [one], [one, empty, one, empty],
+                    [empty, *enumerate_property(spec, 2), one, empty]):
+        got = certify_members(members, r, *CENSUS_ARGS)
+        assert got == class_certified_fraction(members, r, *CENSUS_ARGS)
+        assert got[2] == len({(G.n, G.edge_count()) for G in members})
+
+
+def test_certify_members_looks_up_once_per_prefix_run(monkeypatch):
+    # ascending K3-free n = 6: 5,789 members in 38 classes
+    calls = []
+    index = IsomorphismClasses.index
+    monkeypatch.setattr(IsomorphismClasses, "index",
+                        lambda self, G, *image: calls.append(G.n)
+                        or index(self, G, *image))
+    spec, r = census_spec("K3")
+    got = certify_members(enumerate_property(spec, 6), r, *CENSUS_ARGS)
+    assert got == (3497, 5789, 38)
+    assert len(calls) < got[1] / 8
+    monkeypatch.undo()
+    assert got == class_certified_fraction(enumerate_property(spec, 6), r,
+                                           *CENSUS_ARGS)
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS_ROWS))
