@@ -490,7 +490,7 @@ def cmd_decompose(args) -> None:
     G = load_graph(args.graph)
     if args.r > MAX_VERTICES:
         raise DomainError(f"--r exceeds the {MAX_VERTICES}-part cap")
-    hint = _parse_parts(args.parts) if args.parts else None
+    hint = _parse_parts(args.parts) if args.parts is not None else None
     cert = decompose(G, args.r, _level(args.k, "--k"), args.alpha,
                      parts_hint=hint, eps_out=args.eps_out)
     data = certificate_to_dict(cert, G)

@@ -288,6 +288,23 @@ def test_decompose_and_verify_roundtrip(tmp_path, capsys):
     assert parse(out)["results"]["valid"] is True
 
 
+def test_decompose_reads_an_empty_parts_hint(tmp_path, capsys):
+    # an empty --parts is a hint with no labels, not a missing one
+    argv = ["decompose", "--graph", "{g}", "--r", "2", "--k", "1",
+            "--alpha", "0.25", "--parts", ""]
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph6_encode(random_graph(14, 0.4, seed=6)) + b"\n")
+    rc, out, err = run(capsys, *(a.format(g=gpath) for a in argv))
+    assert (rc, out) == (1, "")
+    assert "parts hint does not match the graph" in err
+    gpath.write_bytes(graph6_encode(Graph(0, ())) + b"\n")
+    rc, out, err = run(capsys, *(a.format(g=gpath) for a in argv))
+    assert (rc, err) == (0, "")
+    res = parse(out)["results"]
+    assert res["verified"] is True
+    assert res["provenance"]["hint_parts"] == []
+
+
 def test_census_table(tmp_path, capsys):
     spec = write_spec(tmp_path, complete_graph(2))
     rc, out, _ = run(capsys, "census", "--forbidden", spec, "--n-max", "4")
@@ -609,6 +626,30 @@ def test_verify_names_each_tampered_field(base, edit, problems):
     results = parse(out)["results"]
     assert (rc, err, results["valid"]) == (0, "", False)
     assert results["problems"] == problems
+
+
+def test_decompose_reproduces_the_pinned_pool_certificates(tmp_path, capsys):
+    # perfbench's certify references, read and never rewritten here: a hint
+    # change that moves a label fails this test, not only the benchmark
+    pinned = Path(__file__).resolve().parents[1] / "perfbench" / "reference" \
+        / "certify.json"
+    pool = json.loads(pinned.read_text())
+    assert len(pool) == 66
+    gpath = tmp_path / "g.g6"
+    for entry in pool:
+        gpath.write_text(entry["graph6"] + "\n")
+        for k in ("1", "2"):
+            rc, out, _ = run(capsys, "decompose", "--graph", str(gpath), "--r",
+                             str(entry["r"]), "--k", k, "--alpha", "0.25")
+            assert rc == 0
+            res = parse(out)["results"]
+            prov = res["provenance"]
+            got = {"A": res["A"], "parts": res["parts"],
+                   "bad_set": prov["bad_set"],
+                   "adjusted_labels": prov["adjusted_labels"],
+                   "pieces": [{f: p[f] for f in ("level", "layers", "placement")}
+                              for p in prov["packing"]["pieces"]]}
+            assert got == entry["expected"][k]["certificate"], (entry["n"], k)
 
 
 @pytest.mark.parametrize("g6, r", [(POOL_10, 2), (POOL_28, 3)],

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hptools import (DomainError, bits, graph_from_edges, is_epsilon_regular,
-                     is_grey, mask_of, min_intra_edges_parts, pair_density,
-                     random_graph, regularity, toy_bbs_parts,
+from hptools import (DomainError, bits, graph6_decode, graph_from_edges,
+                     is_epsilon_regular, is_grey, mask_of, min_intra_edges_parts,
+                     pair_density, random_graph, regularity, toy_bbs_parts,
                      toy_szemeredi_partition)
 from hptools.graphs import part_masks
 
-from conftest import complement
+from conftest import complement, complete_graph, cycle_graph
 from oracles import (naive_epsilon_regular, naive_min_intra_edges_bipartition,
                      naive_toy_szemeredi_partition)
 
@@ -116,6 +116,23 @@ def test_regular_symmetric_in_sides(G, rnd, eps):
     assert is_epsilon_regular(G, A, B, eps) == is_epsilon_regular(G, B, A, eps)
 
 
+@given(graphs(10), st.randoms(), EPS)
+@settings(max_examples=60, deadline=None)
+def test_regular_invariant_under_relabeling_within_sides(G, rnd, eps):
+    # the toy partitioner shares one verdict among pairs of one pattern
+    side = [rnd.randrange(3) for _ in range(G.n)]
+    A = [v for v in range(G.n) if side[v] == 1]
+    B = [v for v in range(G.n) if side[v] == 2]
+    assume(A and B)
+    image = list(range(G.n))  # vertex v of G becomes image[v]
+    for S in (A, B):
+        for v, w in zip(S, rnd.sample(S, len(S))):
+            image[v] = w
+    H = graph_from_edges(G.n, [(image[u], image[v]) for u, v in G.edges()])
+    assert is_epsilon_regular(G, mask_of(A), mask_of(B), eps) == \
+        is_epsilon_regular(H, mask_of(A), mask_of(B), eps)
+
+
 def test_regular_cap():
     G = graph_from_edges(26, [])
     with pytest.raises(DomainError):
@@ -200,6 +217,27 @@ def test_toy_bbs_parts_judges_each_block_pair_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 6  # the C(4, 2) pairs of 4 blocks
 
 
+def test_toy_partitioner_judges_each_pattern_once(monkeypatch):
+    G = random_graph(9, 0.5, seed=13)
+    eps = Fraction(1, 2)
+    labels = toy_szemeredi_partition(G, 4, eps)
+    calls = []
+
+    def counted(G, A, B, eps):
+        calls.append((A, B))
+        return is_epsilon_regular(G, A, B, eps)
+
+    monkeypatch.setattr(regularity, "is_epsilon_regular", counted)
+    assert toy_szemeredi_partition(G, 4, eps) == labels
+
+    def pattern(A, B):
+        """A's rows read on B's vertices in order, as a multiset."""
+        return tuple(sorted(tuple(G.adj[u] >> w & 1 for w in bits(B))
+                            for u in bits(A)))
+
+    assert 0 < len(calls) == len({pattern(A, B) for A, B in calls})
+
+
 def test_toy_bbs_parts_refuses_more_parts_than_blocks():
     with pytest.raises(DomainError, match="cannot group 4 toy blocks into 5 parts"):
         toy_bbs_parts(random_graph(8, 0.5, seed=1), 5)
@@ -214,7 +252,27 @@ def test_min_intra_edges_bipartite_exact():
     assert intra == 0  # recovers the bipartition exactly
 
 
-@given(graphs(12))
+def disjoint_union(G, H):
+    return graph_from_edges(G.n + H.n, G.edges() + [(u + G.n, v + G.n)
+                                                    for u, v in H.edges()])
+
+
+# perfbench's certify pool graphs with r = 2 and n = 13..16, whose default
+# hint is this bisection
+POOL_BISECTED = ("L@DOb@A?M[v_`_", "Me@R}lzPY~?~?QD_?", "NHOOYF?cAoK@GIMCA?o",
+                 "Os}d|R]^|DdOAgx{oCNr~")
+
+
+@given(graphs(16))
+@example(complete_graph(16))  # every bisection ties
+@example(graph_from_edges(16, []))
+@example(bipartite_complete(8, 8))
+@example(disjoint_union(complete_graph(8), complete_graph(8)))
+@example(cycle_graph(16))
+@example(graph6_decode(POOL_BISECTED[0].encode()))
+@example(graph6_decode(POOL_BISECTED[1].encode()))
+@example(graph6_decode(POOL_BISECTED[2].encode()))
+@example(graph6_decode(POOL_BISECTED[3].encode()))
 @settings(max_examples=100, deadline=None)
 def test_min_intra_edges_bipartition_matches_vertexwise_count(G):
     assume(G.n >= 2)
