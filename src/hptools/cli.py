@@ -25,8 +25,8 @@ from .freeness import (MAX_UK_HOST, MAX_UK_LEVEL, BipGraph, bipgraph_decode,
                        max_separated_subset, separated_subset_ceiling)
 from .graphs import (MAX_ENUM_VERTICES, MAX_EXACT_CLIQUE, MAX_VERTICES, Graph, bits,
                      edgelist_decode, graph6_decode, graph6_encode, mask_of)
-from .hereditary import (abt_bounds, colouring_number, count_hrv,
-                         enumerate_property, load_property, speed,
+from .hereditary import (MAX_PATTERN_LENGTH, abt_bounds, colouring_number,
+                         count_hrv, enumerate_property, load_property, speed,
                          valid_hrv_patterns)
 from .structure import (DecompositionCertificate, PackingPiece, PackingReport,
                         _budget, certify_members, decompose,
@@ -179,14 +179,6 @@ def _labels(data: dict, key: str, n: int, r: int,
     return labels
 
 
-def _part_count(data: dict) -> int:
-    r = _need(data, "r", int)
-    if r > MAX_VERTICES:
-        raise DomainError(f"certificate field 'r' exceeds the "
-                          f"{MAX_VERTICES}-part cap")
-    return r
-
-
 def _vertex_sets(data: dict, key: str, n: int, where: str = "") -> tuple[int, ...]:
     """A list of vertex lists over 0..n-1, as masks."""
     return tuple(mask_of(_ints(s, 0, n, f"{where}{key}[{i}]"))
@@ -203,11 +195,22 @@ def _level(k: int, name: str) -> int:
     return k
 
 
-def _schema(data: dict, *versions: int) -> None:
-    """Refuse a certificate whose schema this reader does not know."""
+def _header(data: dict, *versions: int) -> tuple[Graph, int, int]:
+    """The host, r and k that a packing report and a decomposition
+    certificate both carry, refused unless the schema is one of
+    ``versions``, the host is within the packing cap, r within the part cap
+    and k a valid level."""
     if _need(data, "schema_version", int) not in versions:
         raise DomainError("certificate field 'schema_version' must be "
                           + " or ".join(map(str, versions)))
+    G = graph6_decode(_need(data, "graph6", str))
+    if G.n > MAX_UK_HOST:
+        raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
+    r = _need(data, "r", int)
+    if r > MAX_VERTICES:
+        raise DomainError(f"certificate field 'r' exceeds the "
+                          f"{MAX_VERTICES}-part cap")
+    return G, r, _level(_need(data, "k", int), "certificate field 'k'")
 
 
 def _pieces(data: dict, n: int, r: int, where: str = "") -> tuple[PackingPiece, ...]:
@@ -223,15 +226,10 @@ def _pieces(data: dict, n: int, r: int, where: str = "") -> tuple[PackingPiece, 
 
 
 def packing_from_dict(data: dict) -> tuple[Graph, tuple[int, ...], PackingReport]:
-    _schema(data, 1)
-    G = graph6_decode(_need(data, "graph6", str))
-    if G.n > MAX_UK_HOST:
-        raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
-    r = _part_count(data)
+    G, r, k = _header(data, 1)
     parts = _labels(data, "parts", G.n, r)
     if (max(parts) + 1 if parts else 0) != r:
         raise DomainError(f"certificate parts do not use all r = {r} labels")
-    k = _level(_need(data, "k", int), "certificate field 'k'")
     report = PackingReport(_pieces(data, G.n, r),
                            _vertex_sets(data, "residual", G.n), k, r)
     return G, parts, report
@@ -262,16 +260,11 @@ def certificate_to_dict(cert: DecompositionCertificate, G: Graph) -> dict:
 
 
 def certificate_from_dict(data: dict) -> tuple[Graph, DecompositionCertificate]:
-    _schema(data, 1, 2)
-    G = graph6_decode(_need(data, "graph6", str))
-    if G.n > MAX_UK_HOST:
-        raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
+    G, r, k = _header(data, 1, 2)
     n = _need(data, "n", int)
     if n != G.n:
         raise DomainError(f"certificate field 'n' is {n} but its graph has "
                           f"{G.n} vertices")
-    r = _part_count(data)
-    k = _level(_need(data, "k", int), "certificate field 'k'")
     parts = _vertex_sets(data, "parts", n)
     if len(parts) != r:
         raise DomainError(f"certificate lists {len(parts)} parts but r = {r}")
@@ -336,7 +329,7 @@ def cmd_construct(args) -> None:
     else:
         if args.v is not None:
             pattern = args.v.replace(",", "")
-            if not set(pattern) <= set("01"):
+            if not pattern or not set(pattern) <= set("01"):
                 raise DomainError(f"--v is {args.v!r}, not a pattern of 0s and 1s")
             v = tuple(map(int, pattern))
             # a pattern alone fixes the number of layers
@@ -602,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("chi-c", cmd_chi_c, help="colouring number of a property")
     p.add_argument("--forbidden", required=True)
-    p.add_argument("--r-max", type=int, default=8)
+    p.add_argument("--r-max", type=int, default=MAX_PATTERN_LENGTH)
 
     p = add("speed", cmd_speed, help="exact |P_n|")
     p.add_argument("--forbidden", required=True)

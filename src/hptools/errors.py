@@ -10,4 +10,3 @@ class StepError(DomainError):
 
     def __init__(self, step: str, message: str):
         super().__init__(f"{step}: {message}")
-        self.step = step

@@ -205,9 +205,12 @@ def toy_bbs_parts(G: Graph, r: int) -> tuple[int, ...]:
 
 
 def min_intra_edges_parts(G: Graph, r: int) -> tuple[int, ...]:
-    """Balanced r-partition minimizing within-part edges: exact for r = 2
-    and 2 <= n <= 16 (``_exact_bisection``), greedy otherwise.  Desk
-    stand-in for a structure-revealing partition on larger inputs."""
+    """An r-partition with few within-part edges: for r = 2 and 2 <= n <= 16
+    the balanced one with the fewest (``_exact_bisection``); otherwise a
+    greedy descent from labels v mod r that moves a vertex to a part holding
+    fewer of its neighbours, never emptying a part, so part sizes may drift
+    apart by more than one.  Desk stand-in for a structure-revealing
+    partition on larger inputs."""
     n = G.n
     if r == 2 and 2 <= n <= 16:
         return _exact_bisection(G)

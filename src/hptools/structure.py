@@ -230,12 +230,12 @@ def verify_packing_maximality(G: Graph, parts, report: PackingReport) -> bool:
     the earlier pieces, and no further placeable copy remains at any level.
     Both are invariants of the extraction loop; hand-built reports that
     under-pack fail here."""
-    pmasks = part_masks(tuple(parts))
+    pmasks = part_masks(tuple(parts), report.r)
     used = 0
     for piece in report.pieces:
         used |= piece.vertices
         body = piece.vertices
-        for j, S in enumerate(pmasks):
+        for S in pmasks:
             if S & body:
                 continue
             if shatters(G, S & ~used, body) is not None:
@@ -357,14 +357,12 @@ def decomposition_failures(G: Graph, cert: DecompositionCertificate,
     return problems
 
 
-def verify_decomposition(G: Graph, cert: DecompositionCertificate,
-                         budget_eps: float | None = None) -> bool:
+def verify_decomposition(G: Graph, cert: DecompositionCertificate) -> bool:
     """Re-check that n, A, the parts, ``budget`` and ``budget_ok`` follow
     from the bad set, the adjusted labels, the pieces and eps_out (which
-    makes A and the parts a partition), that every part is U(k)-free, and
-    (when ``budget_eps`` is given) the |A| budget n^(1-budget_eps).  The
-    recorded choices themselves are ``provenance_failures``' to check."""
-    return not decomposition_failures(G, cert, budget_eps)
+    makes A and the parts a partition), and that every part is U(k)-free.
+    The recorded choices themselves are ``provenance_failures``' to check."""
+    return not decomposition_failures(G, cert)
 
 
 def provenance_failures(G: Graph, cert: DecompositionCertificate) -> list[str]:

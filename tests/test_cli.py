@@ -553,6 +553,18 @@ def test_verify_refuses_a_forged_budget_claim(data, field, value):
     assert rc == 0 and parse(out)["results"]["valid"] is False
 
 
+def test_verify_budget_eps_adds_the_one_budget_problem(tmp_path, capsys):
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(K3_CERTIFICATE))
+    rc, out, _ = run(capsys, "verify", "--certificate", str(path))
+    assert rc == 0 and parse(out)["results"]["valid"] is True
+    rc, out, _ = run(capsys, "verify", "--certificate", str(path),
+                     "--budget-eps", "0.5")
+    assert rc == 0
+    assert {key: parse(out)["results"][key] for key in ("valid", "problems")} \
+        == {"valid": False, "problems": ["|A| = 2 exceeds n^(1-eps) = 1.732"]}
+
+
 # perfbench's certify pool graphs for n = 10, r = 2 (decompose's default
 # hint is the toy partition) and n = 28, r = 3 (the minimum-intra-edge one)
 POOL_10 = "I|~MOGgyW"
@@ -804,6 +816,9 @@ def test_pack_parts_must_match_graph(tmp_path, capsys):
     (["count-attach", "--a", "5", "--n", "2"], "--a must lie in 1..4"),
     (["count-attach", "--a", "2", "--n", "-1"], "need n >= 0 and a*n <= 25"),
     (["count-attach", "--a", "2", "--n", "13"], "need n >= 0 and a*n <= 25"),
+    (["construct", "--k", "1", "--v", ""], "--v is '', not a pattern of 0s and 1s"),
+    (["construct", "--k", "1", "--r", "2", "--v", ","],
+     "--v is ',', not a pattern of 0s and 1s"),
 ])
 def test_malformed_list_options_exit_1(tmp_path, capsys, argv, needle):
     gpath = tmp_path / "g.g6"

@@ -550,7 +550,6 @@ def test_clone_classes_pinned_outputs(reverse_shatter_calls, instance, t,
                 extract_clone_classes(G, parts, core, Fraction(1, G.n), t, seed,
                                       direction)
             assert str(err.value) == str(expected)
-            assert not t or expected.startswith(err.value.step + ": ")
             continue
         out = extract_clone_classes(G, parts, core, Fraction(1, G.n), t, seed,
                                     direction)
@@ -598,9 +597,9 @@ def test_clone_classes_window_over_the_trace_ground_cap():
 
 def test_clone_classes_structured_errors():
     G, parts, core = planted_clone_instance(1, 1, copies=2)
-    with pytest.raises(StepError) as err:
+    # |B| = 4 < 2^(2^2)
+    with pytest.raises(StepError, match="^core-selection: "):
         extract_clone_classes(G, parts, core, Fraction(2, G.n), 2, seed=0)
-    assert err.value.step == "core-selection"  # |B| = 4 < 2^(2^2)
 
 
 @pytest.mark.parametrize("r, t, direction", [(2, 2, "from-core"), (3, 2, "from-core"),
@@ -609,9 +608,8 @@ def test_clone_classes_structured_errors():
 def test_clone_classes_core_selection_never_forms_the_tower(r, t, direction):
     # |B| <= 64 < 2^(2^3); these needs once raised ValueError or MemoryError
     G, parts, core = planted_clone_instance(r, 1, copies=1)
-    with pytest.raises(StepError) as err:
+    with pytest.raises(StepError, match="^core-selection: ") as err:
         extract_clone_classes(G, parts, core, 0.01, t, direction=direction)
-    assert err.value.step == "core-selection"
     assert len(str(err.value)) < 120
 
 

@@ -1,20 +1,24 @@
 """Every module-level import in the package, the tests and the demos is read
-somewhere, and every top-level function and class of the package, and
-every method, property and field of its classes, is read by the package, a
-demo, the benchmark harness or the acceptance suite.
+somewhere; every top-level function and class of the package, every
+method, property and field of its classes, and every attribute their
+``__init__`` sets on ``self`` is read by the package, a demo, the benchmark
+harness or the acceptance suite; every optional parameter of a package
+function or method is passed by one of those readers; and every name the
+package ``__init__`` re-exports is imported from ``hptools`` by some file.
 
 No linter ships with the project, so these scans stand in for its
-unused-import and unused-definition rules.  ``__future__`` imports and the
-re-exports of the package ``__init__`` are exempt from the first; a
-re-export does not count as a read for the second, and neither does a
-read in a unit test: a definition that only its own tests reach belongs
-in the tests.  Members are matched by attribute name, so one that shares
-its name with any other read passes unseen.  Dunders are exempt, and so
-are overrides of a base class from outside the package, which that base's
-own code calls.
+unused-import, unused-definition and unused-option rules.  ``__future__``
+imports and the re-exports of the package ``__init__`` are exempt from the
+first; a re-export does not count as a read for the second, and neither
+does a read or a call in a unit test: a definition or an option that only
+its own tests reach belongs in the tests.  Members are matched by attribute
+name and callees by their bare name, so one that shares its name with any
+other read or call passes unseen.  Dunders are exempt, and so are overrides
+of a base class from outside the package, which that base's own code calls.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -109,17 +113,30 @@ def orphans(source: str, read: set[str]) -> list[str]:
     return found
 
 
+def readers(root: Path) -> list[str]:
+    """The sources of the package, the demos, the benchmark harness and the
+    acceptance suite under ``root``."""
+    return [p.read_text() for p in [
+        *sorted((root / "src" / "hptools").glob("*.py")),
+        *sorted((root / "demos").glob("*.py")),
+        *sorted((root / "perfbench").glob("*.py")),
+        root / "tests" / "test_acceptance.py"]]
+
+
 def names_reached(root: Path) -> set[str]:
     """Every name read by the package, the demos, the benchmark harness or
     the acceptance suite under ``root``."""
-    readers = [*sorted((root / "src" / "hptools").glob("*.py")),
-               *sorted((root / "demos").glob("*.py")),
-               *sorted((root / "perfbench").glob("*.py")),
-               root / "tests" / "test_acceptance.py"]
-    return set().union(*(names_read(p.read_text()) for p in readers))
+    return set().union(*(names_read(source) for source in readers(root)))
 
 
 READ = names_reached(ROOT)
+
+
+def plant(root: Path, files: dict[str, str]) -> None:
+    """Write each text of ``files`` to its path under ``root``."""
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
@@ -132,9 +149,7 @@ def test_scan_flags_an_orphaned_definition(tmp_path):
               "    pass\ndef tested():\n    pass\n")
     files = {"src/hptools/a.py": source + "used()\n", "demos/d.py": "x = m.Kept\n",
              "tests/test_acceptance.py": "", "tests/test_a.py": "tested()\n"}
-    for name, text in files.items():
-        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text(text)
+    plant(tmp_path, files)
     # only a unit test reads tested(), which does not count
     assert orphans(source, names_reached(tmp_path)) == ["line 3: left",
                                                        "line 7: tested"]
@@ -150,10 +165,196 @@ def test_scan_flags_an_orphaned_member(tmp_path):
     files = {"src/hptools/a.py": source + "Parser(); Row(1, 2).size\n",
              "demos/d.py": "", "tests/test_acceptance.py": "",
              "tests/test_a.py": "assert Row(1, 2).tested and Row(1, 2).width\n"}
-    for name, text in files.items():
-        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text(text)
+    plant(tmp_path, files)
     # a field and a property that only a unit test reads are flagged; the
     # dunder and the override of argparse's error are not
     assert orphans(source, names_reached(tmp_path)) == ["line 6: Row.tested",
                                                        "line 10: Row.width"]
+
+
+def attributes_read(source: str) -> set[str]:
+    """Every attribute name that ``source`` loads."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_attributes(source: str, read: set[str]) -> list[str]:
+    """The attributes that an ``__init__`` of a class of ``source`` sets on
+    ``self``, missing from ``read``; dunders and attributes a base outside
+    the package defines are exempt."""
+    tree = ast.parse(source)
+    found = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        skip = inherited(tree, cls) | read
+        for init in cls.body:
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                me = init.args.args[0].arg
+                found += [f"line {node.lineno}: {cls.name}.{node.attr}"
+                          for node in ast.walk(init)
+                          if isinstance(node, ast.Attribute)
+                          and isinstance(node.ctx, ast.Store)
+                          and isinstance(node.value, ast.Name)
+                          and node.value.id == me
+                          and not node.attr.startswith("__")
+                          and node.attr not in skip]
+    return found
+
+
+def attributes_reached(root: Path) -> set[str]:
+    """Every attribute name read by the package, the demos, the benchmark
+    harness or the acceptance suite under ``root``."""
+    return set().union(*(attributes_read(source) for source in readers(root)))
+
+
+ATTRIBUTES = attributes_reached(ROOT)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unread_attributes(path):
+    assert unread_attributes(path.read_text(), ATTRIBUTES) == []
+
+
+def test_scan_flags_an_unread_attribute(tmp_path):
+    source = ("class Step(ValueError):\n    def __init__(self, step, size):\n"
+              "        super().__init__(step)\n        self.step = step\n"
+              "        self._size = size\n        self.args = (step,)\n"
+              "    def size(self):\n        return self._size\n")
+    files = {"src/hptools/a.py": source + "Step('s', 1).size()\n",
+             "demos/d.py": "", "tests/test_acceptance.py": "",
+             "tests/test_a.py": "assert Step('s', 1).step\n"}
+    plant(tmp_path, files)
+    # only a unit test reads .step, and the bare name step does not count;
+    # the package reads ._size, and ValueError's own code reads .args
+    assert unread_attributes(source, attributes_reached(tmp_path)) == \
+        ["line 4: Step.step"]
+
+
+def callee(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def calls(source: str) -> dict[str, list[tuple[float, set]]]:
+    """For each callee name, (positional count, keyword names) of each call
+    in ``source``, ``functools.partial(f, ...)`` counting as a call of f.
+    A ``*`` splat counts as every position, and a ``**`` splat adds None,
+    which stands for every keyword."""
+    found: dict[str, list[tuple[float, set]]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if callee(func) == "partial" and args:
+            func, args = args[0], args[1:]
+        count = (math.inf if any(isinstance(a, ast.Starred) for a in args)
+                 else len(args))
+        found.setdefault(callee(func), []).append(
+            (count, {kw.arg for kw in node.keywords}))
+    return found
+
+
+def calls_made(root: Path) -> dict[str, list[tuple[float, set]]]:
+    """``calls`` over the package, the demos, the benchmark harness and the
+    acceptance suite under ``root``."""
+    merged: dict[str, list[tuple[float, set]]] = {}
+    for source in readers(root):
+        for name, made in calls(source).items():
+            merged.setdefault(name, []).extend(made)
+    return merged
+
+
+def options(tree: ast.Module):
+    """(line, callee, label, position, name) of each optional parameter of
+    the top-level functions and the methods of ``tree``: a method is called
+    by its name and ``__init__`` by its class's, ``self`` takes no position,
+    and a keyword-only parameter has position None."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found = [(node.name, node.name, 0, node)]
+        elif isinstance(node, ast.ClassDef):
+            found = [(node.name if fn.name == "__init__" else fn.name,
+                      f"{node.name}.{fn.name}", 1, fn)
+                     for fn in node.body if isinstance(fn, ast.FunctionDef)]
+        else:
+            continue
+        for name, label, shift, fn in found:
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield arg.lineno, name, label, i - shift, arg.arg
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield arg.lineno, name, label, None, arg.arg
+
+
+def unpassed(source: str, made: dict[str, list[tuple[float, set]]]) -> list[str]:
+    """The optional parameters of ``source`` that no call in ``made`` passes."""
+    return [f"line {line}: {label}({param})"
+            for line, name, label, position, param in options(ast.parse(source))
+            if not any(position is not None and count > position
+                       or param in keywords or None in keywords
+                       for count, keywords in made.get(name, []))]
+
+
+MADE = calls_made(ROOT)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_option_that_nothing_passes(path):
+    assert unpassed(path.read_text(), MADE) == []
+
+
+def test_scan_flags_an_option_nothing_passes(tmp_path):
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+              "class K:\n    def __init__(self, x=0, y=0):\n        pass\n"
+              "    def m(self, z=0, w=0):\n        pass\n"
+              "def g(u=0):\n    pass\n")
+    files = {"src/hptools/a.py": source + "f(0, 1, e=5); K(1).m(**{})\n",
+             "demos/d.py": "import functools\nfunctools.partial(g, 0)\n",
+             "tests/test_acceptance.py": "", "tests/test_a.py": "f(0, d=1)\n"}
+    plant(tmp_path, files)
+    # b by position, e by keyword, x by position past self, z and w through
+    # the ** splat, u through partial; d only a unit test passes
+    assert unpassed(source, calls_made(tmp_path)) == \
+        ["line 1: f(c)", "line 1: f(d)", "line 4: K.__init__(y)"]
+
+
+def imported_names(source: str) -> set[str]:
+    """The names ``source`` imports from ``hptools`` or reads off it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "hptools" \
+                and not node.level:
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "hptools":
+            found.add(node.attr)
+    return found
+
+
+def unimported_reexports(init: str, imported: set[str]) -> list[str]:
+    """The names ``init`` re-exports from its own modules that are missing
+    from ``imported``."""
+    return [f"line {node.lineno}: {alias.asname or alias.name}"
+            for node in ast.parse(init).body
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if (alias.asname or alias.name) not in imported]
+
+
+def test_every_reexport_is_imported():
+    imported = set().union(*(imported_names(p.read_text()) for p in
+                             [*MODULES, *sorted((ROOT / "perfbench").glob("*.py"))]))
+    assert unimported_reexports(
+        (ROOT / "src" / "hptools" / "__init__.py").read_text(), imported) == []
+
+
+def test_scan_flags_an_unimported_reexport():
+    init = "from .a import kept, read\nfrom .b import left as gone\n"
+    imported = imported_names("import hptools\nfrom hptools import kept\n"
+                              "hptools.read()\nfrom hptools.b import left\n")
+    # importing left from its own module does not keep the re-export
+    assert unimported_reexports(init, imported) == ["line 2: gone"]

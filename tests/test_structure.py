@@ -488,12 +488,14 @@ def test_verify_decomposition_rejects_tampering():
 
 
 def test_verify_decomposition_budget():
-    G = graph_from_edges(6, [])
-    hint = (0, 0, 0, 1, 1, 1)
-    cert = decompose(G, 2, 1, Fraction(1, 4), parts_hint=hint)
-    from dataclasses import replace
-    everything = replace(cert, exceptional=G.vertex_mask, parts=(0, 0))
-    assert not verify_decomposition(G, everything, budget_eps=0.5)
+    # the honest K3 certificate: |A| = 2 misses the budget 3^(1/2), which
+    # is the one problem a separate budget finds
+    G = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    cert = decompose(G, 2, 1, Fraction(1, 4))
+    assert (cert.exceptional.bit_count(), cert.budget_ok) == (2, False)
+    assert decomposition_failures(G, cert) == []
+    assert decomposition_failures(G, cert, 0.5) == \
+        ["|A| = 2 exceeds n^(1-eps) = 1.732"]
 
 
 def test_decompose_beyond_the_exact_bad_set_cap():
