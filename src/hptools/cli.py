@@ -568,107 +568,104 @@ def _rational(text: str, unit: bool = False) -> Fraction:
     return value
 
 
+# command -> (handler, help, options as (flag, add_argument keywords))
+COMMANDS = {
+    "construct": (cmd_construct, "build a universal graph", (
+        ("--k", dict(type=int, required=True)),
+        ("--r", dict(type=int)),
+        ("--v", dict(help="layer pattern bits for the starred variant")))),
+    "shatter": (cmd_shatter, "test whether A shatters B", (
+        ("--graph", dict(required=True)),
+        ("--A", dict(required=True, help="comma-separated vertices")),
+        ("--B", dict(required=True)))),
+    "chi-c": (cmd_chi_c, "colouring number of a property", (
+        ("--forbidden", dict(required=True)),
+        ("--r-max", dict(type=int, default=MAX_PATTERN_LENGTH)))),
+    "speed": (cmd_speed, "exact |P_n|", (
+        ("--forbidden", dict(required=True)),
+        ("--n", dict(type=int, required=True)))),
+    "census": (cmd_census, "per-n speed/entropy/bound table", (
+        ("--forbidden", dict(required=True)),
+        ("--n-max", dict(type=int, required=True)),
+        ("--eps", dict(type=_rational, default=0.5)),
+        ("--alpha", dict(type=functools.partial(_rational, unit=True),
+                         default=0.25)),
+        ("--k", dict(type=int, default=2)),
+        ("--budget-eps", dict(type=_rational, default=0.5)),
+        ("--certify", dict(action=argparse.BooleanOptionalAction,
+                           default=False,
+                           help="also decompose every member and report the "
+                                "fraction meeting the |A| budget")))),
+    "count-free": (cmd_count_free, "exact U(k)-free bipartite count", (
+        ("--m", dict(type=int, required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--k", dict(type=int, required=True)),
+        ("--mode", dict(choices=("whole", "cross"), default="whole")))),
+    "count-attach": (cmd_count_attach, "exact non-shattering attachment count", (
+        ("--a", dict(type=int, required=True)),
+        ("--n", dict(type=int, required=True)))),
+    "separated": (cmd_separated, "max pairwise-separated subset", (
+        ("--bipgraph", dict(required=True)),
+        ("--side", dict(choices=("A", "B"), default="A")),
+        ("--x", dict(type=int, required=True)),
+        ("--k", dict(type=int, help="report the U(k)-free ceiling too")))),
+    "sparsen": (cmd_sparsen,
+                "distinguishing set, or clone classes when --t is given", (
+        ("--bipgraph", dict()),
+        ("--usub", dict(help="A-side vertices to distinguish")),
+        ("--graph", dict()),
+        ("--parts", dict(help="part label per vertex, comma-separated")),
+        ("--core", dict(help="core vertex set B")),
+        ("--alpha", dict(type=_rational, required=True)),
+        ("--t", dict(type=int)),
+        ("--direction", dict(choices=("to-core", "from-core"),
+                             default="to-core")),
+        ("--seed", dict(type=int, default=0)))),
+    "pack": (cmd_pack, "extract a universal packing", (
+        ("--graph", dict(required=True)),
+        ("--parts", dict(required=True)),
+        ("--k", dict(type=int, required=True)))),
+    "decompose": (cmd_decompose, "decomposition certificate", (
+        ("--graph", dict(required=True)),
+        ("--r", dict(type=int, required=True)),
+        ("--k", dict(type=int, required=True)),
+        ("--alpha", dict(type=functools.partial(_rational, unit=True),
+                         required=True)),
+        ("--parts", dict()),
+        ("--eps-out", dict(type=_rational, default=0.5)))),
+    "verify": (cmd_verify, "re-verify an emitted certificate", (
+        ("--certificate", dict(required=True)),
+        ("--graph", dict(help="optional cross-check graph file")),
+        ("--budget-eps", dict(type=_rational)))),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once: parsing leaves it unchanged for ``main``."""
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser, built once per argument: parsing leaves it unchanged for
+    ``main``.  With a command of ``COMMANDS`` only that command's subparser
+    is added, which parses that command's arguments exactly as the full
+    parser does; without one all of them are, for ``--help``, ``--version``
+    and the errors of a missing or unknown command."""
     top = _Parser(
         prog="hptools",
         description="Exact desk-scale toolkit for universal graphs, "
                     "hereditary speeds, and structure certificates.")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name in [command] if command else COMMANDS:
+        fn, summary, options = COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=fn)
-        return p
-
-    p = add("construct", cmd_construct, help="build a universal graph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--v", help="layer pattern bits for the starred variant")
-
-    p = add("shatter", cmd_shatter, help="test whether A shatters B")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--A", required=True, help="comma-separated vertices")
-    p.add_argument("--B", required=True)
-
-    p = add("chi-c", cmd_chi_c, help="colouring number of a property")
-    p.add_argument("--forbidden", required=True)
-    p.add_argument("--r-max", type=int, default=MAX_PATTERN_LENGTH)
-
-    p = add("speed", cmd_speed, help="exact |P_n|")
-    p.add_argument("--forbidden", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("census", cmd_census, help="per-n speed/entropy/bound table")
-    p.add_argument("--forbidden", required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--eps", type=_rational, default=0.5)
-    p.add_argument("--alpha", type=functools.partial(_rational, unit=True),
-                   default=0.25)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--budget-eps", type=_rational, default=0.5)
-    p.add_argument("--certify", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="also decompose every member and report the "
-                        "fraction meeting the |A| budget")
-
-    p = add("count-free", cmd_count_free, help="exact U(k)-free bipartite count")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=("whole", "cross"), default="whole")
-
-    p = add("count-attach", cmd_count_attach,
-            help="exact non-shattering attachment count")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("separated", cmd_separated, help="max pairwise-separated subset")
-    p.add_argument("--bipgraph", required=True)
-    p.add_argument("--side", choices=("A", "B"), default="A")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--k", type=int, help="report the U(k)-free ceiling too")
-
-    p = add("sparsen", cmd_sparsen,
-            help="distinguishing set, or clone classes when --t is given")
-    p.add_argument("--bipgraph")
-    p.add_argument("--usub", help="A-side vertices to distinguish")
-    p.add_argument("--graph")
-    p.add_argument("--parts", help="part label per vertex, comma-separated")
-    p.add_argument("--core", help="core vertex set B")
-    p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--t", type=int)
-    p.add_argument("--direction", choices=("to-core", "from-core"),
-                   default="to-core")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("pack", cmd_pack, help="extract a universal packing")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--parts", required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("decompose", cmd_decompose, help="decomposition certificate")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=functools.partial(_rational, unit=True),
-                   required=True)
-    p.add_argument("--parts")
-    p.add_argument("--eps-out", type=_rational, default=0.5)
-
-    p = add("verify", cmd_verify, help="re-verify an emitted certificate")
-    p.add_argument("--certificate", required=True)
-    p.add_argument("--graph", help="optional cross-check graph file")
-    p.add_argument("--budget-eps", type=_rational)
-
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     args._t0 = time.perf_counter()
     try:
         args.func(args)

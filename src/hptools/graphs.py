@@ -415,10 +415,13 @@ def graph6_decode(data: bytes | str) -> Graph:
     adj = [0] * n
     start = 0
     for v in range(1, n):
-        adj[v] = x >> start & (1 << v) - 1  # edges (u, v), u < v
+        adj[v] = row = x >> start & (1 << v) - 1  # edges (u, v), u < v
         start += v
-        for u in bits(adj[v]):
-            adj[u] |= 1 << v
+        bit = 1 << v
+        while row:
+            low = row & -row
+            adj[low.bit_length() - 1] |= bit
+            row ^= low
     return Graph._trusted(n, tuple(adj))
 
 
@@ -490,7 +493,10 @@ def far_clique(vecs, masks, cutoff: int) -> int:
     for u in range(n):
         for v in range(u):
             x = vecs[u] ^ vecs[v]
-            if all((x & S).bit_count() >= cutoff for S in masks):
+            for S in masks:
+                if (x & S).bit_count() < cutoff:
+                    break
+            else:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
     return (max_clique if n <= MAX_EXACT_CLIQUE else greedy_maximal_clique)(n, adj)

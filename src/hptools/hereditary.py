@@ -7,8 +7,7 @@ captures the intended property is the caller's modeling choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
 from math import comb, log2
 
 from .errors import DomainError
@@ -21,9 +20,14 @@ MAX_PATTERN_LENGTH = 8
 
 @dataclass(frozen=True)
 class PropertySpec:
-    """A minimal, isomorphism-deduplicated family of forbidden induced subgraphs."""
+    """A minimal, isomorphism-deduplicated family of forbidden induced subgraphs.
+
+    ``tree`` is the generation tree that ``enumerate_property`` grows under
+    the spec; it takes no part in equality or hashing."""
 
     forbidden: tuple[Graph, ...]
+    tree: dict[tuple[int, ...], bytes] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_graphs(cls, graphs) -> "PropertySpec":
@@ -124,12 +128,31 @@ def enumerate_property(spec: PropertySpec, n: int):
     leaves after one search of rows 0..v-1.  Emits exactly the graphs of
     ``enumerate_labeled(n)`` with no forbidden induced subgraph, in the same
     ascending edge-bitmask order.
+
+    Every member of P_n is a member of P_{n-1} plus one vertex, so every
+    walk of a property goes down one tree.  ``spec.tree`` maps the rows of
+    each prefix met to its table, ascending as ``bytes`` (rows are below
+    2^7), for as long as the spec lives, so a later walk on the same spec,
+    at this n or another, searches no prefix met before.  After walks up to
+    n it holds one table per member of P_v, v < n.  Under CPython 3.11,
+    tracemalloc puts a table with its key at about 200 bytes: up to n = 7,
+    6,229 tables in 1.1 MB for K3-free and 31,912 in 6.4 MB for C5-free;
+    up to n = 8, 139,730 tables in 27 MB for K3-free.
     """
     if n < 0:
         raise DomainError(f"n must lie in 0..{MAX_ENUM_VERTICES}")
     if n > MAX_ENUM_VERTICES:
         raise DomainError(f"enumeration capped at n <= {MAX_ENUM_VERTICES}")
-    for rows in grow_rows(n, partial(_kept_rows, spec.forbidden)):
+    tree = spec.tree
+
+    def keep(v: int, rows) -> bytes:
+        prefix = tuple(rows[:v])  # a copy: ``rows`` is live
+        kept = tree.get(prefix)
+        if kept is None:
+            kept = tree[prefix] = bytes(_kept_rows(spec.forbidden, v, rows))
+        return kept
+
+    for rows in grow_rows(n, keep):
         yield Graph._trusted(n, tuple(rows))
 
 

@@ -211,7 +211,7 @@ def min_intra_edges_parts(G: Graph, r: int) -> tuple[int, ...]:
     fewer of its neighbours, never emptying a part, so part sizes may drift
     apart by more than one.  Desk stand-in for a structure-revealing
     partition on larger inputs."""
-    n = G.n
+    n, adj = G.n, G.adj
     if r == 2 and 2 <= n <= 16:
         return _exact_bisection(G)
     labels = [v % r for v in range(n)]
@@ -220,9 +220,10 @@ def min_intra_edges_parts(G: Graph, r: int) -> tuple[int, ...]:
         improved = False
         masks = part_masks(labels, r)
         for v in range(n):
-            cur = labels[v]
-            loads = [(G.adj[v] & masks[j]).bit_count() for j in range(r)]
-            best_j = min(range(r), key=lambda j: (loads[j], masks[j].bit_count(), j))
+            row, cur = adj[v], labels[v]
+            loads = [(row & m).bit_count() for m in masks]
+            # ties go to the least j: min keeps the first of equal keys
+            best_j = min(range(r), key=lambda j: (loads[j], masks[j].bit_count()))
             if best_j != cur and loads[best_j] < loads[cur] \
                     and masks[cur].bit_count() > 1:
                 masks[cur] &= ~(1 << v)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hptools
+from hptools import hereditary
 from hptools import (DecompositionCertificate, Graph, PackingReport,
                      PropertySpec, certify_members, colouring_number, decompose,
                      enumerate_property, extract_universal_packing,
@@ -312,6 +313,28 @@ def test_census_table(tmp_path, capsys):
     rows = parse(out)["results"]["rows"]
     assert [r["count"] for r in rows] == ["1"] * 4
     assert all(r["entropy"] == "0.000000" for r in rows)
+
+
+@pytest.mark.parametrize("certify", [[], ["--certify"]])
+def test_census_derives_each_kept_row_table_once(tmp_path, capsys,
+                                                 monkeypatch, certify):
+    # one search per prefix met, the members of P_v for v < 5, though
+    # speed, and certify_members with --certify, walk every n
+    searches = []
+    search = hereditary._kept_rows
+
+    def counted(forbidden, v, rows):
+        searches.append(v)
+        return search(forbidden, v, rows)
+
+    monkeypatch.setattr(hereditary, "_kept_rows", counted)
+    spec = write_spec(tmp_path, complete_graph(3))
+    rc, out, _ = run(capsys, "census", "--forbidden", spec, "--n-max", "5",
+                     *certify)
+    assert rc == 0
+    assert [row["count"] for row in parse(out)["results"]["rows"]] == [
+        "1", "2", "7", "41", "388"]
+    assert len(searches) == 1 + 1 + 2 + 7 + 41
 
 
 def test_census_certify(tmp_path, capsys):
@@ -921,6 +944,23 @@ def test_every_subcommand_prints_one_strict_json_report(tmp_path, capsys):
             main(argv + ["--format", "json"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_a_commands_own_parser_reads_as_the_full_one(capsys, command):
+    # main builds only the subparser argv[0] names; its help and its usage
+    # errors must be the full parser's, byte for byte
+    own, full = build_parser(command), build_parser()
+    assert own is build_parser(command) and own is not full
+    for argv in ([command, "--help"], [command], [command, "--bogus", "1"]):
+        seen = []
+        for parser in (own, full):
+            with pytest.raises(SystemExit) as exit_:
+                parser.parse_args(argv)
+            out = capsys.readouterr()
+            seen.append((exit_.value.code, out.out, out.err))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == (0 if "--help" in argv else 2)
 
 
 def test_option_inventory_is_pinned():

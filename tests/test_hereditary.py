@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 
 import networkx as nx
 import pytest
@@ -114,6 +114,40 @@ def test_pruned_enumeration_matches_plain_filter(k3, c4):
 @lru_cache(maxsize=None)
 def every_labeled_graph(n: int) -> list:
     return naive_enumerate_labeled(n)
+
+
+# the forbidden graph of each property of the benchmark's census
+CENSUS_FORBIDDEN = {
+    "K3": complete_graph(3), "C4": cycle_graph(4), "P4": path_graph(4),
+    "claw": graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+    "K4": complete_graph(4), "C5": cycle_graph(5),
+}
+
+
+@pytest.mark.parametrize("sizes", [(5, 5), (4, 5)])
+@pytest.mark.parametrize("name", CENSUS_FORBIDDEN)
+def test_interleaved_walks_on_one_spec_share_its_tree(name, sizes):
+    # two walks advanced in turn, each growing and reading the tree while
+    # the other is mid-walk: a table keyed or stored by the live row list
+    # would show up as a wrong member in one of them
+    spec = spec_of(CENSUS_FORBIDDEN[name])
+    got = ([], [])
+    for pair in zip_longest(*(enumerate_property(spec, n) for n in sizes)):
+        for out, G in zip(got, pair):
+            if G is not None:
+                out.append(G)
+    for out, n in zip(got, sizes):
+        assert out == [G for G in every_labeled_graph(n) if is_member(spec, G)]
+
+
+def test_specs_built_twice_are_equal_whatever_their_trees_hold(k3, c4):
+    grown, fresh = spec_of(k3, c4), spec_of(k3, c4)
+    assert speed(grown, 5).count == speed(fresh, 5).count
+    list(enumerate_property(grown, 6))
+    assert len(grown.tree) > len(fresh.tree) > 0
+    assert grown == fresh and hash(grown) == hash(fresh)
+    assert repr(grown) == repr(fresh)
+    assert {grown: 1}[fresh] == 1
 
 
 def cut_graph(order: int, emask: int) -> Graph:
