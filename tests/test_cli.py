@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hptools
-from hptools import hereditary
+from hptools import cli, hereditary
 from hptools import (DecompositionCertificate, Graph, PackingReport,
                      PropertySpec, certify_members, colouring_number, decompose,
                      enumerate_property, extract_universal_packing,
@@ -315,26 +315,33 @@ def test_census_table(tmp_path, capsys):
     assert all(r["entropy"] == "0.000000" for r in rows)
 
 
-@pytest.mark.parametrize("certify", [[], ["--certify"]])
+@pytest.mark.parametrize("argv, kept", [
+    (["census", "--n-max", "5"], 1 + 1 + 2 + 7),
+    (["census", "--n-max", "5", "--certify"], 1 + 1 + 2 + 7 + 41),
+    (["speed", "--n", "5"], 0),
+])
 def test_census_derives_each_kept_row_table_once(tmp_path, capsys,
-                                                 monkeypatch, certify):
+                                                 monkeypatch, argv, kept):
     # one search per prefix met, the members of P_v for v < 5, though
-    # speed, and certify_members with --certify, walk every n
-    searches = []
-    search = hereditary._kept_rows
+    # speed, and certify_members with --certify, walk every n; a call keeps
+    # only the tables a later walk of its own reads
+    searches, specs = [], []
+    search, load = hereditary._kept_rows, cli.load_property
 
     def counted(forbidden, v, rows):
         searches.append(v)
         return search(forbidden, v, rows)
 
     monkeypatch.setattr(hereditary, "_kept_rows", counted)
+    monkeypatch.setattr(cli, "load_property",
+                        lambda path: specs.append(load(path)) or specs[-1])
     spec = write_spec(tmp_path, complete_graph(3))
-    rc, out, _ = run(capsys, "census", "--forbidden", spec, "--n-max", "5",
-                     *certify)
+    rc, out, _ = run(capsys, *argv, "--forbidden", spec)
     assert rc == 0
-    assert [row["count"] for row in parse(out)["results"]["rows"]] == [
-        "1", "2", "7", "41", "388"]
+    results = parse(out)["results"]
+    assert [row["count"] for row in results.get("rows", [results])][-1] == "388"
     assert len(searches) == 1 + 1 + 2 + 7 + 41
+    assert len(specs[0].tree) == kept
 
 
 def test_census_certify(tmp_path, capsys):

@@ -132,7 +132,8 @@ def test_interleaved_walks_on_one_spec_share_its_tree(name, sizes):
     # would show up as a wrong member in one of them
     spec = spec_of(CENSUS_FORBIDDEN[name])
     got = ([], [])
-    for pair in zip_longest(*(enumerate_property(spec, n) for n in sizes)):
+    for pair in zip_longest(*(enumerate_property(spec, n, grow=True)
+                              for n in sizes)):
         for out, G in zip(got, pair):
             if G is not None:
                 out.append(G)
@@ -142,12 +143,39 @@ def test_interleaved_walks_on_one_spec_share_its_tree(name, sizes):
 
 def test_specs_built_twice_are_equal_whatever_their_trees_hold(k3, c4):
     grown, fresh = spec_of(k3, c4), spec_of(k3, c4)
-    assert speed(grown, 5).count == speed(fresh, 5).count
-    list(enumerate_property(grown, 6))
+    assert speed(grown, 5, grow=True).count == speed(fresh, 5, grow=True).count
+    list(enumerate_property(grown, 6, grow=True))
     assert len(grown.tree) > len(fresh.tree) > 0
     assert grown == fresh and hash(grown) == hash(fresh)
     assert repr(grown) == repr(fresh)
     assert {grown: 1}[fresh] == 1
+
+
+def test_only_a_growing_walk_keeps_tables(k3, monkeypatch):
+    # a walk that does not grow reads the tree and adds nothing to it, so a
+    # single walk ends with the spec as it found it
+    searches = []
+    search = hereditary._kept_rows
+
+    def counted(forbidden, v, rows):
+        searches.append(v)
+        return search(forbidden, v, rows)
+
+    monkeypatch.setattr(hereditary, "_kept_rows", counted)
+    spec = spec_of(k3)
+    assert speed(spec, 5).count == 388 and spec.tree == {}
+    assert len(searches) == 1 + 1 + 2 + 7 + 41
+    assert speed(spec, 4, grow=True).count == 41
+    assert len(spec.tree) == 1 + 1 + 2 + 7
+    del searches[:]
+    assert speed(spec, 5).count == 388 and len(spec.tree) == 11
+    assert searches == [4] * 41
+
+
+def test_the_tree_is_no_constructor_argument(k3):
+    spec = spec_of(k3)
+    with pytest.raises(TypeError):
+        PropertySpec(spec.forbidden, {(): b"\x00"})
 
 
 def cut_graph(order: int, emask: int) -> Graph:
