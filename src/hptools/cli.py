@@ -396,9 +396,7 @@ def cmd_census(args) -> None:
     patterns = valid_hrv_patterns(spec)
     rows = []
     for n in range(1, args.n_max + 1):
-        # the count's walk keeps its tables for the walks after it: the
-        # certify walk at this n, or the count's walk at the next
-        row = speed(spec, n, grow=args.certify or n < args.n_max)
+        row = speed(spec, n)
         lower = max((count_hrv(n, v) for v in patterns), default=0)
         lo2, hi2 = abt_bounds(n, r, args.eps)
         entry = {

@@ -217,6 +217,8 @@ def trace_count_check(bg: BipGraph, blocks, k: int):
     count then exceeds its Sauer ceiling: by Sauer-Shelah, more traces on
     B_j would shatter a k-subset of B_j, a cross U(k) copy.
     """
+    if not 1 <= k <= MAX_UK_LEVEL:
+        raise DomainError(f"universal level capped at {MAX_UK_LEVEL}")
     blocks = list(blocks)
     union = 0
     for blk in blocks:
@@ -271,9 +273,12 @@ def count_sparse_bipartite(n: int, delta: float) -> SparseCount:
     """Exact number of bipartite graphs on n + n with at most delta^2 n^2
     edges, next to the 2^(delta n^2) ceiling.  The ceiling is asymptotic
     and is reported, never asserted (it already fails at n=4, delta=1/4)."""
-    if n > 5:
-        raise DomainError("side size capped at 5")
-    d = Fraction(delta)
+    if not 0 <= n <= 5:
+        raise DomainError("side size must lie in 0..5")
+    try:
+        d = Fraction(delta)
+    except (ValueError, OverflowError):  # nan and inf have no Fraction
+        raise DomainError("delta must be a finite number") from None
     limit = int(d * d * n * n)  # floor; edge counts are integers
     cells = n * n
     count = sum(comb(cells, j) for j in range(min(limit, cells) + 1))

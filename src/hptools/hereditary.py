@@ -23,7 +23,8 @@ class PropertySpec:
     """A minimal, isomorphism-deduplicated family of forbidden induced subgraphs.
 
     ``tree`` is the generation tree that ``enumerate_property`` grows under
-    the spec when asked to; no caller sets it, and it takes no part in
+    the spec: the table of every prefix a walk meets on at most 6 vertices,
+    so at most 33,868 tables.  No caller sets it, and it takes no part in
     equality or hashing."""
 
     forbidden: tuple[Graph, ...]
@@ -120,7 +121,7 @@ def _kept_rows(forbidden, v: int, rows) -> list[int]:
     return [r for r in range(1 << v) if not marked[r]]
 
 
-def enumerate_property(spec: PropertySpec, n: int, grow: bool = False):
+def enumerate_property(spec: PropertySpec, n: int):
     """Stream the graphs of the property on [n] in canonical order.
 
     The row odometer of ``enumerate_labeled``, pruned: hereditary closure
@@ -133,14 +134,14 @@ def enumerate_property(spec: PropertySpec, n: int, grow: bool = False):
     Every member of P_n is a member of P_{n-1} plus one vertex, so every
     walk of a property goes down one tree.  ``spec.tree`` maps the rows of
     a prefix to its table, both as ``bytes`` (rows are below 2^7), and a
-    walk searches no prefix it finds there.  One walk meets each prefix
-    once, so only ``grow`` stores what it derives, for a later walk on the
-    same spec, at this n or another; a caller that walks the spec once
-    keeps nothing.  After growing walks up to n the tree holds one table
-    per member of P_v, v < n.  Under CPython 3.11, tracemalloc puts that
-    at 0.9 MB for K3-free, 4.9 MB for K4-free and 5.4 MB for C5-free up to
-    n = 7, and at 21 MB for K3-free up to n = 8, where a 1-in-16 sample of
-    the last level puts K4- and C5-free near 350 and 390 MB.
+    walk searches no prefix it finds there.  Every walk stores the table of
+    each prefix on at most ``MAX_ENUM_VERTICES - 2`` = 6 vertices and never
+    one on 7, which only an n = 8 walk meets, up to 1.7 million of them.
+    So the tree holds at most one table per member of P_0..P_6, 33,868
+    when every graph is a member.  Under CPython 3.11, tracemalloc puts
+    that bound at 5.9 MB (K10-free), and the tree after an n = 8 walk at
+    0.9 MB for K3-free (6,229 tables), 4.9 MB for K4-free and 5.4 MB for
+    C5-free.
     """
     if n < 0:
         raise DomainError(f"n must lie in 0..{MAX_ENUM_VERTICES}")
@@ -153,7 +154,7 @@ def enumerate_property(spec: PropertySpec, n: int, grow: bool = False):
         kept = tree.get(prefix)
         if kept is None:
             kept = bytes(_kept_rows(spec.forbidden, v, rows))
-            if grow:
+            if v <= MAX_ENUM_VERTICES - 2:
                 tree[prefix] = kept
         return kept
 
@@ -161,10 +162,9 @@ def enumerate_property(spec: PropertySpec, n: int, grow: bool = False):
         yield Graph._trusted(n, tuple(rows))
 
 
-def speed(spec: PropertySpec, n: int, grow: bool = False) -> SpeedRow:
-    """Exact |P_n| by filtered enumeration; ``grow`` as for
-    ``enumerate_property``."""
-    count = sum(1 for _ in enumerate_property(spec, n, grow))
+def speed(spec: PropertySpec, n: int) -> SpeedRow:
+    """Exact |P_n| by filtered enumeration."""
+    count = sum(1 for _ in enumerate_property(spec, n))
     return SpeedRow(n, count, _entropy(n, count))
 
 

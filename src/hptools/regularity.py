@@ -21,10 +21,6 @@ MAX_TOY_VERTICES = 12
 MAX_TOY_BLOCKS = 4
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def pair_density(G: Graph, A: int, B: int) -> Fraction:
     """Exact density e(A,B) / (|A| |B|) of a disjoint pair."""
     if A & B:
@@ -44,7 +40,7 @@ def is_epsilon_regular(G: Graph, A: int, B: int, eps) -> bool:
     are reached by taking the Y-vertices of smallest/largest degree into X,
     so only those extremes need checking.
     """
-    eps = _frac(eps)
+    eps = Fraction(eps)
     a, b = A.bit_count(), B.bit_count()
     if A & B:
         raise DomainError("pair sides overlap")
@@ -84,7 +80,7 @@ def is_epsilon_regular(G: Graph, A: int, B: int, eps) -> bool:
 
 def is_grey(G: Graph, A: int, B: int, eps, delta) -> bool:
     """Regular at eps with density inside [delta, 1 - delta] (inclusive)."""
-    delta = _frac(delta)
+    delta = Fraction(delta)
     d = pair_density(G, A, B)
     if not delta <= d <= 1 - delta:
         return False
@@ -120,7 +116,7 @@ def toy_szemeredi_partition(G: Graph, m: int, eps) -> tuple[int, ...]:
                           f"m <= {MAX_TOY_BLOCKS}")
     if m > G.n:
         raise DomainError("more blocks than vertices")
-    eps = _frac(eps)
+    eps = Fraction(eps)
     n = G.n
     base, extra = divmod(n, m)
     pairs = list(combinations(range(m), 2))

@@ -316,15 +316,15 @@ def test_census_table(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, kept", [
-    (["census", "--n-max", "5"], 1 + 1 + 2 + 7),
+    (["census", "--n-max", "5"], 1 + 1 + 2 + 7 + 41),
     (["census", "--n-max", "5", "--certify"], 1 + 1 + 2 + 7 + 41),
-    (["speed", "--n", "5"], 0),
+    (["speed", "--n", "5"], 1 + 1 + 2 + 7 + 41),
 ])
 def test_census_derives_each_kept_row_table_once(tmp_path, capsys,
                                                  monkeypatch, argv, kept):
     # one search per prefix met, the members of P_v for v < 5, though
-    # speed, and certify_members with --certify, walk every n; a call keeps
-    # only the tables a later walk of its own reads
+    # speed, and certify_members with --certify, walk every n; every walk
+    # keeps the tables of its prefixes, all below 7 vertices here
     searches, specs = [], []
     search, load = hereditary._kept_rows, cli.load_property
 

@@ -228,6 +228,13 @@ def test_trace_counts_reject_exactly_the_cross_copies(m, n, k, p, seed):
         assert not naive_uk_copy(bipgraph_to_graph(bg), k, parts)
 
 
+@pytest.mark.parametrize("k", [-1, 0, 5])
+def test_trace_counts_refuse_a_level_outside_the_cap(k):
+    bg = BipGraph(2, 4, (0, 0))
+    with pytest.raises(DomainError, match="universal level capped at 4"):
+        trace_count_check(bg, [0b1111], k)
+
+
 def test_trace_counts_block_validation():
     bg = BipGraph(2, 4, (0, 0))
     with pytest.raises(DomainError):
@@ -265,6 +272,18 @@ def test_sparse_counts():
     assert count_sparse_bipartite(2, 0.5).count == 5
     res = count_sparse_bipartite(4, 0.25)
     assert res.count == 17 and res.bound == 16.0  # ceiling fails at toy scale
+
+
+@pytest.mark.parametrize("n, delta, message", [
+    (-3, 0.5, "side size must lie in 0..5"),
+    (6, 0.5, "side size must lie in 0..5"),
+    (3, float("nan"), "delta must be a finite number"),
+    (3, float("inf"), "delta must be a finite number"),
+    (3, float("-inf"), "delta must be a finite number"),
+])
+def test_sparse_counts_refuse_bad_sizes_and_deltas(n, delta, message):
+    with pytest.raises(DomainError, match=message):
+        count_sparse_bipartite(n, delta)
 
 
 # --- separated subsets --------------------------------------------------------------

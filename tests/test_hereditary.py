@@ -127,12 +127,12 @@ CENSUS_FORBIDDEN = {
 @pytest.mark.parametrize("sizes", [(5, 5), (4, 5)])
 @pytest.mark.parametrize("name", CENSUS_FORBIDDEN)
 def test_interleaved_walks_on_one_spec_share_its_tree(name, sizes):
-    # two walks advanced in turn, each growing and reading the tree while
+    # two walks advanced in turn, each storing and reading tables while
     # the other is mid-walk: a table keyed or stored by the live row list
     # would show up as a wrong member in one of them
     spec = spec_of(CENSUS_FORBIDDEN[name])
     got = ([], [])
-    for pair in zip_longest(*(enumerate_property(spec, n, grow=True)
+    for pair in zip_longest(*(enumerate_property(spec, n)
                               for n in sizes)):
         for out, G in zip(got, pair):
             if G is not None:
@@ -143,17 +143,16 @@ def test_interleaved_walks_on_one_spec_share_its_tree(name, sizes):
 
 def test_specs_built_twice_are_equal_whatever_their_trees_hold(k3, c4):
     grown, fresh = spec_of(k3, c4), spec_of(k3, c4)
-    assert speed(grown, 5, grow=True).count == speed(fresh, 5, grow=True).count
-    list(enumerate_property(grown, 6, grow=True))
+    assert speed(grown, 5).count == speed(fresh, 5).count
+    list(enumerate_property(grown, 6))
     assert len(grown.tree) > len(fresh.tree) > 0
     assert grown == fresh and hash(grown) == hash(fresh)
     assert repr(grown) == repr(fresh)
     assert {grown: 1}[fresh] == 1
 
 
-def test_only_a_growing_walk_keeps_tables(k3, monkeypatch):
-    # a walk that does not grow reads the tree and adds nothing to it, so a
-    # single walk ends with the spec as it found it
+def counted_searches(monkeypatch) -> list[int]:
+    """The prefix size v of every ``_kept_rows`` search from here on."""
     searches = []
     search = hereditary._kept_rows
 
@@ -162,14 +161,36 @@ def test_only_a_growing_walk_keeps_tables(k3, monkeypatch):
         return search(forbidden, v, rows)
 
     monkeypatch.setattr(hereditary, "_kept_rows", counted)
+    return searches
+
+
+def test_a_walk_keeps_every_table_below_seven_vertices(k3, monkeypatch):
+    # the first walk searches each prefix once and keeps every table, all
+    # on at most 4 vertices; a second walk at n = 5 reads them all
+    searches = counted_searches(monkeypatch)
     spec = spec_of(k3)
-    assert speed(spec, 5).count == 388 and spec.tree == {}
+    assert speed(spec, 5).count == 388
     assert len(searches) == 1 + 1 + 2 + 7 + 41
-    assert speed(spec, 4, grow=True).count == 41
-    assert len(spec.tree) == 1 + 1 + 2 + 7
+    assert len(spec.tree) == 1 + 1 + 2 + 7 + 41
     del searches[:]
-    assert speed(spec, 5).count == 388 and len(spec.tree) == 11
-    assert searches == [4] * 41
+    assert speed(spec, 5).count == 388 and len(spec.tree) == 52
+    assert searches == []
+
+
+def test_no_walk_keeps_a_table_on_seven_vertices(monkeypatch):
+    # P3-free graphs are disjoint unions of cliques, so |P_v| is Bell(v):
+    # 1, 1, 2, 5, 15, 52, 203, 877 for v = 0..7.  The first n = 8 walk
+    # searches every prefix and keeps those on 0..6 vertices; the second
+    # searches again only the 877 prefixes on 7, one per member of P_7.
+    searches = counted_searches(monkeypatch)
+    spec = spec_of(path_graph(3))
+    assert speed(spec, 8).count == 4140
+    assert len(searches) == 1156
+    assert len(spec.tree) == 279
+    assert {len(prefix) for prefix in spec.tree} == set(range(7))
+    del searches[:]
+    assert speed(spec, 8).count == 4140 and len(spec.tree) == 279
+    assert searches == [7] * 877
 
 
 def test_the_tree_is_no_constructor_argument(k3):
