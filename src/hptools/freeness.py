@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import and_
+from typing import NamedTuple
 
 from .errors import DomainError, StepError
 from .graphs import (MAX_VERTICES, Graph, bits, far_clique, k_submasks, mask_of,
@@ -35,24 +35,24 @@ MAX_UK_LEVEL = 4
 MAX_COUNT_CELLS = 25
 
 
-@dataclass(frozen=True)
-class BipGraph:
+class BipGraph(NamedTuple("_BipGraphRecord",
+                          [("m", int), ("n", int), ("rows", tuple[int, ...])])):
     """Bipartite graph with parts A (size m) and B (size n); only cross
     edges are representable.  ``rows[a]`` is a's B-neighbourhood bitmask."""
 
-    m: int
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        if not (0 <= self.m <= MAX_BIP_SIDE and 0 <= self.n <= MAX_BIP_SIDE):
+    def __new__(cls, m: int, n: int, rows: tuple[int, ...]):
+        if not (0 <= m <= MAX_BIP_SIDE and 0 <= n <= MAX_BIP_SIDE):
             raise DomainError(f"bipartite sides capped at {MAX_BIP_SIDE}")
-        if len(self.rows) != self.m:
+        if len(rows) != m:
             raise DomainError("row count does not match m")
-        full = (1 << self.n) - 1
-        for row in self.rows:
+        full = (1 << n) - 1
+        for row in rows:
             if row & ~full:
                 raise DomainError("row has bits outside the B side")
+        return tuple.__new__(cls, (m, n, rows))
 
     def cols(self) -> tuple[int, ...]:
         out = [0] * self.n
@@ -200,8 +200,7 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
 # trace counts against the Sauer ceiling
 
 
-@dataclass(frozen=True)
-class BlockTraceReport:
+class BlockTraceReport(NamedTuple):
     size: int
     trace_count: int
     sauer_ceiling: int
@@ -263,8 +262,7 @@ def count_nonshattering_attachments(a: int, n: int) -> tuple[int, int, int]:
     return count, printed, corrected
 
 
-@dataclass(frozen=True)
-class SparseCount:
+class SparseCount(NamedTuple):
     count: int
     bound: float
 
@@ -279,10 +277,16 @@ def count_sparse_bipartite(n: int, delta: float) -> SparseCount:
         d = Fraction(delta)
     except (ValueError, OverflowError):  # nan and inf have no Fraction
         raise DomainError("delta must be a finite number") from None
+    if d < 0:
+        raise DomainError("delta must be nonnegative")
+    try:
+        bound = 2.0 ** float(d * n * n)
+    except OverflowError:
+        raise DomainError("ceiling 2^(delta n^2) exceeds the float range") from None
     limit = int(d * d * n * n)  # floor; edge counts are integers
     cells = n * n
     count = sum(comb(cells, j) for j in range(min(limit, cells) + 1))
-    return SparseCount(count, 2.0 ** float(d * n * n))
+    return SparseCount(count, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +322,7 @@ def separated_subset_ceiling(n: int, x: int, k: int, m: int) -> float:
 # sparsening: distinguishing sets
 
 
-@dataclass(frozen=True)
-class DistinguishingSet:
+class DistinguishingSet(NamedTuple):
     X: int
     attempts: int
 
@@ -384,8 +387,7 @@ def distinguishing_set(bg: BipGraph, u_sub: int, alpha: float, seed: int,
 # sparsening: clone classes
 
 
-@dataclass(frozen=True)
-class SparseningOutput:
+class SparseningOutput(NamedTuple):
     """Core vertices B' plus, per part, trace-aligned classes, and the
     smallest class size over n.
 

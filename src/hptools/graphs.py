@@ -16,8 +16,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -78,40 +78,38 @@ def part_masks(labels, r: int | None = None) -> list[int]:
 # the Graph type
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple("_GraphRecord", [("n", int), ("adj", tuple[int, ...])])):
     """Immutable labeled graph; ``adj[i]`` is the bit row of vertex i."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise DomainError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
+    def __new__(cls, n: int, adj: tuple[int, ...]):
+        if not 0 <= n <= MAX_VERTICES:
+            raise DomainError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        if len(adj) != n:
             raise DomainError("adjacency row count does not match n")
-        full = (1 << self.n) - 1
-        for i, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for i, row in enumerate(adj):
             if row & ~full:
                 raise DomainError(f"row {i} has bits outside [n]")
             if row >> i & 1:
                 raise DomainError(f"self-loop at vertex {i}")
-        for i in range(self.n):
-            for j in bits(self.adj[i]):
-                if not self.adj[j] >> i & 1:
+        for i in range(n):
+            for j in bits(adj[i]):
+                if not adj[j] >> i & 1:
                     raise DomainError(f"adjacency not symmetric at ({i},{j})")
+        return tuple.__new__(cls, (n, adj))
 
     @classmethod
     def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         """A graph on rows that are valid by construction (n within the cap,
         one row per vertex inside [n], loopless and symmetric), built
-        without the checks of ``__post_init__``.  Only producers that make
+        without the checks of ``Graph(n, adj)``.  Only producers that make
         such rows themselves call it.  Every input path builds ``Graph``,
         except ``graph6_decode``, which checks the order and the bit vector
         and then makes symmetric rows itself."""
-        G = object.__new__(cls)
-        G.__dict__.update(n=n, adj=adj)
-        return G
+        return tuple.__new__(cls, (n, adj))
 
     @property
     def vertex_mask(self) -> int:

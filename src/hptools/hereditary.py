@@ -7,8 +7,8 @@ captures the intended property is the caller's modeling choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, log2
+from typing import NamedTuple
 
 from .errors import DomainError
 from .graphs import (Graph, MAX_ENUM_VERTICES, _extend, _pin_plan, bits,
@@ -18,18 +18,31 @@ MAX_FORBIDDEN_ORDER = 10
 MAX_PATTERN_LENGTH = 8
 
 
-@dataclass(frozen=True)
-class PropertySpec:
+class PropertySpec(NamedTuple("_PropertySpecRecord",
+                              [("forbidden", tuple[Graph, ...])])):
     """A minimal, isomorphism-deduplicated family of forbidden induced subgraphs.
 
     ``tree`` is the generation tree that ``enumerate_property`` grows under
     the spec: the table of every prefix a walk meets on at most 6 vertices,
-    so at most 33,868 tables.  No caller sets it, and it takes no part in
-    equality or hashing."""
+    so at most 33,868 tables.  It is no field: each spec starts with its own
+    empty tree, which takes no part in equality, hashing or the repr."""
 
-    forbidden: tuple[Graph, ...]
-    tree: dict[bytes, bytes] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
+
+    def __new__(cls, forbidden: tuple[Graph, ...]):
+        for i, F in enumerate(forbidden):
+            if not 1 <= F.n <= MAX_FORBIDDEN_ORDER:
+                raise DomainError(
+                    f"forbidden graphs must have 1..{MAX_FORBIDDEN_ORDER} vertices")
+            for j, K in enumerate(forbidden):
+                if i != j and contains_induced(F, K) is not None:
+                    raise DomainError("forbidden family is not minimal")
+        spec = tuple.__new__(cls, (forbidden,))
+        spec.__dict__["tree"] = {}
+        return spec
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def from_graphs(cls, graphs) -> "PropertySpec":
@@ -43,15 +56,6 @@ class PropertySpec:
             kept.append(F)
         return cls(tuple(kept))
 
-    def __post_init__(self):
-        for i, F in enumerate(self.forbidden):
-            if not 1 <= F.n <= MAX_FORBIDDEN_ORDER:
-                raise DomainError(
-                    f"forbidden graphs must have 1..{MAX_FORBIDDEN_ORDER} vertices")
-            for j, K in enumerate(self.forbidden):
-                if i != j and contains_induced(F, K) is not None:
-                    raise DomainError("forbidden family is not minimal")
-
 
 def load_property(path) -> PropertySpec:
     """Read a PropertySpec file: one graph6 line per forbidden graph."""
@@ -64,8 +68,7 @@ def load_property(path) -> PropertySpec:
 # speeds
 
 
-@dataclass(frozen=True)
-class SpeedRow:
+class SpeedRow(NamedTuple):
     n: int
     count: int
     entropy: float
@@ -271,8 +274,7 @@ def count_hrv(n: int, v) -> int:
     return sum(1 for _ in enumerate_labeled(n, extends))
 
 
-@dataclass(frozen=True)
-class ColouringNumber:
+class ColouringNumber(NamedTuple):
     value: int
     capped: bool
     degenerate: bool

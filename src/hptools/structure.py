@@ -8,11 +8,11 @@ every part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, permutations, product
 from operator import or_
+from typing import NamedTuple
 
 from .errors import DomainError
 from .freeness import MAX_UK_HOST, find_uk_copy
@@ -79,8 +79,7 @@ def alpha_adjust(G: Graph, parts, B: int, alpha,
 # the packing algorithm
 
 
-@dataclass(frozen=True)
-class PackingPiece:
+class PackingPiece(NamedTuple):
     layers: tuple[int, ...]        # vertex mask per layer
     level: int                     # t: number of layers
     placement: tuple[int, ...]     # part index per layer
@@ -90,8 +89,7 @@ class PackingPiece:
         return reduce(or_, self.layers, 0)
 
 
-@dataclass(frozen=True)
-class PackingReport:
+class PackingReport(NamedTuple):
     pieces: tuple[PackingPiece, ...]
     residual: tuple[int, ...]
     k: int
@@ -250,8 +248,7 @@ def verify_packing_maximality(G: Graph, parts, report: PackingReport) -> bool:
 # the decomposition
 
 
-@dataclass(frozen=True)
-class DecompositionCertificate:
+class DecompositionCertificate(NamedTuple):
     n: int
     r: int
     k: int

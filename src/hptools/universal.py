@@ -8,8 +8,8 @@ A' subset of A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import DomainError
 from .graphs import Graph, bits, k_submasks, mask_of
@@ -83,8 +83,7 @@ def shatters(G: Graph, A: int, B: int) -> dict[int, int] | None:
 # universal graph constructions
 
 
-@dataclass(frozen=True)
-class BipartiteUniversal:
+class BipartiteUniversal(NamedTuple):
     graph: Graph
     A: int
     B: int
@@ -109,8 +108,7 @@ def construct_universal(k: int) -> BipartiteUniversal:
     return BipartiteUniversal(Graph(n, tuple(adj)), A, B)
 
 
-@dataclass(frozen=True)
-class LayeredUniversal:
+class LayeredUniversal(NamedTuple):
     """U(r,k) and its starred variant: layer j+1 shatters the union of all
     earlier layers via subset labeling; within-layer edges are empty, or a
     clique when the pattern bit says so."""

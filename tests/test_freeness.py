@@ -280,6 +280,9 @@ def test_sparse_counts():
     (3, float("nan"), "delta must be a finite number"),
     (3, float("inf"), "delta must be a finite number"),
     (3, float("-inf"), "delta must be a finite number"),
+    (3, -0.5, "delta must be nonnegative"),
+    (3, 200, r"ceiling 2\^\(delta n\^2\) exceeds the float range"),
+    (3, 1e300, r"ceiling 2\^\(delta n\^2\) exceeds the float range"),
 ])
 def test_sparse_counts_refuse_bad_sizes_and_deltas(n, delta, message):
     with pytest.raises(DomainError, match=message):

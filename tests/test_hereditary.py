@@ -197,6 +197,16 @@ def test_the_tree_is_no_constructor_argument(k3):
     spec = spec_of(k3)
     with pytest.raises(TypeError):
         PropertySpec(spec.forbidden, {(): b"\x00"})
+    with pytest.raises(TypeError):
+        PropertySpec(forbidden=spec.forbidden, tree={})
+    with pytest.raises(AttributeError):
+        spec.tree = {}
+    assert spec._fields == ("forbidden",)
+    other = spec_of(k3)
+    other.tree[b""] = b"\x00"
+    # each spec has its own tree, which takes no part in eq, hash or repr
+    assert spec.tree == {} and other == spec and hash(other) == hash(spec)
+    assert repr(other) == repr(spec) == f"PropertySpec(forbidden=({k3!r},))"
 
 
 def cut_graph(order: int, emask: int) -> Graph:

@@ -267,10 +267,12 @@ def calls_made(root: Path) -> dict[str, list[tuple[float, set]]]:
 
 
 def init_fields(cls: ast.ClassDef) -> list[ast.AnnAssign]:
-    """The fields that ``@dataclass`` makes parameters of ``cls``'s
-    ``__init__``, in order; none unless ``cls`` is a dataclass."""
-    if not any(callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
-               for d in cls.decorator_list):
+    """The fields that ``@dataclass`` or a ``NamedTuple`` base makes
+    parameters of ``cls``'s constructor, in order; none unless ``cls`` is a
+    dataclass or a ``NamedTuple``."""
+    if not (any(callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in cls.decorator_list)
+            or any(callee(base) == "NamedTuple" for base in cls.bases)):
         return []
     return [stmt for stmt in cls.body
             if isinstance(stmt, ast.AnnAssign) and stmt.simple
@@ -285,20 +287,20 @@ def init_fields(cls: ast.ClassDef) -> list[ast.AnnAssign]:
 def options(tree: ast.Module):
     """(line, callee, label, position, name) of each optional parameter of
     the top-level functions and the methods of ``tree``, the fields of a
-    dataclass with a default among them: a method is called by its name and
-    ``__init__`` by its class's, ``self`` takes no position, and a
-    keyword-only parameter has position None."""
+    dataclass or a ``NamedTuple`` with a default among them: a method is
+    called by its name and ``__init__`` and ``__new__`` by their class's,
+    ``self`` and ``cls`` take no position, and a keyword-only parameter has
+    position None."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             found = [(node.name, node.name, 0, node)]
         elif isinstance(node, ast.ClassDef):
-            found = [(node.name if fn.name == "__init__" else fn.name,
+            found = [(node.name if fn.name in ("__init__", "__new__") else fn.name,
                       f"{node.name}.{fn.name}", 1, fn)
                      for fn in node.body if isinstance(fn, ast.FunctionDef)]
             for i, stmt in enumerate(init_fields(node)):
                 if stmt.value is not None:
-                    yield (stmt.lineno, node.name, f"{node.name}.__init__", i,
-                           stmt.target.id)
+                    yield stmt.lineno, node.name, node.name, i, stmt.target.id
         else:
             continue
         for name, label, shift, fn in found:
@@ -337,18 +339,22 @@ def test_scan_flags_an_option_nothing_passes(tmp_path):
               "@dataclass(frozen=True)\nclass D:\n    a: int\n"
               "    b: int = 0\n    c: dict = field(default_factory=dict)\n"
               "    t: dict = field(default_factory=dict, init=False)\n"
-              "    s: ClassVar[int] = 0\n")
-    files = {"src/hptools/a.py": source + "f(0, 1, e=5); K(1).m(**{}); D(0, 1)\n",
+              "    s: ClassVar[int] = 0\n"
+              "class N(typing.NamedTuple):\n    a: int\n    b: int = 0\n"
+              "    c: int = 0\n"
+              "class T(tuple):\n    def __new__(cls, p, q=0, r=0):\n        pass\n")
+    files = {"src/hptools/a.py": source + "f(0, 1, e=5); K(1).m(**{}); D(0, 1)\n"
+                                          "N(0, b=1); T(0, 1)\n",
              "demos/d.py": "import functools\nfunctools.partial(g, 0)\n",
              "tests/test_acceptance.py": "", "tests/test_a.py": "f(0, d=1)\n"}
     plant(tmp_path, files)
     # b by position, e by keyword, x by position past self, z and w through
-    # the ** splat, u through partial, D's b by position; d only a unit test
-    # passes; D's c is a field that nothing passes, and t and s are no
-    # parameters of D
+    # the ** splat, u through partial, D's b by position, N's b by keyword,
+    # T's q by position past cls; d only a unit test passes; D's and N's c
+    # are fields that nothing passes, and t and s are no parameters of D
     assert unpassed(source, calls_made(tmp_path)) == \
         ["line 1: f(c)", "line 1: f(d)", "line 4: K.__init__(y)",
-         "line 14: D.__init__(c)"]
+         "line 14: D(c)", "line 20: N(c)", "line 22: T.__new__(r)"]
 
 
 def imported_names(source: str) -> set[str]:

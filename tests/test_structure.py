@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -329,8 +328,8 @@ TAMPER_REPORT = extract_universal_packing(TAMPER_G, TAMPER_PARTS, 1)
 
 def tampered_piece(i, **fields):
     pieces = list(TAMPER_REPORT.pieces)
-    pieces[i] = replace(pieces[i], **fields)
-    return replace(TAMPER_REPORT, pieces=tuple(pieces))
+    pieces[i] = pieces[i]._replace(**fields)
+    return TAMPER_REPORT._replace(pieces=tuple(pieces))
 
 
 @pytest.mark.parametrize("tampered, problem", [
@@ -343,9 +342,9 @@ def tampered_piece(i, **fields):
     (tampered_piece(0, placement=(0, 0, 0)),
      "piece 0: repeated part beyond the first layer"),
     (tampered_piece(1, placement=(1, 1)), "piece 1: a layer leaves its part"),
-    (replace(TAMPER_REPORT, pieces=TAMPER_REPORT.pieces[::-1]),
+    (TAMPER_REPORT._replace(pieces=TAMPER_REPORT.pieces[::-1]),
      "piece levels increase at positions [1]"),
-    (replace(TAMPER_REPORT, residual=TAMPER_REPORT.residual[::-1]),
+    (TAMPER_REPORT._replace(residual=TAMPER_REPORT.residual[::-1]),
      "residual is not each part minus the packed vertices"),
 ])
 def test_packing_verifier_names_each_tampering(tampered, problem):
@@ -475,13 +474,12 @@ def test_verify_decomposition_rejects_tampering():
     hint = (0, 0, 0, 0, 1, 1, 1, 1)
     cert = decompose(G, 2, 1, Fraction(1, 4), parts_hint=hint)
     assert verify_decomposition(G, cert)
-    from dataclasses import replace
     # move a packed vertex back into a part: partition breaks
-    bad = replace(cert, parts=(cert.parts[0] | cert.exceptional, cert.parts[1]))
+    bad = cert._replace(parts=(cert.parts[0] | cert.exceptional, cert.parts[1]))
     assert not verify_decomposition(G, bad)
     # a part containing a whole U(1) copy must be rejected
-    bad2 = replace(cert, exceptional=0,
-                   parts=(G.vertex_mask & ~cert.parts[1], cert.parts[1]))
+    bad2 = cert._replace(exceptional=0,
+                         parts=(G.vertex_mask & ~cert.parts[1], cert.parts[1]))
     ok2 = verify_decomposition(G, bad2)
     failures = decomposition_failures(G, bad2)
     assert ok2 == (not failures)
