@@ -665,7 +665,17 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    parser = build_parser(command)
+    if command and not any(a.startswith("--=") for a in argv):
+        # the command's subparser, the full parser's last action, parses the
+        # rest as the full parser would hand it over; the full parser alone
+        # refuses leftovers, and "--=..." as ambiguous (--help or --version)
+        args, rest = parser._actions[-1].choices[command].parse_known_args(argv[1:])
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        args.command = command
+    else:
+        args = parser.parse_args(argv)
     args._t0 = time.perf_counter()
     try:
         args.func(args)

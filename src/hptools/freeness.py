@@ -52,7 +52,7 @@ class BipGraph(NamedTuple("_BipGraphRecord",
         for row in rows:
             if row & ~full:
                 raise DomainError("row has bits outside the B side")
-        return tuple.__new__(cls, (m, n, rows))
+        return tuple.__new__(cls, (m, n, tuple(rows)))
 
     def cols(self) -> tuple[int, ...]:
         out = [0] * self.n

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import binascii
 import random
 from functools import lru_cache
 from typing import NamedTuple
@@ -99,7 +100,7 @@ class Graph(NamedTuple("_GraphRecord", [("n", int), ("adj", tuple[int, ...])])):
             for j in bits(adj[i]):
                 if not adj[j] >> i & 1:
                     raise DomainError(f"adjacency not symmetric at ({i},{j})")
-        return tuple.__new__(cls, (n, adj))
+        return tuple.__new__(cls, (n, tuple(adj)))
 
     @classmethod
     def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -362,6 +363,16 @@ def random_graph(n: int, p: float, seed=None) -> Graph:
 # graph6 and edge-list formats
 
 
+# graph6 writes its bit vector in 6-bit groups, first bit first, as bytes
+# 63 + group: base64 digits in another alphabet.  Translated, binascii turns
+# them into bytes, and with the bits of each byte reversed the vector reads
+# as a little-endian integer whose bit k is bit k of the vector.
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_FROM_BASE64 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def graph6_encode(G: Graph) -> bytes:
     """Encode per the published graph6 format (bit-exact, zero padding)."""
     n = G.n
@@ -374,9 +385,10 @@ def graph6_encode(G: Graph) -> bytes:
     for v in range(1, n):
         x |= (G.adj[v] & (1 << v) - 1) << start  # edges (u, v), u < v
         start += v
-    # bit k of x is bit k of the bit vector, which is written first bit first
-    stream = format(x, f"0{m}b")[::-1][:m].ljust((m + 5) // 6 * 6, "0")
-    return head + bytes(int(stream[i:i + 6], 2) + 63 for i in range(0, len(stream), 6))
+    groups = (m + 5) // 6
+    vector = x.to_bytes((groups + 3) // 4 * 3, "little").translate(_REVERSED)
+    return head + binascii.b2a_base64(vector, newline=False)[:groups].translate(
+        _FROM_BASE64)
 
 
 def graph6_decode(data: bytes | str) -> Graph:
@@ -406,8 +418,8 @@ def graph6_decode(data: bytes | str) -> Graph:
     if len(body) != expect:
         raise DomainError(f"graph6 bit vector truncated or overlong "
                           f"({len(body)} data bytes, expected {expect})")
-    # the bit vector, last bit first, so that its bit k is bit k of x
-    x = int("".join(format(c - 63, "06b") for c in body)[::-1] or "0", 2)
+    vector = binascii.a2b_base64(body.translate(_TO_BASE64) + b"A" * (-expect % 4))
+    x = int.from_bytes(vector.translate(_REVERSED), "little")
     if x >> m:
         raise DomainError("graph6 padding bits are not zero")
     adj = [0] * n

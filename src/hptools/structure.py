@@ -110,7 +110,12 @@ def _find_placed_copy(G: Graph, pmasks, X: int, k: int, t: int):
     holding, layer j inside part i(j), with i(1) = i(2) and the rest
     pairwise-new parts.  Exhaustive backtracking over realizer choices, on
     the placements where every layer fits (S_i(1) - X holds layers 1 and 2,
-    each later S_i(j) - X holds layer j); the others hold no copy."""
+    each later S_i(j) - X holds layer j); the others hold no copy.
+
+    The rows are symmetric and the pool excludes ``used``, so the realizers
+    of a trace T on ``used`` are the mask pool & adj[b] for b in T &
+    ~adj[b] for b in used - T; doubling over bits(used) ascending lists
+    these 2^|used| masks in ascending order of T."""
     r = len(pmasks)
     sizes = universal_layer_sizes(t, k)
     if len(sizes) < t or sum(sizes) > (G.vertex_mask & ~X).bit_count():
@@ -128,13 +133,16 @@ def _find_placed_copy(G: Graph, pmasks, X: int, k: int, t: int):
             # used is the union of the earlier layers, and sizes[j] is
             # 2^|used|: the layer takes one realizer of every trace on it,
             # the last trace varying fastest
-            classes: dict[int, list[int]] = {}
-            for a in bits(pool):
-                classes.setdefault(G.adj[a] & used, []).append(a)
-            if len(classes) < sizes[j]:
+            classes = [pool]
+            for b in bits(used):
+                row = G.adj[b]
+                classes = [c & ~row for c in classes] + [c & row for c in classes]
+            if not all(classes):
                 return False
-            ordered = [classes[tr] for tr in sorted(classes)]
-            choices = map(mask_of, product(*ordered))
+            if j == t - 1:  # any choice completes the copy: take the lowest
+                layers.append(sum(c & -c for c in classes))
+                return True
+            choices = map(mask_of, product(*map(bits, classes)))
         for layer in choices:
             layers.append(layer)
             if place(layers, used | layer, placement):

@@ -970,6 +970,80 @@ def test_a_commands_own_parser_reads_as_the_full_one(capsys, command):
         assert seen[0][0] == (0 if "--help" in argv else 2)
 
 
+# valid arguments of each command, with abbreviations and --opt=value forms;
+# the handlers are replaced, so no file is read
+VALID = {
+    "construct": [["--k", "2"], ["--k", "2", "--r", "3", "--v", "01"]],
+    "shatter": [["--graph", "g", "--A", "0,1", "--B", "2"], ["--gr=g", "--A=0", "--B", "1"]],
+    "chi-c": [["--forbidden", "s"], ["--forb", "s", "--r-max", "3"]],
+    "speed": [["--forbidden", "s", "--n", "4"]],
+    "census": [["--forbidden", "s", "--n-max", "3", "--cert"],
+               ["--forbidden", "s", "--n-max", "3", "--certify", "--no-certify"],
+               ["--forbidden=s", "--n-m", "3", "--alpha=1/4", "--eps", "0.1",
+                "--k", "1", "--budget", "1/3"]],
+    "count-free": [["--m", "2", "--n", "2", "--k", "1"],
+                   ["--m", "2", "--n", "2", "--k", "1", "--mode", "cross"]],
+    "count-attach": [["--a", "2", "--n", "3"]],
+    "separated": [["--bipgraph", "b", "--x", "3"],
+                  ["--bip", "b", "--x", "3", "--side", "B", "--k", "2"]],
+    "sparsen": [["--alpha=1/4"],
+                ["--bipgraph", "b", "--usub", "0,1", "--alpha", "0.3", "--t", "2",
+                 "--dir", "from-core", "--seed", "3", "--graph", "g",
+                 "--parts", "0,1", "--core", "0"]],
+    "pack": [["--graph", "g", "--parts", "0,1", "--k", "1"]],
+    "decompose": [["--graph", "g", "--r", "2", "--k", "1", "--alpha=1/4"],
+                  ["--graph", "g", "--r", "2", "--k", "1", "--alpha", "0.3",
+                   "--parts", "0,1", "--eps", "1/5"]],
+    "verify": [["--certificate", "c"],
+               ["--cert", "c", "--graph", "g", "--budget-eps", "0.5"]],
+}
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every handler of COMMANDS replaced by one that keeps its namespace,
+    and the parsers built afresh from them."""
+    seen = []
+    for name, (_, summary, options) in list(cli.COMMANDS.items()):
+        monkeypatch.setitem(cli.COMMANDS, name, (seen.append, summary, options))
+    build_parser.cache_clear()
+    yield seen
+    build_parser.cache_clear()
+
+
+def outcome(capsys, parse):
+    """The namespace parse() gives, or its exit status, stdout and stderr."""
+    try:
+        args = parse()
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+    return {k: v for k, v in vars(args).items() if k != "_t0"}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_main_parses_as_the_full_parser(capsys, recorded, command):
+    # main runs the command's own subparser on argv[1:]; namespaces, help,
+    # usage errors and exit statuses must be the full parser's
+    def by_main(argv):
+        assert main(argv) == 0
+        return recorded.pop()
+
+    valid = VALID[command]
+    typed = [flag for flag, kwargs in cli.COMMANDS[command][2] if "type" in kwargs]
+    errors = [["--help"], [], ["--bogus", "1"], ["--version"], ["extra", "more"],
+              ["--=x"], ["--", "x"], ["--he"]]
+    errors += [valid[0] + tail for tail in errors[2:]]
+    errors += [valid[0] + [flag, "x"] for flag in typed[:1]]
+    statuses = []
+    for argv in [[command, *a] for a in valid + errors] + [[], ["--version"], ["nope"]]:
+        full = outcome(capsys, lambda: build_parser().parse_args(argv))
+        assert outcome(capsys, lambda: by_main(argv)) == full, argv
+        statuses.append(full[0] if isinstance(full, tuple) else "parsed")
+    assert statuses == ["parsed"] * len(valid) + [
+        0 if {"--help", "--he"} & set(a) else 2 for a in errors] + [2, 0, 2]
+
+
 def test_option_inventory_is_pinned():
     top = build_parser()
     (sub,) = [a for a in top._actions

@@ -315,6 +315,34 @@ def test_graph6_malformed():
         graph6_decode(bytes([30]))   # out-of-range byte
 
 
+@pytest.mark.parametrize("data, message", [
+    ("Bé", "graph6 data contains out-of-range bytes"),      # non-ASCII str
+    (b"", "empty graph6 string"),
+    (b" \n", "empty graph6 string"),
+    (b"B" + bytes([127]), "graph6 data contains out-of-range bytes"),
+    (b"B>", "graph6 data contains out-of-range bytes"),
+    (b"~~??????", "graph6 order exceeds the 64-vertex cap"),
+    (b"~~", "graph6 order exceeds the 64-vertex cap"),
+    (b"~~" + bytes([30]), "graph6 data contains out-of-range bytes"),
+    (b"~??", "malformed graph6 header"),
+    (b"~", "malformed graph6 header"),
+    (b"~?@@" + b"?" * 347, "graph6 order 65 exceeds the 64-vertex cap"),
+    (b"~?@?", "graph6 bit vector truncated or overlong (0 data bytes, expected 336)"),
+    (b"A", "graph6 bit vector truncated or overlong (0 data bytes, expected 1)"),
+    (b"D?", "graph6 bit vector truncated or overlong (1 data bytes, expected 2)"),
+    (b"Bwww", "graph6 bit vector truncated or overlong (3 data bytes, expected 1)"),
+    (b"@?", "graph6 bit vector truncated or overlong (1 data bytes, expected 0)"),
+    (b"B~", "graph6 padding bits are not zero"),
+    (b"Bx", "graph6 padding bits are not zero"),
+    (b"D?@", "graph6 padding bits are not zero"),
+])
+def test_graph6_decode_refusals_word_for_word(data, message):
+    # every refusal of graph6_decode, in the order it checks them
+    with pytest.raises(DomainError) as exc:
+        graph6_decode(data)
+    assert str(exc.value) == message
+
+
 def test_edgelist_roundtrip():
     G = random_graph(9, 0.5, seed=11)
     assert edgelist_decode(edgelist_encode(G)) == G

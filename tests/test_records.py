@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 import hptools
-from hptools import (BipGraph, DomainError, Graph, PropertySpec, graph_from_edges)
+from hptools import (BipGraph, DomainError, Graph, PropertySpec, graph_from_edges,
+                     speed)
 from hptools.freeness import (BlockTraceReport, DistinguishingSet, SparseCount,
                               SparseningOutput)
 from hptools.hereditary import ColouringNumber, SpeedRow
@@ -137,6 +138,15 @@ def test_trusted_graph_equals_the_checked_one():
     trusted = Graph._trusted(3, P3.adj)
     assert type(trusted) is Graph and trusted == Graph(3, P3.adj) == P3
     assert hash(trusted) == hash(P3) == hash((3, P3.adj))
+
+
+def test_list_rows_make_the_tuple_record():
+    # rows given as a list are stored as a tuple, so the record hashes
+    G, bg = Graph(3, [6, 5, 3]), BipGraph(2, 3, [1, 2])
+    assert G == Graph(3, (6, 5, 3)) and hash(G) == hash(Graph(3, (6, 5, 3)))
+    assert bg == BipGraph(2, 3, (1, 2)) and hash(bg) == hash(BipGraph(2, 3, (1, 2)))
+    assert type(G.adj) is tuple and type(bg.rows) is tuple
+    assert speed(PropertySpec((G,)), 4) == speed(PropertySpec((Graph(3, (6, 5, 3)),)), 4)
 
 
 def test_no_dataclass_in_the_package():

@@ -14,10 +14,10 @@ from hptools import (DomainError, PackingPiece, PackingReport, alpha_adjust,
                      random_graph, shatters, verify_decomposition,
                      verify_packing_maximality, verify_packing_report)
 from hptools.graphs import MAX_EXACT_CLIQUE, greedy_maximal_clique, part_masks
-from hptools.structure import _cutoffs, clone_cutoff
+from hptools.structure import _cutoffs, _find_placed_copy, clone_cutoff
 
 from oracles import (naive_clone_index, naive_extract_universal_packing,
-                     naive_uk_copy)
+                     naive_find_placed_copy, naive_uk_copy)
 
 
 @st.composite
@@ -400,6 +400,40 @@ def test_packing_matches_search_without_fit_check(graph_parts, k):
 def test_packing_matches_search_without_fit_check_planted(graph_parts):
     expected = check_packing_against_oracle(*graph_parts, 1)
     assert expected.pieces[0].level == 3
+
+
+@given(st.one_of(partitioned_graphs(14, 3), planted_level3()),
+       st.sampled_from([1, 2]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_find_placed_copy_matches_the_oracle(graph_parts, k, data):
+    # the kernel alone, avoiding any nonempty X: the packing loop grows X
+    # from 0 by whole pieces; a set of one or two vertices often leaves a
+    # planted copy whole
+    G, parts = graph_parts
+    pmasks = part_masks(parts)
+    X = data.draw(st.one_of(
+        st.sets(st.integers(0, G.n - 1), min_size=1, max_size=2).map(mask_of),
+        st.integers(1, G.vertex_mask)), label="X")
+    t = data.draw(st.integers(2, len(pmasks) + 1), label="t")
+    assert _find_placed_copy(G, pmasks, X, k, t) == \
+        naive_find_placed_copy(G, pmasks, X, k, t)
+
+
+def test_find_placed_copy_takes_realizers_in_product_order():
+    # part 0: vertex 0, its non-neighbours 1 and 2, its neighbours 3 and 4;
+    # part 1: w = 5 + (x, y, z) in binary, joined to 0 iff x, to 1 and 3 iff
+    # y, to 2 and 4 iff z.  Layer 1 = {1, 3} realizes only four traces on
+    # layer 2's side; {1, 4} is the next choice when the last trace varies
+    # fastest, and {2, 3} the next when the first does
+    edges = [(0, 3), (0, 4)]
+    for i in range(8):
+        w, x, y, z = 5 + i, i >> 2 & 1, i >> 1 & 1, i & 1
+        edges += [(0, w)] * x + [(1, w), (3, w)] * y + [(2, w), (4, w)] * z
+    G = graph_from_edges(13, edges)
+    pmasks = part_masks((0,) * 5 + (1,) * 8)
+    piece = _find_placed_copy(G, pmasks, 0, 1, 3)
+    assert piece == PackingPiece((0b1, 0b10010, 0b1111111100000), 3, (0, 0, 1))
+    assert piece == naive_find_placed_copy(G, pmasks, 0, 1, 3)
 
 
 def test_maximality_rejects_underpacked():
