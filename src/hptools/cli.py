@@ -667,9 +667,8 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     parser = build_parser(command)
     if command and not any(a.startswith("--=") for a in argv):
-        # the command's subparser, the full parser's last action, parses the
-        # rest as the full parser would hand it over; the full parser alone
-        # refuses leftovers, and "--=..." as ambiguous (--help or --version)
+        # the full parser hands the rest to its last action's subparser and
+        # refuses leftovers itself; "--=..." is ambiguous to it, so it keeps those
         args, rest = parser._actions[-1].choices[command].parse_known_args(argv[1:])
         if rest:
             parser.error(f"unrecognized arguments: {' '.join(rest)}")

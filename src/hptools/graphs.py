@@ -15,8 +15,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import binascii
 import random
+from binascii import a2b_base64, b2a_base64
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -363,10 +363,8 @@ def random_graph(n: int, p: float, seed=None) -> Graph:
 # graph6 and edge-list formats
 
 
-# graph6 writes its bit vector in 6-bit groups, first bit first, as bytes
-# 63 + group: base64 digits in another alphabet.  Translated, binascii turns
-# them into bytes, and with the bits of each byte reversed the vector reads
-# as a little-endian integer whose bit k is bit k of the vector.
+# graph6's 6-bit groups, bytes 63 + group, are base64 digits in another alphabet;
+# with each byte's bits reversed, bit k of a little-endian integer is vector bit k
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 _FROM_BASE64 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
@@ -387,8 +385,7 @@ def graph6_encode(G: Graph) -> bytes:
         start += v
     groups = (m + 5) // 6
     vector = x.to_bytes((groups + 3) // 4 * 3, "little").translate(_REVERSED)
-    return head + binascii.b2a_base64(vector, newline=False)[:groups].translate(
-        _FROM_BASE64)
+    return head + b2a_base64(vector, newline=False)[:groups].translate(_FROM_BASE64)
 
 
 def graph6_decode(data: bytes | str) -> Graph:
@@ -418,7 +415,7 @@ def graph6_decode(data: bytes | str) -> Graph:
     if len(body) != expect:
         raise DomainError(f"graph6 bit vector truncated or overlong "
                           f"({len(body)} data bytes, expected {expect})")
-    vector = binascii.a2b_base64(body.translate(_TO_BASE64) + b"A" * (-expect % 4))
+    vector = a2b_base64(body.translate(_TO_BASE64) + b"A" * (-expect % 4))
     x = int.from_bytes(vector.translate(_REVERSED), "little")
     if x >> m:
         raise DomainError("graph6 padding bits are not zero")

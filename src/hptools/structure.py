@@ -110,12 +110,10 @@ def _find_placed_copy(G: Graph, pmasks, X: int, k: int, t: int):
     holding, layer j inside part i(j), with i(1) = i(2) and the rest
     pairwise-new parts.  Exhaustive backtracking over realizer choices, on
     the placements where every layer fits (S_i(1) - X holds layers 1 and 2,
-    each later S_i(j) - X holds layer j); the others hold no copy.
-
-    The rows are symmetric and the pool excludes ``used``, so the realizers
-    of a trace T on ``used`` are the mask pool & adj[b] for b in T &
-    ~adj[b] for b in used - T; doubling over bits(used) ascending lists
-    these 2^|used| masks in ascending order of T."""
+    each later S_i(j) - X holds layer j); the others hold no copy.  Rows are
+    symmetric and the pool excludes ``used``, so a trace T on ``used`` has the
+    realizers pool & adj[b] (b in T) & ~adj[b] (b in used - T); doubling over
+    bits(used) ascending lists these 2^|used| masks in ascending order of T."""
     r = len(pmasks)
     sizes = universal_layer_sizes(t, k)
     if len(sizes) < t or sum(sizes) > (G.vertex_mask & ~X).bit_count():
