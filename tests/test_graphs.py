@@ -304,22 +304,13 @@ def test_graph6_encode_agrees_with_networkx():
                                                                    header=False)
 
 
-def test_graph6_malformed():
-    with pytest.raises(DomainError):
-        graph6_decode(b"")
-    with pytest.raises(DomainError):
-        graph6_decode(b"D")          # truncated bit vector for n=5
-    with pytest.raises(DomainError):
-        graph6_decode(b"Bwww")       # overlong
-    with pytest.raises(DomainError):
-        graph6_decode(bytes([30]))   # out-of-range byte
-
-
-@pytest.mark.parametrize("data, message", [
+# every refusal of graph6_decode, word for word, in the order it checks them
+GRAPH6_REFUSALS = [
     ("Bé", "graph6 data contains out-of-range bytes"),      # non-ASCII str
     (b"", "empty graph6 string"),
     (b" \n", "empty graph6 string"),
     (b"B" + bytes([127]), "graph6 data contains out-of-range bytes"),
+    (bytes([30]), "graph6 data contains out-of-range bytes"),
     (b"B>", "graph6 data contains out-of-range bytes"),
     (b"~~??????", "graph6 order exceeds the 64-vertex cap"),
     (b"~~", "graph6 order exceeds the 64-vertex cap"),
@@ -329,18 +320,21 @@ def test_graph6_malformed():
     (b"~?@@" + b"?" * 347, "graph6 order 65 exceeds the 64-vertex cap"),
     (b"~?@?", "graph6 bit vector truncated or overlong (0 data bytes, expected 336)"),
     (b"A", "graph6 bit vector truncated or overlong (0 data bytes, expected 1)"),
+    (b"D", "graph6 bit vector truncated or overlong (0 data bytes, expected 2)"),
     (b"D?", "graph6 bit vector truncated or overlong (1 data bytes, expected 2)"),
     (b"Bwww", "graph6 bit vector truncated or overlong (3 data bytes, expected 1)"),
     (b"@?", "graph6 bit vector truncated or overlong (1 data bytes, expected 0)"),
     (b"B~", "graph6 padding bits are not zero"),
     (b"Bx", "graph6 padding bits are not zero"),
     (b"D?@", "graph6 padding bits are not zero"),
-])
-def test_graph6_decode_refusals_word_for_word(data, message):
-    # every refusal of graph6_decode, in the order it checks them
-    with pytest.raises(DomainError) as exc:
-        graph6_decode(data)
-    assert str(exc.value) == message
+]
+
+
+def test_graph6_malformed():
+    for data, message in GRAPH6_REFUSALS:
+        with pytest.raises(DomainError) as exc:
+            graph6_decode(data)
+        assert str(exc.value) == message, data
 
 
 def test_edgelist_roundtrip():
