@@ -289,25 +289,6 @@ def certificate_from_dict(data: dict) -> tuple[Graph, DecompositionCertificate]:
     return G, cert
 
 
-# ---------------------------------------------------------------------------
-# report emission
-
-
-def emit(args, results: dict, seed=None) -> None:
-    report = {
-        "tool": "hptools",
-        "version": __version__,
-        "command": args.command,
-        "params": {k: float(v) if isinstance(v, Fraction) else v
-                   for k, v in sorted(vars(args).items())
-                   if k not in ("command", "func", "_t0") and v is not None},
-        "seed": seed,
-        "results": results,
-        "timing_ms": round((time.perf_counter() - args._t0) * 1000, 3),
-    }
-    print(json.dumps(report, sort_keys=True, default=str, allow_nan=False))
-
-
 def _log2_str(x: float) -> str:
     return f"{x:.6f}"
 
@@ -316,7 +297,7 @@ def _log2_str(x: float) -> str:
 # subcommands
 
 
-def cmd_construct(args) -> None:
+def cmd_construct(args) -> dict:
     if args.r is None and args.v is None:
         uni = construct_universal(args.k)
         w = shatters(uni.graph, uni.A, uni.B)
@@ -343,10 +324,10 @@ def cmd_construct(args) -> None:
             "layer_sizes": [m.bit_count() for m in lay.layers],
             "edges": lay.graph.edge_count(),
         }
-    emit(args, results)
+    return results
 
 
-def cmd_shatter(args) -> None:
+def cmd_shatter(args) -> dict:
     G = load_graph(args.graph)
     A = _parse_vertices(args.A, "--A", G.n)
     B = _parse_vertices(args.B, "--B", G.n)
@@ -355,39 +336,39 @@ def cmd_shatter(args) -> None:
     if w is not None:
         results["realizers"] = {str(sorted(_vlist(tr))): v
                                 for tr, v in sorted(w.items())}
-    emit(args, results)
+    return results
 
 
-def cmd_chi_c(args) -> None:
+def cmd_chi_c(args) -> dict:
     spec = load_property(args.forbidden)
     chi = colouring_number(spec, args.r_max)
-    emit(args, {
+    return {
         "colouring_number": chi.value,
         "capped": chi.capped,
         "degenerate": chi.degenerate,
         "witness_v": list(chi.witness_v) if chi.witness_v else None,
-    })
+    }
 
 
-def cmd_speed(args) -> None:
+def cmd_speed(args) -> dict:
     spec = load_property(args.forbidden)
     row = speed(spec, args.n)
-    emit(args, {"n": row.n, "count": str(row.count),
-                "entropy": _log2_str(row.entropy)})
+    return {"n": row.n, "count": str(row.count),
+            "entropy": _log2_str(row.entropy)}
 
 
-def cmd_census(args) -> None:
+def cmd_census(args) -> dict:
     k = _level(args.k, "--k")
     if not 0 < args.eps <= 1:
         raise DomainError("eps must lie in (0, 1]")
-    if args.certify and args.n_max >= 1:
-        # n^(1-eps) is finite for every n in 1..n_max iff it is at n_max;
-        # else every decompose would refuse it
-        _budget(args.n_max, args.budget_eps)
     if args.n_max < 0:
         raise DomainError(f"--n-max must lie in 0..{MAX_ENUM_VERTICES}")
     if args.n_max > MAX_ENUM_VERTICES:
         raise DomainError(f"enumeration capped at n <= {MAX_ENUM_VERTICES}")
+    if args.certify and args.n_max >= 1:
+        # n^(1-eps) is finite for every n in 1..n_max iff it is at n_max;
+        # else every decompose would refuse it
+        _budget(args.n_max, args.budget_eps)
     spec = load_property(args.forbidden)
     chi = colouring_number(spec)
     if chi.degenerate:
@@ -413,23 +394,23 @@ def cmd_census(args) -> None:
             entry["certified_fraction"] = f"{good}/{total}"
             entry["classes"] = classes
         rows.append(entry)
-    emit(args, {"rows": rows, "colouring_number": r})
+    return {"rows": rows, "colouring_number": r}
 
 
-def cmd_count_free(args) -> None:
+def cmd_count_free(args) -> dict:
     count = count_uk_free_bipartite(args.m, args.n, _level(args.k, "--k"),
                                     args.mode)
-    emit(args, {"count": str(count)})
+    return {"count": str(count)}
 
 
-def cmd_count_attach(args) -> None:
+def cmd_count_attach(args) -> dict:
     exact, printed, corrected = count_nonshattering_attachments(
         _level(args.a, "--a"), args.n)
-    emit(args, {"exact": str(exact), "printed_bound": str(printed),
-                "corrected_bound": str(corrected)})
+    return {"exact": str(exact), "printed_bound": str(printed),
+            "corrected_bound": str(corrected)}
 
 
-def cmd_separated(args) -> None:
+def cmd_separated(args) -> dict:
     bg = load_bipgraph(args.bipgraph)
     # the side's vertex count, and the length of each vertex's vector
     count, length = (bg.m, bg.n) if args.side == "A" else (bg.n, bg.m)
@@ -440,10 +421,10 @@ def cmd_separated(args) -> None:
     best = max_separated_subset(bg, args.side, args.x)
     results.update(vertices=_vlist(best), size=best.bit_count(),
                    exact=count <= MAX_EXACT_CLIQUE)
-    emit(args, results)
+    return results
 
 
-def cmd_sparsen(args) -> None:
+def cmd_sparsen(args) -> dict:
     needed = ("bipgraph",) if args.t is None else ("graph", "parts", "core")
     for name in needed:
         if getattr(args, name) is None:
@@ -453,22 +434,21 @@ def cmd_sparsen(args) -> None:
         u_sub = (_parse_vertices(args.usub, "--usub", bg.m) if args.usub
                  else (1 << bg.m) - 1)
         ds = distinguishing_set(bg, u_sub, args.alpha, args.seed)
-        emit(args, {"X": _vlist(ds.X), "size": ds.X.bit_count(),
-                    "attempts": ds.attempts}, seed=args.seed)
-        return
+        return {"X": _vlist(ds.X), "size": ds.X.bit_count(),
+                "attempts": ds.attempts}
     G = load_graph(args.graph)
     parts = _parse_parts(args.parts)
     B = _parse_vertices(args.core, "--core", G.n)
     out = extract_clone_classes(G, parts, B, args.alpha, args.t, args.seed,
                                 args.direction)
-    emit(args, {
+    return {
         "b_prime": _vlist(out.b_prime),
         "classes": [[_vlist(c) for c in part] for part in out.classes],
         "delta": out.delta,
-    }, seed=args.seed)
+    }
 
 
-def cmd_pack(args) -> None:
+def cmd_pack(args) -> dict:
     G = load_graph(args.graph)
     parts = _parse_parts(args.parts)
     report = extract_universal_packing(G, parts, _level(args.k, "--k"))
@@ -476,10 +456,10 @@ def cmd_pack(args) -> None:
     data = packing_to_dict(report, G, parts)
     data["structure_ok"] = not problems
     data["maximal"] = verify_packing_maximality(G, parts, report)
-    emit(args, data)
+    return data
 
 
-def cmd_decompose(args) -> None:
+def cmd_decompose(args) -> dict:
     G = load_graph(args.graph)
     if args.r > MAX_VERTICES:
         raise DomainError(f"--r exceeds the {MAX_VERTICES}-part cap")
@@ -488,7 +468,7 @@ def cmd_decompose(args) -> None:
                      parts_hint=hint, eps_out=args.eps_out)
     data = certificate_to_dict(cert, G)
     data["verified"] = verify_decomposition(G, cert)
-    emit(args, data)
+    return data
 
 
 def load_certificate(path: str) -> dict:
@@ -516,7 +496,7 @@ def _cross_check_graph(args, G: Graph) -> Graph:
     return H
 
 
-def cmd_verify(args) -> None:
+def cmd_verify(args) -> dict:
     data = load_certificate(args.certificate)
     kind = data.get("type")
     if kind == "decomposition-certificate":
@@ -524,7 +504,6 @@ def cmd_verify(args) -> None:
         G = _cross_check_graph(args, G)
         problems = (decomposition_failures(G, cert, args.budget_eps)
                     + provenance_failures(G, cert))
-        ok = not problems
     elif kind == "packing-report":
         if args.budget_eps is not None:
             raise DomainError("--budget-eps applies to decomposition "
@@ -532,10 +511,12 @@ def cmd_verify(args) -> None:
         G, parts, report = packing_from_dict(data)
         G = _cross_check_graph(args, G)
         problems = verify_packing_report(G, parts, report)
-        ok = not problems and verify_packing_maximality(G, parts, report)
+        if not problems and not verify_packing_maximality(G, parts, report):
+            problems = ["packing is not maximal: a further piece fits or "
+                        "a part shatters a piece"]
     else:
         raise DomainError(f"unknown certificate type {kind!r}")
-    emit(args, {"type": kind, "valid": ok, "problems": problems})
+    return {"type": kind, "valid": not problems, "problems": problems}
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +625,9 @@ COMMANDS = {
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The parser, built once per argument: parsing leaves it unchanged for
     ``main``.  With a command of ``COMMANDS`` only that command's subparser
-    is added, which parses that command's arguments exactly as the full
-    parser does; without one all of them are, for ``--help``, ``--version``
-    and the errors of a missing or unknown command."""
+    is added, the same subparser that the full parser adds for it; without
+    one all of them are, for ``--help``, ``--version`` and the errors of a
+    missing or unknown command."""
     top = _Parser(
         prog="hptools",
         description="Exact desk-scale toolkit for universal graphs, "
@@ -666,18 +647,28 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in COMMANDS else None
     parser = build_parser(command)
-    if command and not any(a.startswith("--=") for a in argv):
+    if command:
         # the full parser hands the rest to its last action's subparser and
-        # refuses leftovers itself; "--=..." is ambiguous to it, so it keeps those
+        # refuses leftovers itself; "--=x" is ambiguous among the command's
+        # own options here, not among the full parser's --help and --version
         args, rest = parser._actions[-1].choices[command].parse_known_args(argv[1:])
         if rest:
             parser.error(f"unrecognized arguments: {' '.join(rest)}")
         args.command = command
     else:
         args = parser.parse_args(argv)
-    args._t0 = time.perf_counter()
+    t0 = time.perf_counter()
     try:
-        args.func(args)
+        results = args.func(args)
+        params = {k: float(v) if isinstance(v, Fraction) else v
+                  for k, v in sorted(vars(args).items())
+                  if k not in ("command", "func") and v is not None}
+        print(json.dumps({
+            "tool": "hptools", "version": __version__, "command": args.command,
+            "params": params, "seed": getattr(args, "seed", None),
+            "results": results,
+            "timing_ms": round((time.perf_counter() - t0) * 1000, 3),
+        }, sort_keys=True, default=str, allow_nan=False))
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

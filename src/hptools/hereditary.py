@@ -141,10 +141,7 @@ def enumerate_property(spec: PropertySpec, n: int):
     each prefix on at most ``MAX_ENUM_VERTICES - 2`` = 6 vertices and never
     one on 7, which only an n = 8 walk meets, up to 1.7 million of them.
     So the tree holds at most one table per member of P_0..P_6, 33,868
-    when every graph is a member.  Under CPython 3.11, tracemalloc puts
-    that bound at 5.9 MB (K10-free), and the tree after an n = 8 walk at
-    0.9 MB for K3-free (6,229 tables), 4.9 MB for K4-free and 5.4 MB for
-    C5-free.
+    when every graph is a member.
     """
     if n < 0:
         raise DomainError(f"n must lie in 0..{MAX_ENUM_VERTICES}")

@@ -242,13 +242,7 @@ def _exact_bisection(G: Graph) -> tuple[int, ...]:
     side, and max(0, e(R) - a b), where the a and b undecided vertices R
     still owed to the two sides have at most a b edges across.  Once a side
     is owed at most one vertex, the branch's leaves are counted in closed
-    form.  Per call, on a 2-core 2.0 GHz x86 VM under CPython 3.11: about
-    2.5 us at n = 3 and 4 and 5 us at n = 5; at n = 16, 0.03 ms for the
-    empty graph and for K8,8, 0.4 ms for two disjoint K8, 0.5 ms for K16,
-    0.9 ms for G(16, 1/2), and at most 3.5 ms over 600 random, planted,
-    multipartite and clique-union graphs (the worst were two disjoint
-    cliques of unequal sizes), where the scan of all C(15, 7) = 6,435
-    bisections took 6-11 ms for every graph.
+    form.
     """
     n, adj = G.n, G.adj
     full = (1 << n) - 1

@@ -14,7 +14,6 @@ from typing import NamedTuple
 from .errors import DomainError
 from .graphs import Graph, bits, k_submasks, mask_of
 
-MAX_SHATTER_TARGET = 20
 MAX_TRACE_GROUND = 30
 
 
@@ -69,10 +68,7 @@ def shatters(G: Graph, A: int, B: int) -> dict[int, int] | None:
     each subset of B, or None.  Exhaustive: no false negatives."""
     if A & B:
         raise DomainError("A and B overlap")
-    k = B.bit_count()
-    if k > MAX_SHATTER_TARGET:
-        raise DomainError(f"shatter target larger than {MAX_SHATTER_TARGET}")
-    need = 1 << k
+    need = 1 << B.bit_count()
     if A.bit_count() < need:
         return None
     realizers = first_realizers(G.adj, A, B, need)

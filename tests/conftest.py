@@ -1,6 +1,9 @@
 import sys
 from pathlib import Path
 
+# a bytecode cache left in src/ or tests/ would make the next import of the
+# package faster than a fresh checkout's
+sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest

@@ -96,6 +96,18 @@ def test_construct_and_shatter(tmp_path, capsys):
     assert parse(out)["results"]["shatters"] is True
 
 
+def test_shatter_target_above_20_vertices_answers_false(tmp_path, capsys):
+    # 9 vertices cannot realize the 2^21 traces of a 21-vertex target; once
+    # the command refused any target above 20 vertices
+    gpath = tmp_path / "g.g6"
+    gpath.write_bytes(graph6_encode(random_graph(30, 0.5, seed=2)) + b"\n")
+    rc, out, err = run(capsys, "shatter", "--graph", str(gpath),
+                       "--A", ",".join(map(str, range(9))),
+                       "--B", ",".join(map(str, range(9, 30))))
+    assert (rc, err) == (0, "")
+    assert parse(out)["results"] == {"shatters": False}
+
+
 def test_construct_star(capsys):
     rc, out, _ = run(capsys, "construct", "--k", "1", "--r", "3", "--v", "010")
     assert rc == 0
@@ -518,6 +530,23 @@ def test_verify_rejects_malformed_fields(data, path, value, needle):
     assert_one_line_error(rc, err, needle)
 
 
+def test_verify_reports_a_packing_that_is_not_maximal():
+    # the dropped piece fits again: the structural checks pass, so the one
+    # problem is maximality, and valid follows the problem list
+    data = copy.deepcopy(PACKING)
+    dropped = data["pieces"].pop()
+    packed = {v for p in data["pieces"] for layer in p["layers"] for v in layer}
+    data["residual"] = [[v for v, j in enumerate(data["parts"])
+                         if j == part and v not in packed]
+                        for part in range(data["r"])]
+    assert data["residual"] != PACKING["residual"] and dropped["layers"]
+    rc, out, err = verify_text(json.dumps(data))
+    assert (rc, err) == (0, "")
+    assert {key: parse(out)["results"][key] for key in ("valid", "problems")} \
+        == {"valid": False, "problems": ["packing is not maximal: a further "
+                                         "piece fits or a part shatters a piece"]}
+
+
 def test_verify_reports_overlapping_layers():
     # once an overlapping pair of layers reached the shattering check, which
     # raised "A and B overlap" with no field named
@@ -930,7 +959,7 @@ def test_every_subcommand_prints_one_strict_json_report(tmp_path, capsys):
         "count-free": ["--m", "2", "--n", "2", "--k", "1"],
         "count-attach": ["--a", "2", "--n", "3"],
         "separated": ["--bipgraph", bg, "--x", "3", "--k", "2"],
-        "sparsen": ["--bipgraph", bg, "--alpha", "1/4"],
+        "sparsen": ["--bipgraph", bg, "--alpha", "1/4", "--seed", "5"],
         "pack": ["--graph", g, "--parts", "0,1,0,1,0,1,0,1,0,1", "--k", "1"],
         "decompose": ["--graph", g, "--r", "2", "--k", "1", "--alpha", "0.25"],
         "verify": ["--certificate", cert],
@@ -946,6 +975,9 @@ def test_every_subcommand_prints_one_strict_json_report(tmp_path, capsys):
                                "results", "timing_ms"}
         assert (report["tool"], report["version"], report["command"]) == \
             ("hptools", hptools.__version__, command)
+        # only sparsen takes a seed; the namespace's handler stays out
+        assert report["seed"] == (5 if command == "sparsen" else None), command
+        assert not {"func", "_t0"} & set(report["params"]), command
         # --format is an unknown option, as any other
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--format", "json"])
@@ -1018,16 +1050,26 @@ def outcome(capsys, parse):
     except SystemExit as exc:
         out = capsys.readouterr()
         return exc.code, out.out, out.err
-    return {k: v for k, v in vars(args).items() if k != "_t0"}
+    return vars(args)
 
 
 @pytest.mark.parametrize("command", sorted(OPTIONS))
 def test_main_parses_as_the_full_parser(capsys, recorded, command):
     # main runs the command's own subparser on argv[1:]; namespaces, help,
-    # usage errors and exit statuses must be the full parser's
+    # usage errors and exit statuses must be the full parser's, except that
+    # "--=x" is ambiguous among the command's own options, not the full
+    # parser's --help and --version
     def by_main(argv):
         assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == command
         return recorded.pop()
+
+    flags = ", ".join(
+        f"{flag}, --no-{flag[2:]}"
+        if kwargs.get("action") is argparse.BooleanOptionalAction else flag
+        for flag, kwargs in cli.COMMANDS[command][2])
+    ambiguous = (2, "", f"hptools {command}: error: ambiguous option: --=x "
+                        f"could match --help, {flags}\n")
 
     valid = VALID[command]
     typed = [flag for flag, kwargs in cli.COMMANDS[command][2] if "type" in kwargs]
@@ -1038,7 +1080,8 @@ def test_main_parses_as_the_full_parser(capsys, recorded, command):
     statuses = []
     for argv in [[command, *a] for a in valid + errors] + [[], ["--version"], ["nope"]]:
         full = outcome(capsys, lambda: build_parser().parse_args(argv))
-        assert outcome(capsys, lambda: by_main(argv)) == full, argv
+        want = ambiguous if argv[:1] == [command] and "--=x" in argv else full
+        assert outcome(capsys, lambda: by_main(argv)) == want, argv
         statuses.append(full[0] if isinstance(full, tuple) else "parsed")
     assert statuses == ["parsed"] * len(valid) + [
         0 if {"--help", "--he"} & set(a) else 2 for a in errors] + [2, 0, 2]
@@ -1104,7 +1147,7 @@ def test_used_parser_still_exits_on_version_and_bad_commands(capsys):
 
 
 def test_python_m_hptools_runs_the_cli():
-    env = dict(os.environ,
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(Path(hptools.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "hptools", "--version"],
                           capture_output=True, text=True, env=env, timeout=60)
@@ -1263,6 +1306,19 @@ def test_census_above_the_enumeration_cap_exits_before_enumerating(
     rc, out, err = run(capsys, "census", "--forbidden", spec, "--n-max", "9")
     assert out == ""
     assert_one_line_error(rc, err, "enumeration capped at n <= 8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n-max", "9", "--certify", "--budget-eps", "-2000"],
+    ["--n-max", "9" * 400, "--certify"],
+])
+def test_census_checks_the_enumeration_cap_before_the_budget(tmp_path, capsys,
+                                                             argv):
+    # the budget check once came first: it named an infinite budget, or
+    # printed all 400 digits of an --n-max beyond the float range
+    spec = write_spec(tmp_path, complete_graph(3))
+    rc, out, err = run(capsys, "census", "--forbidden", spec, *argv)
+    assert (rc, out, err) == (1, "", "error: enumeration capped at n <= 8\n")
 
 
 @pytest.mark.parametrize("argv, needle", [
