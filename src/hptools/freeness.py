@@ -20,10 +20,10 @@ from operator import and_
 from typing import NamedTuple
 
 from .errors import DomainError, StepError
-from .graphs import (MAX_VERTICES, Graph, bits, far_clique, k_submasks, mask_of,
-                     part_masks)
+from .graphs import (MAX_VERTICES, Graph, bits, far_clique, graph_from_lower,
+                     k_submasks, mask_of, part_masks)
 from .universal import (MAX_TRACE_GROUND, aligned_reverse_shatter, first_realizers,
-                        sauer_bound)
+                        first_shattered, sauer_bound)
 
 # sides up to 64 so the distinguishing-set harness can run its published
 # parameters (c=8, n=64); rows still fit one machine word
@@ -94,8 +94,8 @@ def random_bipgraph(m: int, n: int, p: float, seed=None) -> BipGraph:
 
 def find_uk_copy(G: Graph, k: int):
     """First U(k) copy (A, B) in canonical order, or None: scans every
-    k-subset B of V(G) (ascending mask order) and asks whether the
-    remaining vertices realize all 2^k traces on B."""
+    k-subset B of V(G) (ascending mask order) and asks whether V(G) - B
+    realizes all 2^k traces on B (not ``first_shattered``: the pool moves)."""
     if G.n > MAX_UK_HOST:
         raise DomainError(f"exhaustive search capped at {MAX_UK_HOST} vertices")
     if not 1 <= k <= MAX_UK_LEVEL:
@@ -228,9 +228,7 @@ def trace_count_check(bg: BipGraph, blocks, k: int):
         union |= blk
     if union != (1 << bg.n) - 1:
         raise DomainError("blocks do not cover the B side")
-    need, pool = 1 << k, (1 << bg.m) - 1
-    if any(len(first_realizers(bg.rows, pool, S, need)) == need
-           for S in k_submasks((1 << bg.n) - 1, k)):
+    if first_shattered(bg.rows, (1 << bg.m) - 1, (1 << bg.n) - 1, k) is not None:
         raise DomainError("host is not U(k)-free in cross mode")
     out = []
     for blk in blocks:
@@ -413,7 +411,6 @@ def _sparsening_rounds(G: Graph, B_verts, part: int, t: int,
     working = part & ~B_mask
     rounds: list[tuple[int, int]] = []
     size_needed = 1 << t
-    need = 1 << size_needed
     while working.bit_count() >= size_needed:
         rows = [G.adj[b] & working for b in B_verts]
         dmin = min((rows[i] ^ rows[j]).bit_count()
@@ -428,14 +425,10 @@ def _sparsening_rounds(G: Graph, B_verts, part: int, t: int,
             break
         if X.bit_count() > MAX_TRACE_GROUND:  # the cap on exhaustive trace grounds
             raise DomainError(f"ground set larger than {MAX_TRACE_GROUND}")
-        # the first 2^t-subset of X (colex order) that the core candidates
-        # shatter, with its realizers
-        for X_star in k_submasks(X, size_needed):
-            realizers = first_realizers(G.adj, B_mask, X_star, need)
-            if len(realizers) == need:
-                break
-        else:
+        found = first_shattered(G.adj, B_mask, X, size_needed)
+        if found is None:
             break
+        X_star, realizers = found
         (core,), X_used = aligned_reverse_shatter(
             G, [mask_of(realizers.values())], X_star, t)
         rounds.append((core, X_used))
@@ -565,22 +558,10 @@ def planted_clone_instance(r: int, t: int, copies: int):
     n = csize + r * npat * copies
     if n > MAX_VERTICES:
         raise DomainError("planted instance does not fit in 64 vertices")
-    adj = [0] * n
-    offset = csize
-    for _ in range(r):
-        for j in range(npat):
-            for _ in range(copies):
-                x = offset
-                for sigma in range(csize):
-                    if sigma >> j & 1:
-                        adj[x] |= 1 << sigma
-                        adj[sigma] |= 1 << x
-                offset += 1
-    part_labels = [0] * csize
-    per_part = npat * copies
-    for i in range(r):
-        part_labels += [i] * per_part
+    # one part's class vertices: a vertex of pattern j joins the core
+    # vertices sigma with bit j
+    part = [mask_of(sigma for sigma in range(csize) if sigma >> j & 1)
+            for j in range(npat) for _ in range(copies)]
     # core vertices live in part 0 alongside its planted classes
-    labels = tuple(part_labels)
-    core = (1 << csize) - 1
-    return Graph(n, tuple(adj)), labels, core
+    labels = (0,) * csize + tuple(i for i in range(r) for _ in part)
+    return graph_from_lower(n, [0] * csize + part * r), labels, (1 << csize) - 1

@@ -4,6 +4,9 @@ Conventions used throughout the package:
 
 * vertices are ``0 .. n-1``; a vertex set is an ``int`` bitmask,
 * ``adj[i]`` is the neighbourhood of vertex ``i`` as a bitmask,
+* vertex v's *backward row* is ``adj[v] & (2^v - 1)``, its neighbours
+  below v.  A producer of new graphs writes backward rows only and hands
+  them to ``graph_from_lower``, which alone makes them symmetric,
 * on n vertices, edge ``(u, v)`` with ``u < v`` occupies bit
   ``C(n,2) - C(v+1,2) + u`` of the *edge bitmask*: vertex v's backward
   row forms one block, earlier vertices' blocks more significant.
@@ -107,9 +110,9 @@ class Graph(NamedTuple("_GraphRecord", [("n", int), ("adj", tuple[int, ...])])):
         """A graph on rows that are valid by construction (n within the cap,
         one row per vertex inside [n], loopless and symmetric), built
         without the checks of ``Graph(n, adj)``.  Only producers that make
-        such rows themselves call it.  Every input path builds ``Graph``,
-        except ``graph6_decode``, which checks the order and the bit vector
-        and then makes symmetric rows itself."""
+        such rows themselves call it: ``graph_from_lower``, through which
+        every producer of new rows goes, including the input paths, and the
+        relabeling or enumeration of rows that are symmetric already."""
         return tuple.__new__(cls, (n, adj))
 
     @property
@@ -126,19 +129,34 @@ class Graph(NamedTuple("_GraphRecord", [("n", int), ("adj", tuple[int, ...])])):
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
+def graph_from_lower(n: int, lower) -> Graph:
+    """The graph on n vertices whose vertex v has the backward row
+    ``lower[v]``; the caller guarantees n rows, each below 2^v.  The bits
+    of each backward row set the forward halves of the earlier rows."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise DomainError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    adj = list(lower)
+    for v, row in enumerate(lower):
+        bit = 1 << v
+        while row:
+            low = row & -row
+            adj[low.bit_length() - 1] |= bit
+            row ^= low
+    return Graph._trusted(n, tuple(adj))
+
+
 def graph_from_edges(n: int, edges) -> Graph:
     """Build a graph from an edge list; duplicate edges are accepted idempotently."""
     if not 0 <= n <= MAX_VERTICES:
         raise DomainError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-    adj = [0] * n
+    lower = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise DomainError(f"edge ({u},{v}) endpoint out of range")
         if u == v:
             raise DomainError(f"self-loop at vertex {u}")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+        lower[max(u, v)] |= 1 << min(u, v)
+    return graph_from_lower(n, lower)
 
 
 def induced_subgraph(G: Graph, S: int) -> Graph:
@@ -350,13 +368,8 @@ def enumerate_labeled(n: int, predicate=None):
 
 def random_graph(n: int, p: float, seed=None) -> Graph:
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    adj = [0] * n
-    for v in range(n):
-        for u in range(v):
-            if rng.random() < p:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return graph_from_lower(n, [sum(1 << u for u in range(v) if rng.random() < p)
+                                for v in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +432,9 @@ def graph6_decode(data: bytes | str) -> Graph:
     x = int.from_bytes(vector.translate(_REVERSED), "little")
     if x >> m:
         raise DomainError("graph6 padding bits are not zero")
-    adj = [0] * n
-    start = 0
-    for v in range(1, n):
-        adj[v] = row = x >> start & (1 << v) - 1  # edges (u, v), u < v
-        start += v
-        bit = 1 << v
-        while row:
-            low = row & -row
-            adj[low.bit_length() - 1] |= bit
-            row ^= low
-    return Graph._trusted(n, tuple(adj))
+    # vertex v's edges (u, v), u < v, start at bit C(v, 2)
+    return graph_from_lower(n, [x >> (v * (v - 1) >> 1) & (1 << v) - 1
+                                for v in range(n)])
 
 
 def edgelist_decode(text: str) -> Graph:

@@ -207,6 +207,8 @@ def min_intra_edges_parts(G: Graph, r: int) -> tuple[int, ...]:
     fewer of its neighbours, never emptying a part, so part sizes may drift
     apart by more than one.  Desk stand-in for a structure-revealing
     partition on larger inputs."""
+    if r < 1:
+        raise DomainError("need at least one part")
     n, adj = G.n, G.adj
     if r == 2 and 2 <= n <= 16:
         return _exact_bisection(G)

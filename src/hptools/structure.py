@@ -15,7 +15,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .errors import DomainError
-from .freeness import MAX_UK_HOST, find_uk_copy
+from .freeness import MAX_UK_HOST, MAX_UK_LEVEL, find_uk_copy
 from .graphs import (Graph, IsomorphismClasses, bits, far_clique,
                      induced_subgraph, k_submasks, mask_of, part_masks)
 from .regularity import (MAX_TOY_BLOCKS, MAX_TOY_VERTICES, min_intra_edges_parts,
@@ -172,6 +172,8 @@ def extract_universal_packing(G: Graph, parts, k: int,
         raise DomainError("parts do not match the graph")
     if G.n > MAX_UK_HOST:
         raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
+    if not 1 <= k <= MAX_UK_LEVEL:
+        raise DomainError(f"universal level capped at {MAX_UK_LEVEL}")
     pmasks = part_masks(parts, r)
     r = len(pmasks)
     pieces = []
@@ -307,6 +309,8 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
         raise DomainError("need at least one part")
     if G.n > MAX_UK_HOST:
         raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
+    if not 1 <= k <= MAX_UK_LEVEL:
+        raise DomainError(f"universal level capped at {MAX_UK_LEVEL}")
     try:
         alpha = Fraction(alpha)
     except (ValueError, OverflowError):  # NaN, an infinity, a bad string
@@ -423,6 +427,11 @@ def certify_members(graphs, r: int, k: int, alpha,
     graph's class is therefore exact, and a hit names a class met before.
     A full lookup runs only on a miss.  Graphs that share a prefix one
     after another, as in ascending order, share its lookup and mostly hit."""
+    # checked here, since a decompose refusal reads as "not certified"
+    if r < 1:
+        raise DomainError("need at least one part")
+    if not 1 <= k <= MAX_UK_LEVEL:
+        raise DomainError(f"universal level capped at {MAX_UK_LEVEL}")
     classes = IsomorphismClasses()
     prefixes = IsomorphismClasses()
     # (prefix class, carried-back R) -> class; None keys the empty graph

@@ -12,7 +12,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DomainError
-from .graphs import Graph, bits, k_submasks, mask_of
+from .graphs import Graph, bits, graph_from_lower, k_submasks, mask_of
 
 MAX_TRACE_GROUND = 30
 
@@ -40,6 +40,16 @@ def first_realizers(rows, pool: int, X: int, need: int) -> dict[int, int]:
     return found
 
 
+def first_shattered(rows, pool: int, ground: int, k: int):
+    """(X, realizers) for the first k-subset X of ``ground`` (colex order)
+    on which the rows of ``pool`` leave all 2^k traces, or None."""
+    need = 1 << k
+    for X in k_submasks(ground, k):
+        realizers = first_realizers(rows, pool, X, need)
+        if len(realizers) == need:
+            return X, realizers
+
+
 def sauer_find_shattered(ground: int, traces, k: int) -> int:
     """The first k-subset of ``ground`` (colex order) shattered by the
     family of distinct ``traces``, each a subset of ``ground``.  The family
@@ -52,11 +62,7 @@ def sauer_find_shattered(ground: int, traces, k: int) -> int:
         raise DomainError("trace not contained in the ground set")
     if len(rows) <= sauer_bound(ground.bit_count(), k):
         raise DomainError("Sauer bound not met")
-    pool = (1 << len(rows)) - 1
-    need = 1 << k
-    for X in k_submasks(ground, k):
-        if len(first_realizers(rows, pool, X, need)) == need:
-            return X
+    return first_shattered(rows, (1 << len(rows)) - 1, ground, k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +98,12 @@ def construct_universal(k: int) -> BipartiteUniversal:
         raise DomainError("universal level k must be in 1..5")
     na = 1 << k
     n = na + k
-    adj = [0] * n
-    for a in range(na):
-        for j in range(k):
-            if a >> j & 1:
-                b = na + j
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
+    # b_j = na + j joins the a whose index has bit j
+    lower = [0] * na + [mask_of(a for a in range(na) if a >> j & 1)
+                        for j in range(k)]
     A = (1 << na) - 1
     B = ((1 << n) - 1) ^ A
-    return BipartiteUniversal(Graph(n, tuple(adj)), A, B)
+    return BipartiteUniversal(graph_from_lower(n, lower), A, B)
 
 
 class LayeredUniversal(NamedTuple):
@@ -128,30 +130,19 @@ def _build_layered(r: int, k: int, v: tuple[int, ...] | None) -> LayeredUniversa
     sizes = universal_layer_sizes(r, k)
     if len(sizes) < r or sum(sizes) > 64:
         raise DomainError(f"U({r},{k}) does not fit in 64 vertices")
-    n = sum(sizes)
-    adj = [0] * n
+    lower: list[int] = []
     layers = []
     offset = 0
-    prefix_vertices: list[int] = []
     for j, size in enumerate(sizes):
-        layer_mask = ((1 << size) - 1) << offset
-        layers.append(layer_mask)
-        if j > 0:
-            # vertex (offset + m) joins exactly the prefix subset with index m
-            for m in range(size):
-                vtx = offset + m
-                for i, p in enumerate(prefix_vertices):
-                    if m >> i & 1:
-                        adj[vtx] |= 1 << p
-                        adj[p] |= 1 << vtx
-        if v is not None and v[j] == 1:
-            for x in range(offset, offset + size):
-                for y in range(offset, x):
-                    adj[x] |= 1 << y
-                    adj[y] |= 1 << x
-        prefix_vertices.extend(range(offset, offset + size))
+        layers.append(((1 << size) - 1) << offset)
+        # past layer 0, vertex offset + m joins exactly the prefix subset
+        # with index m, since the prefix is vertices 0..offset-1; in a
+        # clique layer it also joins the layer's earlier vertices
+        clique = v is not None and v[j] == 1
+        lower += [(m if j else 0) | (((1 << m) - 1) << offset if clique else 0)
+                  for m in range(size)]
         offset += size
-    return LayeredUniversal(Graph(n, tuple(adj)), tuple(layers))
+    return LayeredUniversal(graph_from_lower(offset, lower), tuple(layers))
 
 
 def construct_generalized_universal(r: int, k: int) -> LayeredUniversal:

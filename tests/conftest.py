@@ -1,9 +1,13 @@
+import shutil
 import sys
 from pathlib import Path
 
 # a bytecode cache left in src/ or tests/ would make the next import of the
-# package faster than a fresh checkout's
+# package faster than a fresh checkout's.  pytest writes this module's
+# rewritten code to tests/__pycache__ before any line of it runs, so that
+# cache is removed here; nothing imported after these lines writes one
 sys.dont_write_bytecode = True
+shutil.rmtree(Path(__file__).with_name("__pycache__"), ignore_errors=True)
 sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest

@@ -10,8 +10,9 @@ from hptools import (DomainError, Graph, bits, contains_induced,
                      enumerate_labeled, graph6_decode, graph6_encode,
                      graph_from_edges, induced_subgraph, mask_of, random_graph)
 from hptools.graphs import (IsomorphismClasses, _degree_order, _extend, _pin_plan,
-                            edgelist_decode, greedy_maximal_clique, grow_rows,
-                            k_submasks, max_clique)
+                            edgelist_decode, graph_from_lower,
+                            greedy_maximal_clique, grow_rows, k_submasks,
+                            max_clique)
 
 from conftest import (complement, complete_graph, cycle_graph, edgelist_encode,
                       path_graph)
@@ -45,6 +46,26 @@ def test_graph_from_edges_errors():
         graph_from_edges(3, [(1, 1)])
     with pytest.raises(DomainError):
         graph_from_edges(65, [])
+
+
+@given(st.integers(0, 64).flatmap(lambda n: st.tuples(*[
+    st.integers(0, (1 << v) - 1) for v in range(n)])))
+@settings(max_examples=100, deadline=None)
+def test_graph_from_lower_is_the_checked_graph_of_the_symmetric_rows(lower):
+    n = len(lower)
+    adj = [0] * n
+    for v, row in enumerate(lower):
+        for u in bits(row):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    G = graph_from_lower(n, lower)
+    assert G == Graph(n, tuple(adj)) and same_as_checked(G)
+
+
+@pytest.mark.parametrize("n", [-1, 65])
+def test_graph_from_lower_refuses_orders_outside_the_cap(n):
+    with pytest.raises(DomainError, match=rf"^vertex count {n} outside 0\.\.64$"):
+        graph_from_lower(n, [0] * max(n, 0))
 
 
 def test_induced_subgraph():

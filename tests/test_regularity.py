@@ -243,6 +243,13 @@ def test_toy_bbs_parts_refuses_more_parts_than_blocks():
         toy_bbs_parts(random_graph(8, 0.5, seed=1), 5)
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_min_intra_edges_parts_refuses_fewer_than_one_part(r):
+    # the greedy descent starts from labels v mod r
+    with pytest.raises(DomainError, match="^need at least one part$"):
+        min_intra_edges_parts(random_graph(6, 0.5, seed=2), r)
+
+
 def test_min_intra_edges_bipartite_exact():
     G = bipartite_complete(4, 4)
     labels = min_intra_edges_parts(G, 2)

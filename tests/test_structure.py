@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hptools import (DomainError, PackingPiece, PackingReport, alpha_adjust,
-                     bits, construct_generalized_universal,
-                     decompose, decomposition_failures,
+from hptools import (DomainError, PackingPiece, PackingReport, PropertySpec,
+                     alpha_adjust, bits, certify_members,
+                     construct_generalized_universal,
+                     decompose, decomposition_failures, enumerate_property,
                      extract_universal_packing, graph_from_edges,
                      mask_of, max_bad_set,
-                     random_graph, shatters, verify_decomposition,
+                     random_graph, shatters, structure, verify_decomposition,
                      verify_packing_maximality, verify_packing_report)
 from hptools.graphs import MAX_EXACT_CLIQUE, greedy_maximal_clique, part_masks
 from hptools.structure import _cutoffs, _find_placed_copy, clone_cutoff
 
+from conftest import complete_graph
 from oracles import (naive_clone_index, naive_extract_universal_packing,
                      naive_find_placed_copy, naive_uk_copy)
 
@@ -557,3 +559,35 @@ def test_decompose_final_parts_are_uk_free_by_oracle(graph_parts, k, hinted,
     cert = decompose(G, r, k, alpha, parts_hint=parts if hinted else None)
     for S in cert.parts:
         assert not naive_uk_copy(G, k, (S, S))
+
+
+# --- the pipeline's caps, checked where it starts -----------------------------
+
+# past the start, k = 0 would pack every vertex as a one-vertex piece, k = 5
+# would pass below 37 vertices and fail inside verify_decomposition above,
+# and k = -1 would end in a negative shift
+@pytest.mark.parametrize("k", [0, 5, -1])
+def test_decompose_refuses_a_level_outside_1_to_4_before_its_hint(k, monkeypatch):
+    def no_hint(G, r):
+        raise AssertionError("the hint was computed")
+
+    monkeypatch.setattr(structure, "default_parts", no_hint)
+    with pytest.raises(DomainError, match="^universal level capped at 4$"):
+        decompose(random_graph(12, 0.5, seed=1), 2, k, Fraction(1, 4))
+
+
+@pytest.mark.parametrize("k", [0, 5, -1])
+def test_packing_refuses_a_level_outside_1_to_4(k):
+    with pytest.raises(DomainError, match="^universal level capped at 4$"):
+        extract_universal_packing(random_graph(12, 0.5, seed=1), (0, 1) * 6, k)
+
+
+# inside the loop, a refused k would read as 0 certified (or, for k = 5,
+# as 388/388 for K3-free at n = 5), and r = 0 divides by zero
+@pytest.mark.parametrize("r,k,message", [
+    (2, 5, "universal level capped at 4"), (2, 0, "universal level capped at 4"),
+    (0, 2, "need at least one part")])
+def test_certify_members_refuses_r_and_k_before_its_loop(r, k, message):
+    members = enumerate_property(PropertySpec.from_graphs([complete_graph(3)]), 5)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        certify_members(members, r, k, Fraction(1, 4), Fraction(1, 2))

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hptools import (DomainError, aligned_reverse_shatter, bits,
                      construct_generalized_universal, construct_universal,
                      construct_universal_star, graph_from_edges, mask_of,
                      sauer_bound, sauer_find_shattered, shatters)
-from hptools.universal import MAX_TRACE_GROUND, first_realizers
+from hptools.universal import MAX_TRACE_GROUND, first_realizers, first_shattered
 
 
 # --- construct_universal ---------------------------------------------------
@@ -92,6 +93,24 @@ def test_first_realizers_matches_first_occurrence_scan(rows, pool, X, need):
             want.setdefault(rows[a] & X, a)
     got = first_realizers(rows, pool, X, need)
     assert list(got.items()) == list(want.items())
+
+
+@given(st.lists(st.integers(0, 63), max_size=12), st.integers(0, 4095),
+       st.integers(0, 63), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_first_shattered_is_the_first_shattered_set_in_colex_order(
+        rows, pool, ground, k):
+    pool &= (1 << len(rows)) - 1
+    pooled = [a for a in range(len(rows)) if pool >> a & 1]
+    want = None
+    for X in sorted(mask_of(c) for c in combinations(bits(ground), k)):
+        realizers = {}
+        for a in pooled:
+            realizers.setdefault(rows[a] & X, a)
+        if len(realizers) == 1 << k:
+            want = X, realizers
+            break
+    assert first_shattered(rows, pool, ground, k) == want
 
 
 # --- generalized / starred universal graphs ---------------------------------
