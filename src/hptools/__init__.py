@@ -12,8 +12,9 @@ from .universal import (aligned_reverse_shatter, construct_generalized_universal
                         construct_universal, construct_universal_star,
                         sauer_bound, sauer_find_shattered, shatters)
 from .hereditary import (ColouringNumber, PropertySpec, abt_bounds,
-                         colouring_number, count_hrv, enumerate_property,
-                         hrv_member, load_property, speed, valid_hrv_patterns)
+                         class_levels, colouring_number, count_hrv,
+                         enumerate_property, hrv_member, load_property, speed,
+                         valid_hrv_patterns)
 from .freeness import (BipGraph, SparseningOutput, bipgraph_decode,
                        count_nonshattering_attachments, count_sparse_bipartite,
                        count_uk_free_bipartite, distinguishing_set,

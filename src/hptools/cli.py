@@ -25,8 +25,8 @@ from .freeness import (MAX_UK_HOST, MAX_UK_LEVEL, BipGraph, bipgraph_decode,
                        max_separated_subset, separated_subset_ceiling)
 from .graphs import (MAX_ENUM_VERTICES, MAX_EXACT_CLIQUE, MAX_VERTICES, Graph, bits,
                      edgelist_decode, graph6_decode, graph6_encode, mask_of)
-from .hereditary import (MAX_PATTERN_LENGTH, abt_bounds, colouring_number,
-                         count_hrv, enumerate_property, load_property, speed,
+from .hereditary import (MAX_PATTERN_LENGTH, abt_bounds, class_levels,
+                         colouring_number, count_hrv, load_property, speed,
                          valid_hrv_patterns)
 from .structure import (DecompositionCertificate, PackingPiece, PackingReport,
                         _budget, certify_members, decompose,
@@ -375,6 +375,8 @@ def cmd_census(args) -> dict:
         raise DomainError("degenerate property: the one-vertex graph is forbidden")
     r = chi.value
     patterns = valid_hrv_patterns(spec)
+    levels = class_levels(spec)
+    next(levels)  # P_0
     rows = []
     for n in range(1, args.n_max + 1):
         row = speed(spec, n)
@@ -390,7 +392,7 @@ def cmd_census(args) -> dict:
         }
         if args.certify:
             good, total, classes = certify_members(
-                enumerate_property(spec, n), r, k, args.alpha, args.budget_eps)
+                next(levels), r, k, args.alpha, args.budget_eps)
             entry["certified_fraction"] = f"{good}/{total}"
             entry["classes"] = classes
         rows.append(entry)

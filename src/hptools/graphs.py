@@ -259,16 +259,8 @@ class IsomorphismClasses:
         self._buckets: dict[tuple, list[tuple[Graph, list, list, int]]] = {}
         self.count = 0
 
-    def index(self, G: Graph, image: list | None = None) -> int:
-        """The number of G's class; a graph of a new class founds it.
-
-        With ``image``, that list is refilled with an isomorphism from the
-        class representative onto G: representative vertex h goes to
-        G's vertex image[h].  A founder is its own representative and gets
-        the identity."""
-        if image is None:
-            image = []
-        image[:] = range(G.n)  # sized for the matcher; a match fills it all
+    def index(self, G: Graph) -> int:
+        """The number of G's class; a graph of a new class founds it."""
         deg = [row.bit_count() for row in G.adj]
         # base 64: digit 0 holds the degree, digit d > 0 the degree-d neighbours
         weight = [1 << 6 * d for d in deg]
@@ -283,11 +275,11 @@ class IsomorphismClasses:
         for v, label in enumerate(labels):
             where[label] = where.get(label, 0) | 1 << v
         bucket = self._buckets.setdefault(tuple(sorted(labels)), [])
+        image = [-1] * G.n
         for rep, seq, seq_labels, i in bucket:
             if _extend(seq, [where[label] for label in seq_labels], rep.adj,
                        G.adj, image):
                 return i
-        image[:] = range(G.n)  # undo what failed matches wrote
         seq = sorted(range(G.n), key=lambda v: where[labels[v]].bit_count())
         bucket.append((G, seq, [labels[v] for v in seq], self.count))
         self.count += 1

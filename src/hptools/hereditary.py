@@ -11,8 +11,9 @@ from math import comb, log2
 from typing import NamedTuple
 
 from .errors import DomainError
-from .graphs import (Graph, MAX_ENUM_VERTICES, _extend, _pin_plan, bits,
-                     contains_induced, enumerate_labeled, graph6_decode, grow_rows)
+from .graphs import (Graph, IsomorphismClasses, MAX_ENUM_VERTICES, _extend,
+                     _pin_plan, bits, contains_induced, enumerate_labeled,
+                     graph6_decode, graph_from_lower, grow_rows)
 
 MAX_FORBIDDEN_ORDER = 10
 MAX_PATTERN_LENGTH = 8
@@ -22,10 +23,11 @@ class PropertySpec(NamedTuple("_PropertySpecRecord",
                               [("forbidden", tuple[Graph, ...])])):
     """A minimal, isomorphism-deduplicated family of forbidden induced subgraphs.
 
-    ``tree`` is the generation tree that ``enumerate_property`` grows under
-    the spec: the table of every prefix a walk meets on at most 6 vertices,
-    so at most 33,868 tables.  It is no field: each spec starts with its own
-    empty tree, which takes no part in equality, hashing or the repr."""
+    ``tree`` is the generation tree that ``enumerate_property`` and
+    ``class_levels`` grow under the spec: the table of every prefix a walk
+    meets on at most 6 vertices, so at most 33,868 tables.  It is no field:
+    each spec starts with its own empty tree, which takes no part in
+    equality, hashing or the repr."""
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
@@ -124,6 +126,18 @@ def _kept_rows(forbidden, v: int, rows) -> list[int]:
     return [r for r in range(1 << v) if not marked[r]]
 
 
+def _kept(spec: PropertySpec, v: int, rows) -> bytes:
+    """The table of ``_kept_rows`` for the prefix rows 0..v-1, read from
+    ``spec.tree`` and searched only when missing there."""
+    prefix = bytes(rows[:v])  # a copy: ``rows`` may be live
+    kept = spec.tree.get(prefix)
+    if kept is None:
+        kept = bytes(_kept_rows(spec.forbidden, v, rows))
+        if v <= MAX_ENUM_VERTICES - 2:
+            spec.tree[prefix] = kept
+    return kept
+
+
 def enumerate_property(spec: PropertySpec, n: int):
     """Stream the graphs of the property on [n] in canonical order.
 
@@ -147,19 +161,42 @@ def enumerate_property(spec: PropertySpec, n: int):
         raise DomainError(f"n must lie in 0..{MAX_ENUM_VERTICES}")
     if n > MAX_ENUM_VERTICES:
         raise DomainError(f"enumeration capped at n <= {MAX_ENUM_VERTICES}")
-    tree = spec.tree
-
-    def keep(v: int, rows) -> bytes:
-        prefix = bytes(rows[:v])  # a copy: ``rows`` is live
-        kept = tree.get(prefix)
-        if kept is None:
-            kept = bytes(_kept_rows(spec.forbidden, v, rows))
-            if v <= MAX_ENUM_VERTICES - 2:
-                tree[prefix] = kept
-        return kept
-
-    for rows in grow_rows(n, keep):
+    for rows in grow_rows(n, lambda v, rows: _kept(spec, v, rows)):
         yield Graph._trusted(n, tuple(rows))
+
+
+def class_levels(spec: PropertySpec):
+    """The isomorphism classes of P_0, P_1, ..., P_8 in turn, each level a
+    list of (founder, size) pairs: size labeled members of P_n fall in the
+    founder's class.
+
+    Level n looks up M + R, vertex n-1 joined to M by the backward row R,
+    for each founder M of level n-1 in order and each R of M's table in
+    ascending order; the first graph of a class founds it.  These are
+    labeled members of P_n in ascending edge-bitmask order.  A least-bitmask
+    labeling's prefix on 0..n-2 is least in its own class too, so it is a
+    founder, and each founder is its class's least-bitmask labeling.
+
+    An isomorphism from M onto any labeled member P of its class carries
+    M's table onto P's, so each R puts |M's class| labeled members of P_n
+    into the class of M + R, and the sizes are exact without any
+    automorphism group.
+    """
+    level = [(Graph(0, ()), 1)]
+    yield level
+    for n in range(1, MAX_ENUM_VERTICES + 1):
+        classes, founders, sizes = IsomorphismClasses(), [], []
+        for M, size in level:
+            lower = [row & (1 << u) - 1 for u, row in enumerate(M.adj)]
+            for R in _kept(spec, n - 1, M.adj):
+                G = graph_from_lower(n, lower + [R])
+                i = classes.index(G)
+                if i == len(sizes):
+                    founders.append(G)
+                    sizes.append(0)
+                sizes[i] += size
+        level = list(zip(founders, sizes))
+        yield level
 
 
 def speed(spec: PropertySpec, n: int) -> SpeedRow:

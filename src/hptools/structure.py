@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .freeness import MAX_UK_HOST, MAX_UK_LEVEL, find_uk_copy
-from .graphs import (Graph, IsomorphismClasses, bits, far_clique,
-                     induced_subgraph, k_submasks, mask_of, part_masks)
+from .graphs import (Graph, bits, far_clique, induced_subgraph, k_submasks,
+                     mask_of, part_masks)
 from .regularity import (MAX_TOY_BLOCKS, MAX_TOY_VERTICES, min_intra_edges_parts,
                          toy_bbs_parts)
 from .universal import shatters, universal_layer_sizes
@@ -408,62 +408,34 @@ def provenance_failures(G: Graph, cert: DecompositionCertificate) -> list[str]:
     return problems
 
 
-def certify_members(graphs, r: int, k: int, alpha,
+def certify_members(level, r: int, k: int, alpha,
                     budget_eps) -> tuple[int, int, int]:
-    """(good, total, classes): how many of ``graphs`` are certified, how
-    many there are, and how many isomorphism classes they fall into.
+    """(good, total, classes) for one level of ``class_levels``, a list of
+    (founder, size) pairs: how many labeled members are certified, how many
+    there are, and how many classes they fall into.
 
     A graph is certified when ``decompose`` from the minimum-intra-edge
     hint succeeds, ``verify_decomposition`` accepts its certificate, and |A|
-    meets the budget n^(1-budget_eps).  Only the first graph of each class
-    in stream order, whatever the order, is decomposed; its verdict counts
-    for every later graph of the class.  In ascending edge-bitmask order, as
-    ``enumerate_property`` yields them, that is the class's least-bitmask
-    labeling, the one that orderly generation keeps.
-
-    A graph on n >= 1 vertices is its prefix P on 0..n-2 plus the row R of
-    vertex n-1, so it is isomorphic to P's class representative plus R
-    carried back onto it.  A memo from (P's class, carried-back R) to the
-    graph's class is therefore exact, and a hit names a class met before.
-    A full lookup runs only on a miss.  Graphs that share a prefix one
-    after another, as in ascending order, share its lookup and mostly hit."""
+    meets the budget n^(1-budget_eps).  Only each founder, its class's
+    least-bitmask labeling, is decomposed; its verdict counts for every
+    labeled member of its class."""
     # checked here, since a decompose refusal reads as "not certified"
     if r < 1:
         raise DomainError("need at least one part")
     if not 1 <= k <= MAX_UK_LEVEL:
         raise DomainError(f"universal level capped at {MAX_UK_LEVEL}")
-    classes = IsomorphismClasses()
-    prefixes = IsomorphismClasses()
-    # (prefix class, carried-back R) -> class; None keys the empty graph
-    memo: dict[tuple[int, int] | None, int] = {}
-    verdicts: list[bool] = []
-    image: list[int] = []
-    prefix = None
     good = total = 0
-    for G in graphs:
-        key = None
-        if G.n:
-            low = (1 << G.n - 1) - 1
-            rows = tuple(row & low for row in G.adj[:-1])
-            if rows != prefix:
-                prefix = rows
-                j = prefixes.index(Graph._trusted(G.n - 1, rows), image)
-            R = G.adj[-1]
-            key = (j, sum(1 << h for h, g in enumerate(image) if R >> g & 1))
-        i = memo.get(key)
-        if i is None:
-            i = memo[key] = classes.index(G)
-        if i == len(verdicts):
-            # the min-intra-edge hint rather than decompose's default
-            # partition: pinned census fractions depend on this hint
-            try:
-                cert = decompose(G, r, k, alpha,
-                                 parts_hint=min_intra_edges_parts(G, r),
-                                 eps_out=budget_eps)
-            except DomainError:
-                verdicts.append(False)
-            else:
-                verdicts.append(verify_decomposition(G, cert) and cert.budget_ok)
-        good += verdicts[i]
-        total += 1
-    return good, total, classes.count
+    for G, size in level:
+        # the min-intra-edge hint rather than decompose's default
+        # partition: pinned census fractions depend on this hint
+        try:
+            cert = decompose(G, r, k, alpha,
+                             parts_hint=min_intra_edges_parts(G, r),
+                             eps_out=budget_eps)
+        except DomainError:
+            pass
+        else:
+            if verify_decomposition(G, cert) and cert.budget_ok:
+                good += size
+        total += size
+    return good, total, len(level)

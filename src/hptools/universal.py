@@ -55,6 +55,8 @@ def sauer_find_shattered(ground: int, traces, k: int) -> int:
     family of distinct ``traces``, each a subset of ``ground``.  The family
     must have more than ``sauer_bound(|ground|, k)`` members, so that by
     Sauer-Shelah such a k-subset exists."""
+    if k < 0:
+        raise DomainError(f"k must be non-negative; got k = {k}")
     if ground.bit_count() > MAX_TRACE_GROUND:
         raise DomainError(f"ground set larger than {MAX_TRACE_GROUND}")
     rows = tuple(frozenset(traces))

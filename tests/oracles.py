@@ -531,21 +531,29 @@ def labeled_certified_fraction(graphs, r: int, k: int, alpha,
     return sum(verdicts), len(verdicts)
 
 
-def class_certified_fraction(graphs, r: int, k: int, alpha,
-                             budget_eps) -> tuple[int, int, int]:
-    """(good, total, classes) with the graphs grouped by ``nx.is_isomorphic``
-    and the first graph of each class, in stream order, decomposed for the
-    whole class.  Graphs are compared only within equal degree sequences."""
-    reps: dict[tuple, list[tuple[nx.Graph, bool]]] = {}
-    good = total = classes = 0
+def nx_classes(graphs) -> list[list]:
+    """[first, count] for each class of ``graphs`` under ``nx.is_isomorphic``,
+    in order of first appearance: the first graph of the class in stream
+    order and how many graphs fall into it.  Graphs are compared only
+    within equal degree sequences."""
+    reps: dict[tuple, list[tuple[nx.Graph, list]]] = {}
+    out = []
     for G in graphs:
         X = to_networkx(G)
         bucket = reps.setdefault(tuple(sorted(d for _, d in X.degree)), [])
-        verdict = next((ok for Y, ok in bucket if nx.is_isomorphic(X, Y)), None)
-        if verdict is None:
-            verdict = certified(G, r, k, alpha, budget_eps)
-            bucket.append((X, verdict))
-            classes += 1
-        good += verdict
-        total += 1
-    return good, total, classes
+        entry = next((e for Y, e in bucket if nx.is_isomorphic(X, Y)), None)
+        if entry is None:
+            entry = [G, 0]
+            bucket.append((X, entry))
+            out.append(entry)
+        entry[1] += 1
+    return out
+
+
+def class_certified_fraction(classes, r: int, k: int, alpha,
+                             budget_eps) -> tuple[int, int, int]:
+    """(good, total, classes) over the [first, count] pairs of
+    ``nx_classes``, with each first graph decomposed for its whole class."""
+    good = sum(count for G, count in classes
+               if certified(G, r, k, alpha, budget_eps))
+    return good, sum(count for _, count in classes), len(classes)

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import networkx as nx
@@ -20,10 +21,10 @@ from hypothesis import strategies as st
 import hptools
 from hptools import cli, hereditary
 from hptools import (DecompositionCertificate, Graph, PackingReport,
-                     PropertySpec, certify_members, colouring_number, decompose,
-                     enumerate_property, extract_universal_packing,
-                     graph6_decode, graph6_encode, graph_from_edges,
-                     random_graph)
+                     PropertySpec, certify_members, class_levels,
+                     colouring_number, decompose, enumerate_property,
+                     extract_universal_packing, graph6_decode, graph6_encode,
+                     graph_from_edges, random_graph, speed)
 from hptools.cli import (_rational, build_parser, certificate_from_dict,
                          certificate_to_dict, main, packing_to_dict)
 from hptools.freeness import BipGraph, planted_clone_instance, random_bipgraph
@@ -31,7 +32,7 @@ from hptools.graphs import IsomorphismClasses
 
 from conftest import bipgraph_encode, complete_graph, edgelist_encode, path_graph
 from oracles import (class_certified_fraction, labeled_certified_fraction,
-                     nonshattering_by_inclusion_exclusion)
+                     nonshattering_by_inclusion_exclusion, nx_classes)
 
 
 def run(capsys, *argv):
@@ -335,8 +336,9 @@ def test_census_table(tmp_path, capsys):
 def test_census_derives_each_kept_row_table_once(tmp_path, capsys,
                                                  monkeypatch, argv, kept):
     # one search per prefix met, the members of P_v for v < 5, though
-    # speed, and certify_members with --certify, walk every n; every walk
-    # keeps the tables of its prefixes, all below 7 vertices here
+    # speed walks every n and, with --certify, class_levels reads the table
+    # of every class founder; every walk keeps the tables of its prefixes,
+    # all below 7 vertices here
     searches, specs = [], []
     search, load = hereditary._kept_rows, cli.load_property
 
@@ -1412,85 +1414,60 @@ def census_spec(name: str) -> tuple[PropertySpec, int]:
     return spec, colouring_number(spec).value
 
 
+def census_levels(name: str, n_max: int):
+    """The spec and colouring number of a census property, and the levels
+    of ``class_levels`` for P_0..P_{n_max}."""
+    spec, r = census_spec(name)
+    return spec, r, list(islice(class_levels(spec), n_max + 1))
+
+
 @pytest.mark.parametrize("name, orders", [
     *((name, range(1, 6)) for name in sorted(CENSUS_ROWS)),
     ("K3", [6]), ("P4", [6])])
 def test_class_census_equals_the_labeled_loop(name, orders):
-    spec, r = census_spec(name)
+    spec, r, levels = census_levels(name, max(orders))
     for m in orders:
-        good, total, _ = certify_members(enumerate_property(spec, m), r,
-                                         *CENSUS_ARGS)
+        good, total, _ = certify_members(levels[m], r, *CENSUS_ARGS)
         assert (good, total) == labeled_certified_fraction(
             enumerate_property(spec, m), r, *CENSUS_ARGS)
 
 
-def sampled_runs(graphs, keep, rng):
-    """The runs of consecutive graphs sharing a prefix, each kept whole
-    with probability ``keep``."""
-    prefix = kept = None
-    for G in graphs:
-        low = (1 << G.n - 1) - 1 if G.n else 0
-        rows = tuple(row & low for row in G.adj[:-1])
-        if rows != prefix:
-            prefix, kept = rows, rng.random() < keep
-        if kept:
-            yield G
+def test_class_census_equals_the_isomorphism_oracle():
+    # the founders in order, each with its class's number of labeled
+    # members, and the certified fraction over them
+    assert certify_members([], 2, *CENSUS_ARGS) == (0, 0, 0)
+    for name, n_max in [*((name, 5) for name in sorted(CENSUS_ROWS)),
+                        ("K3", 6), ("P4", 6)]:
+        spec, r, levels = census_levels(name, n_max)
+        for m, level in enumerate(levels):
+            classes = nx_classes(enumerate_property(spec, m))
+            assert [list(pair) for pair in level] == classes
+            assert (certify_members(level, r, *CENSUS_ARGS)
+                    == class_certified_fraction(classes, r, *CENSUS_ARGS))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(sorted(CENSUS_ROWS)),
-       st.sampled_from(["ascending", "reversed", "shuffled", "mixed"]),
-       st.data())
-def test_class_census_equals_the_isomorphism_oracle(name, order, data):
-    spec, r = census_spec(name)
-    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-    sizes = data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=3,
-                                unique=True) if order == "mixed"
-                       else st.lists(st.integers(0, 6), min_size=1, max_size=1))
-    # the oracle's networkx matching costs about 0.2 ms a graph, so at n = 6
-    # a stream keeps 1 prefix run in 32, whole
-    streams = [list(sampled_runs(enumerate_property(spec, m),
-                                 1 if m < 6 else 1 / 32, rng)) for m in sizes]
-    if order == "mixed":  # each size's stream ascending, interleaved at random
-        picks = [i for i, stream in enumerate(streams) for _ in stream]
-        rng.shuffle(picks)
-        its = [iter(stream) for stream in streams]
-        members = [next(its[i]) for i in picks]
-    else:
-        members = streams[0]
-        if order == "reversed":
-            members.reverse()
-        elif order == "shuffled":
-            rng.shuffle(members)
-    assert (certify_members(members, r, *CENSUS_ARGS)
-            == class_certified_fraction(members, r, *CENSUS_ARGS))
+@pytest.mark.parametrize("name, n_max", [
+    *((name, 6) for name in sorted(CENSUS_ROWS)), ("K3", 7)])
+def test_class_level_sizes_sum_to_the_speed(name, n_max):
+    spec, _, levels = census_levels(name, n_max)
+    for m, level in enumerate(levels):
+        assert sum(size for _, size in level) == speed(spec, m).count
 
 
-def test_certify_members_edge_streams():
-    spec, r = census_spec("K3")
-    empty, one = Graph(0, ()), Graph(1, (0,))
-    assert certify_members([], r, *CENSUS_ARGS) == (0, 0, 0)
-    for members in ([empty], [one], [one, empty, one, empty],
-                    [empty, *enumerate_property(spec, 2), one, empty]):
-        got = certify_members(members, r, *CENSUS_ARGS)
-        assert got == class_certified_fraction(members, r, *CENSUS_ARGS)
-        assert got[2] == len({(G.n, G.edge_count()) for G in members})
-
-
-def test_certify_members_looks_up_once_per_prefix_run(monkeypatch):
-    # ascending K3-free n = 6: 5,789 members in 38 classes
+def test_class_walk_looks_up_once_per_candidate(monkeypatch):
+    # K3-free n = 6: the 14 classes of P_5 keep 235 rows in all, and those
+    # 235 candidates found the 38 classes of 5,789 labeled members
     calls = []
     index = IsomorphismClasses.index
     monkeypatch.setattr(IsomorphismClasses, "index",
-                        lambda self, G, *image: calls.append(G.n)
-                        or index(self, G, *image))
-    spec, r = census_spec("K3")
-    got = certify_members(enumerate_property(spec, 6), r, *CENSUS_ARGS)
-    assert got == (3497, 5789, 38)
-    assert len(calls) < got[1] / 8
-    monkeypatch.undo()
-    assert got == class_certified_fraction(enumerate_property(spec, 6), r,
-                                           *CENSUS_ARGS)
+                        lambda self, G: calls.append(G.n) or index(self, G))
+    spec, r, levels = census_levels("K3", 6)
+    assert calls.count(6) == 235 == sum(
+        len(hereditary._kept_rows(spec.forbidden, 5, M.adj))
+        for M, _ in levels[5])
+    before = len(calls)
+    assert certify_members(levels[6], r, *CENSUS_ARGS) == (3497, 5789, 38)
+    assert len(calls) == before  # no lookup per member
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS_ROWS))
@@ -1498,14 +1475,16 @@ def test_census_classes_match_the_atlas(tmp_path, capsys, name):
     # the networkx atlas holds one graph of each class on up to 7 vertices
     n, edges, _ = CENSUS_ROWS[name]
     F = nx.Graph(edges)
-    atlas = [X for X in nx.graph_atlas_g()[1:] if X.number_of_nodes() <= 6
-             and not nx.isomorphism.GraphMatcher(X, F).subgraph_is_isomorphic()]
-    want = [sum(X.number_of_nodes() == m for X in atlas) for m in range(1, 7)]
+    atlas = [X for X in nx.graph_atlas_g()[1:]
+             if not nx.isomorphism.GraphMatcher(X, F).subgraph_is_isomorphic()]
+    want = [sum(X.number_of_nodes() == m for X in atlas) for m in range(1, 8)]
     if name == "K3":
-        assert want == [1, 2, 3, 7, 14, 38]
+        assert want == [1, 2, 3, 7, 14, 38, 107]
     spec = write_spec(tmp_path, relabeled(n, edges, seed=n))
     for _ in range(2):
         rc, out, _ = run(capsys, "census", "--forbidden", spec, "--certify",
                          "--n-max", "6")
         assert rc == 0
-        assert [r["classes"] for r in parse(out)["results"]["rows"]] == want
+        assert [r["classes"] for r in parse(out)["results"]["rows"]] == want[:6]
+    # the class walk alone, without the labeled count_hrv scan, to n = 7
+    assert [len(level) for level in census_levels(name, 7)[2][1:]] == want

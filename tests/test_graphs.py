@@ -179,17 +179,13 @@ def test_isomorphism_classes_of_the_atlas():
     atlas = [graph_from_edges(X.number_of_nodes(), X.edges())
              for X in nx.graph_atlas_g()]
     classes = IsomorphismClasses()
-    image = []
     for i, G in enumerate(atlas):
-        assert classes.index(G, image) == i
-        assert image == list(range(G.n))  # a founder is its own representative
+        assert classes.index(G) == i
     rng = random.Random(3)
     for i, G in enumerate(atlas):
         perm = list(range(G.n))
         rng.shuffle(perm)
-        H = relabel(G, perm)
-        assert classes.index(H, image) == classes.index(H) == i
-        assert is_induced_embedding(H, G, image) and len(image) == G.n
+        assert classes.index(relabel(G, perm)) == i
     assert classes.count == len(atlas) == 1253
 
 

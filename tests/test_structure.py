@@ -1,15 +1,15 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hptools import (DomainError, PackingPiece, PackingReport, PropertySpec,
-                     alpha_adjust, bits, certify_members,
+                     alpha_adjust, bits, certify_members, class_levels,
                      construct_generalized_universal,
-                     decompose, decomposition_failures, enumerate_property,
+                     decompose, decomposition_failures,
                      extract_universal_packing, graph_from_edges,
                      mask_of, max_bad_set,
                      random_graph, shatters, structure, verify_decomposition,
@@ -588,6 +588,7 @@ def test_packing_refuses_a_level_outside_1_to_4(k):
     (2, 5, "universal level capped at 4"), (2, 0, "universal level capped at 4"),
     (0, 2, "need at least one part")])
 def test_certify_members_refuses_r_and_k_before_its_loop(r, k, message):
-    members = enumerate_property(PropertySpec.from_graphs([complete_graph(3)]), 5)
+    levels = class_levels(PropertySpec.from_graphs([complete_graph(3)]))
+    level = next(islice(levels, 5, None))  # the 7 classes of P_5
     with pytest.raises(DomainError, match=f"^{message}$"):
-        certify_members(members, r, k, Fraction(1, 4), Fraction(1, 2))
+        certify_members(level, r, k, Fraction(1, 4), Fraction(1, 2))

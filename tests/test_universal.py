@@ -180,6 +180,11 @@ def test_sauer_precondition_error():
     assert sauer_find_shattered(0b1111, traces, 1) == 0b0001
 
 
+def test_sauer_refuses_negative_k():
+    with pytest.raises(DomainError, match="k = -1$"):
+        sauer_find_shattered(0b111, [1, 2], -1)
+
+
 def test_sauer_ground_capped():
     ground = (1 << (MAX_TRACE_GROUND + 1)) - 1  # 31 bits
     with pytest.raises(DomainError, match=f"larger than {MAX_TRACE_GROUND}"):
