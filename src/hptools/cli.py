@@ -366,8 +366,8 @@ def cmd_census(args) -> dict:
     if args.n_max > MAX_ENUM_VERTICES:
         raise DomainError(f"enumeration capped at n <= {MAX_ENUM_VERTICES}")
     if args.certify and args.n_max >= 1:
-        # n^(1-eps) is finite for every n in 1..n_max iff it is at n_max;
-        # else every decompose would refuse it
+        # n^(1-eps) is finite for every n in 1..n_max iff it is at n_max:
+        # refused here, before the census reaches an order that overflows
         _budget(args.n_max, args.budget_eps)
     spec = load_property(args.forbidden)
     chi = colouring_number(spec)

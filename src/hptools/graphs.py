@@ -66,9 +66,11 @@ def k_submasks(mask: int, k: int):
 
 
 def part_masks(labels, r: int | None = None) -> list[int]:
-    """Convert a part-labeling tuple into per-part vertex masks."""
+    """Per-part vertex masks of a labeling, at most ``MAX_VERTICES`` parts."""
     if r is None:
         r = (max(labels) + 1) if labels else 0
+    if r > MAX_VERTICES:
+        raise DomainError(f"r = {r} exceeds the {MAX_VERTICES}-part cap")
     if labels and not (min(labels) >= 0 and max(labels) < r):
         j = next(j for j in labels if not 0 <= j < r)
         raise DomainError(f"part label {j} out of range for r={r}")

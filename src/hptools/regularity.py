@@ -273,12 +273,8 @@ def _exact_bisection(G: Graph) -> tuple[int, ...]:
                 if eu < best_e:
                     best_S0, best_e = S0 | 1 << u, eu
             continue
-        if need1 <= 1:
+        if need1 <= 1:  # never 0: a node pushes children only at need1 >= 2
             e = inner + x0 + eR
-            if not need1:
-                if e < best_e:
-                    best_S0, best_e = full & ~S1, e
-                continue
             for u in range(n - 1, v - 1, -1):  # scan order: u = n - 1 first
                 eu = e + 2 * (adj[u] & S1).bit_count() - adj[u].bit_count()
                 if eu < best_e:

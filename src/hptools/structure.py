@@ -105,8 +105,8 @@ def _layer_chain_ok(G: Graph, layers) -> bool:
 
 
 def _find_placed_copy(G: Graph, pmasks, X: int, k: int, t: int):
-    """First (canonical order) placed generalized-universal copy of t levels
-    avoiding X: layers sized per the construction, the shattering chain
+    """First (canonical order) placed generalized-universal copy of t >= 2
+    levels avoiding X: layers sized per the construction, the shattering chain
     holding, layer j inside part i(j), with i(1) = i(2) and the rest
     pairwise-new parts.  Exhaustive backtracking over realizer choices, on
     the placements where every layer fits (S_i(1) - X holds layers 1 and 2,
@@ -122,8 +122,6 @@ def _find_placed_copy(G: Graph, pmasks, X: int, k: int, t: int):
 
     def place(layers: list[int], used: int, placement: list[int]) -> bool:
         j = len(layers)
-        if j == t:
-            return True
         pool = pmasks[placement[j]] & ~X & ~used
         if j == 0:
             choices = k_submasks(pool, sizes[0])
@@ -291,6 +289,24 @@ def _budget(n: int, eps) -> float:
                           f"eps = {eps}") from None
 
 
+def _pipeline_arguments(n: int, r: int, k: int, alpha) -> Fraction:
+    """``decompose``'s checks, in order: r >= 1, the host's order n within
+    the packing cap, k a valid level, alpha in (0, 1), returned exactly."""
+    if r < 1:
+        raise DomainError("need at least one part")
+    if n > MAX_UK_HOST:
+        raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
+    if not 1 <= k <= MAX_UK_LEVEL:
+        raise DomainError(f"universal level capped at {MAX_UK_LEVEL}")
+    try:
+        alpha = Fraction(alpha)
+    except (ValueError, OverflowError):  # NaN, an infinity, a bad string
+        raise DomainError("alpha must lie in (0,1)") from None
+    if not 0 < alpha.numerator < alpha.denominator:  # 0 < alpha < 1
+        raise DomainError("alpha must lie in (0,1)")
+    return alpha
+
+
 def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
               eps_out: float = 0.5) -> DecompositionCertificate:
     """Full pipeline: maximal (2 alpha)-bad set (``max_bad_set``),
@@ -305,18 +321,7 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
     asserted: it holds for almost all graphs of a property, not for every
     input.
     """
-    if r < 1:
-        raise DomainError("need at least one part")
-    if G.n > MAX_UK_HOST:
-        raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
-    if not 1 <= k <= MAX_UK_LEVEL:
-        raise DomainError(f"universal level capped at {MAX_UK_LEVEL}")
-    try:
-        alpha = Fraction(alpha)
-    except (ValueError, OverflowError):  # NaN, an infinity, a bad string
-        raise DomainError("alpha must lie in (0,1)") from None
-    if not 0 < alpha.numerator < alpha.denominator:  # 0 < alpha < 1
-        raise DomainError("alpha must lie in (0,1)")
+    alpha = _pipeline_arguments(G.n, r, k, alpha)
     parts = tuple(parts_hint) if parts_hint is not None else default_parts(G, r)
     if len(parts) != G.n:
         raise DomainError("parts hint does not match the graph")
@@ -414,28 +419,22 @@ def certify_members(level, r: int, k: int, alpha,
     (founder, size) pairs: how many labeled members are certified, how many
     there are, and how many classes they fall into.
 
-    A graph is certified when ``decompose`` from the minimum-intra-edge
-    hint succeeds, ``verify_decomposition`` accepts its certificate, and |A|
-    meets the budget n^(1-budget_eps).  Only each founder, its class's
-    least-bitmask labeling, is decomposed; its verdict counts for every
-    labeled member of its class."""
-    # checked here, since a decompose refusal reads as "not certified"
-    if r < 1:
-        raise DomainError("need at least one part")
-    if not 1 <= k <= MAX_UK_LEVEL:
-        raise DomainError(f"universal level capped at {MAX_UK_LEVEL}")
+    A graph is certified when ``verify_decomposition`` accepts the
+    certificate that ``decompose`` gives from the minimum-intra-edge hint,
+    and |A| meets the budget n^(1-budget_eps).  Only each founder, its class's
+    least-bitmask labeling, is decomposed, once ``decompose``'s checks and
+    the budget's pass; its verdict counts for every member of its class."""
+    n = level[0][0].n if level else 0
+    _pipeline_arguments(n, r, k, alpha)
+    if level:
+        _budget(n, budget_eps)
     good = total = 0
     for G, size in level:
         # the min-intra-edge hint rather than decompose's default
         # partition: pinned census fractions depend on this hint
-        try:
-            cert = decompose(G, r, k, alpha,
-                             parts_hint=min_intra_edges_parts(G, r),
-                             eps_out=budget_eps)
-        except DomainError:
-            pass
-        else:
-            if verify_decomposition(G, cert) and cert.budget_ok:
-                good += size
+        cert = decompose(G, r, k, alpha, parts_hint=min_intra_edges_parts(G, r),
+                         eps_out=budget_eps)
+        if verify_decomposition(G, cert) and cert.budget_ok:
+            good += size
         total += size
     return good, total, len(level)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -120,6 +121,15 @@ def test_construct_pattern_alone_fixes_r(capsys):
     rc, out, _ = run(capsys, "construct", "--k", "1", "--v", "010")
     assert rc == 0
     assert parse(out)["results"] == parse(with_r)["results"]
+
+
+def test_construct_generalized_universal(capsys):
+    # --r without --v builds the plain U(r, k)
+    rc, out, err = run(capsys, "construct", "--k", "1", "--r", "3")
+    assert (rc, err) == (0, "")
+    assert parse(out)["results"] == {
+        "edges": 13, "graph6": "JO`E@A_WF??", "layer_sizes": [1, 2, 8],
+        "layers": [[0], [1, 2], [3, 4, 5, 6, 7, 8, 9, 10]]}
 
 
 def test_count_attach_subcommand(capsys):
@@ -892,6 +902,28 @@ def test_malformed_list_options_exit_1(tmp_path, capsys, argv, needle):
     rc, out, err = run(capsys, *argv)
     assert out == ""
     assert_one_line_error(rc, err, needle)
+
+
+@pytest.mark.parametrize("argv, text, error", [
+    (["census", "--n-max", "3", "--forbidden"], "@\n",
+     r"degenerate property: the one-vertex graph is forbidden"),
+    (["decompose", "--r", "2", "--k", "1", "--alpha", "1/4", "--graph"],
+     "3\n0 1 2\n",
+     r"malformed edge-list input: too many values to unpack \(expected 2(, got 3)?\)"),
+    (["decompose", "--r", "2", "--k", "1", "--alpha", "1/4", "--graph"],
+     "3\n0 x\n",
+     r"malformed edge-list input: invalid literal for int\(\) with base 10: 'x'"),
+    (["sparsen", "--alpha", "1/4", "--bipgraph"], "",
+     r"empty bipartite-graph input"),
+    (["sparsen", "--alpha", "1/4", "--bipgraph"], "3\n",
+     r"malformed header: not enough values to unpack \(expected 2, got 1\)"),
+])
+def test_unusable_input_files_exit_1(tmp_path, capsys, argv, text, error):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    rc, out, err = run(capsys, *argv, str(path))
+    assert (rc, out) == (1, "")
+    assert re.fullmatch(f"error: {error}\n", err)
 
 
 # --- one parser per process --------------------------------------------------------

@@ -235,6 +235,11 @@ def test_trace_counts_refuse_a_level_outside_the_cap(k):
         trace_count_check(bg, [0b1111], k)
 
 
+def test_count_free_refuses_a_level_above_4():
+    with pytest.raises(DomainError, match="^universal level capped at 4$"):
+        count_uk_free_bipartite(2, 2, 5)
+
+
 def test_trace_counts_block_validation():
     bg = BipGraph(2, 4, (0, 0))
     with pytest.raises(DomainError):

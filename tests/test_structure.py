@@ -348,6 +348,9 @@ def tampered_piece(i, **fields):
      "piece levels increase at positions [1]"),
     (TAMPER_REPORT._replace(residual=TAMPER_REPORT.residual[::-1]),
      "residual is not each part minus the packed vertices"),
+    (tampered_piece(1, layers=(1 << 2, mask_of([6, 8]))),
+     "piece 1 overlaps earlier pieces"),
+    (tampered_piece(0, placement=(0, 0)), "piece 0 placement malformed"),
 ])
 def test_packing_verifier_names_each_tampering(tampered, problem):
     assert [(p.level, p.placement) for p in TAMPER_REPORT.pieces] == \
@@ -589,6 +592,48 @@ def test_packing_refuses_a_level_outside_1_to_4(k):
     (0, 2, "need at least one part")])
 def test_certify_members_refuses_r_and_k_before_its_loop(r, k, message):
     levels = class_levels(PropertySpec.from_graphs([complete_graph(3)]))
-    level = next(islice(levels, 5, None))  # the 7 classes of P_5
+    level = next(islice(levels, 5, None))  # the 14 classes of P_5
     with pytest.raises(DomainError, match=f"^{message}$"):
         certify_members(level, r, k, Fraction(1, 4), Fraction(1, 2))
+
+
+# these once read as 0 of 388 certified, (0, 388, 14), for K3-free at
+# n = 5: certify_members counted every decompose refusal as uncertified
+@pytest.mark.parametrize("alpha, budget_eps, message", [
+    (0, Fraction(1, 2), r"alpha must lie in \(0,1\)"),
+    (Fraction(3, 2), Fraction(1, 2), r"alpha must lie in \(0,1\)"),
+    ("x", Fraction(1, 2), r"alpha must lie in \(0,1\)"),
+    (Fraction(1, 4), -2000,
+     r"budget n\^\(1-eps\) is not finite for n = 5, eps = -2000\.0")])
+def test_certify_members_refuses_alpha_and_budget_before_its_loop(
+        monkeypatch, alpha, budget_eps, message):
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("a founder was decomposed")
+
+    levels = class_levels(PropertySpec.from_graphs([complete_graph(3)]))
+    level = next(islice(levels, 5, None))
+    assert (len(level), sum(size for _, size in level)) == (14, 388)
+    monkeypatch.setattr(structure, "decompose", no_decompose)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        certify_members(level, 2, 2, alpha, budget_eps)
+    assert certify_members([], 2, 2, Fraction(1, 4), Fraction(1, 2)) == (0, 0, 0)
+
+
+def test_decompose_refuses_a_hint_label_outside_0_to_r_minus_1():
+    G = random_graph(6, 0.5, seed=3)
+    with pytest.raises(DomainError,
+                       match=r"^parts hint uses a label outside 0\.\.r-1$"):
+        decompose(G, 2, 1, Fraction(1, 4), parts_hint=(0, 1, 0, 1, 0, 2))
+
+
+def test_packing_refuses_a_host_above_40_vertices():
+    G = random_graph(41, 0.1, seed=1)
+    with pytest.raises(DomainError, match="^packing capped at 40 vertices$"):
+        extract_universal_packing(G, (0,) * 41, 1)
+
+
+@pytest.mark.parametrize("labels, r", [((0, 1), 65), ((64,), None)])
+def test_part_masks_refuses_more_than_64_parts(labels, r):
+    # once any r was allocated: 10^5 parts took 0.27 s on 20 vertices
+    with pytest.raises(DomainError, match="^r = 65 exceeds the 64-part cap$"):
+        part_masks(labels, r)
