@@ -597,8 +597,8 @@ def test_certify_members_refuses_r_and_k_before_its_loop(r, k, message):
         certify_members(level, r, k, Fraction(1, 4), Fraction(1, 2))
 
 
-# these once read as 0 of 388 certified, (0, 388, 14), for K3-free at
-# n = 5: certify_members counted every decompose refusal as uncertified
+# a refusal counted as uncertified would read as (0, 388, 14), 0 of the
+# 388 K3-free graphs on 5 vertices certified
 @pytest.mark.parametrize("alpha, budget_eps, message", [
     (0, Fraction(1, 2), r"alpha must lie in \(0,1\)"),
     (Fraction(3, 2), Fraction(1, 2), r"alpha must lie in \(0,1\)"),
@@ -634,6 +634,6 @@ def test_packing_refuses_a_host_above_40_vertices():
 
 @pytest.mark.parametrize("labels, r", [((0, 1), 65), ((64,), None)])
 def test_part_masks_refuses_more_than_64_parts(labels, r):
-    # once any r was allocated: 10^5 parts took 0.27 s on 20 vertices
+    # past the cap, every r would be allocated, one mask a part
     with pytest.raises(DomainError, match="^r = 65 exceeds the 64-part cap$"):
         part_masks(labels, r)
