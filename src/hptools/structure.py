@@ -283,10 +283,12 @@ def _budget(n: int, eps) -> float:
     """The |A| budget n^(1-eps) in floats, refused when it is not finite."""
     try:
         eps = float(eps)
-        return n ** (1 - eps)
+        budget = n ** (1 - eps)
     except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"budget n^(1-eps) is not finite for n = {n}, "
-                          f"eps = {eps}") from None
+        budget = float("inf")
+    if budget < float("inf"):  # false for an eps of NaN or -inf too
+        return budget
+    raise DomainError(f"budget n^(1-eps) is not finite for n = {n}, eps = {eps}")
 
 
 def _pipeline_arguments(n: int, r: int, k: int, alpha) -> Fraction:

@@ -598,13 +598,18 @@ def test_certify_members_refuses_r_and_k_before_its_loop(r, k, message):
 
 
 # a refusal counted as uncertified would read as (0, 388, 14), 0 of the
-# 388 K3-free graphs on 5 vertices certified
+# 388 K3-free graphs on 5 vertices certified; a NaN budget fails every
+# founder the same way, and an infinite one passes every founder
 @pytest.mark.parametrize("alpha, budget_eps, message", [
     (0, Fraction(1, 2), r"alpha must lie in \(0,1\)"),
     (Fraction(3, 2), Fraction(1, 2), r"alpha must lie in \(0,1\)"),
     ("x", Fraction(1, 2), r"alpha must lie in \(0,1\)"),
     (Fraction(1, 4), -2000,
-     r"budget n\^\(1-eps\) is not finite for n = 5, eps = -2000\.0")])
+     r"budget n\^\(1-eps\) is not finite for n = 5, eps = -2000\.0"),
+    (Fraction(1, 4), float("nan"),
+     r"budget n\^\(1-eps\) is not finite for n = 5, eps = nan"),
+    (Fraction(1, 4), float("-inf"),
+     r"budget n\^\(1-eps\) is not finite for n = 5, eps = -inf")])
 def test_certify_members_refuses_alpha_and_budget_before_its_loop(
         monkeypatch, alpha, budget_eps, message):
     def no_decompose(*args, **kwargs):
