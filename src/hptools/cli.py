@@ -14,11 +14,10 @@ import json
 import math
 import sys
 import time
-from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
-from .errors import DomainError
+from .errors import DomainError, exact
 from .freeness import (MAX_UK_HOST, MAX_UK_LEVEL, BipGraph, bipgraph_decode,
                        count_nonshattering_attachments, count_uk_free_bipartite,
                        distinguishing_set, extract_clone_classes,
@@ -188,8 +187,8 @@ def _vertex_sets(data: dict, key: str, n: int, where: str = "") -> tuple[int, ..
 def _level(k: int, name: str) -> int:
     """The universal level k of a packing, decomposition, separated ceiling
     or U(k)-free count, bounded where a command starts by ``MAX_UK_LEVEL``,
-    the level at which the exhaustive U(k) search stops: a decomposition
-    ends in that search, so a larger k would fail only after the pipeline."""
+    the level at which the exhaustive U(k) search stops.  The refusal names
+    the option or certificate field, which the library's own checks do not."""
     if not 1 <= k <= MAX_UK_LEVEL:
         raise DomainError(f"{name} must lie in 1..{MAX_UK_LEVEL}")
     return k
@@ -533,19 +532,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _rational(text: str, unit: bool = False) -> Fraction:
-    """An exact option value such as 0.1 or 1/10 that is a finite float;
-    with ``unit``, one whose float, which reports print, lies strictly
-    between 0 and 1 (rounding is monotone, so the exact value does too).  A
-    decimal exponent beyond any float's is refused before Fraction would
-    expand it into an integer."""
+    """An exact option value such as 0.1 or 1/10, read by ``exact``, that
+    is a finite float; with ``unit``, one whose float, which reports print,
+    lies strictly between 0 and 1 (rounding is monotone, so the exact value
+    does too)."""
+    refusal = f"{text!r} is not a finite number"
     try:
-        if "/" not in text and not -400 < Decimal(text).adjusted() < 400:
-            raise ValueError(text)
-        value = Fraction(text)
-        number = float(value)
-    except (ArithmeticError, ValueError):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a finite number") from None
+        value = exact(text, refusal)
+        number = float(value)  # OverflowError past the float range
+    except (DomainError, OverflowError):
+        raise argparse.ArgumentTypeError(refusal) from None
     if unit and not 0 < number < 1:
         raise argparse.ArgumentTypeError(f"{text!r} does not lie in (0, 1)")
     return value

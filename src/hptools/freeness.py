@@ -19,7 +19,7 @@ from math import comb
 from operator import and_
 from typing import NamedTuple
 
-from .errors import DomainError, StepError
+from .errors import DomainError, StepError, exact
 from .graphs import (MAX_VERTICES, Graph, bits, far_clique, graph_from_lower,
                      k_submasks, mask_of, part_masks)
 from .universal import (MAX_TRACE_GROUND, aligned_reverse_shatter, first_realizers,
@@ -271,10 +271,7 @@ def count_sparse_bipartite(n: int, delta: float) -> SparseCount:
     and is reported, never asserted (it already fails at n=4, delta=1/4)."""
     if not 0 <= n <= 5:
         raise DomainError("side size must lie in 0..5")
-    try:
-        d = Fraction(delta)
-    except (ValueError, OverflowError):  # nan and inf have no Fraction
-        raise DomainError("delta must be a finite number") from None
+    d = exact(delta, "delta must be a finite number")
     if d < 0:
         raise DomainError("delta must be nonnegative")
     try:
@@ -367,7 +364,7 @@ def distinguishing_set(bg: BipGraph, u_sub: int, alpha: float, seed: int,
         raise DomainError("need at least two vertices to distinguish")
     if any(v >= bg.m for v in u_verts):
         raise DomainError("u_sub not contained in the A side")
-    alpha_f = Fraction(alpha)
+    alpha_f = exact(alpha, "alpha must be a finite number")
     thr = alpha_f * bg.n
     if thr < 1:
         raise DomainError("vacuous separation: alpha * n < 1")
@@ -467,7 +464,7 @@ def extract_clone_classes(G: Graph, parts, B: int, alpha: float, t: int,
     n = G.n
     B_verts = list(bits(B))
     c = len(B_verts)
-    alpha_f = Fraction(alpha)
+    alpha_f = exact(alpha, "alpha must be a finite number")
 
     # separation precondition: every core pair far apart within every part
     for j, S in enumerate(pmasks):

@@ -3,8 +3,8 @@ hints that ``decompose`` starts from: the toy block-based partitioner and
 the minimum-intra-edge partition.
 
 All predicates run in exact rational arithmetic; an ``eps`` or ``delta``
-argument may be a float, a Fraction, or a string like "1/4" (floats are
-taken at their exact binary value).
+argument may be a float, a Fraction, or a string like "1/4", read by
+``errors.exact`` (floats at their exact binary value).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
 
-from .errors import DomainError
+from .errors import DomainError, exact
 from .graphs import Graph, bits, part_masks
 
 MAX_REGULAR_SIDE = 12
@@ -40,7 +40,7 @@ def is_epsilon_regular(G: Graph, A: int, B: int, eps) -> bool:
     are reached by taking the Y-vertices of smallest/largest degree into X,
     so only those extremes need checking.
     """
-    eps = Fraction(eps)
+    eps = exact(eps, "eps must be a finite number")
     a, b = A.bit_count(), B.bit_count()
     if A & B:
         raise DomainError("pair sides overlap")
@@ -80,7 +80,8 @@ def is_epsilon_regular(G: Graph, A: int, B: int, eps) -> bool:
 
 def is_grey(G: Graph, A: int, B: int, eps, delta) -> bool:
     """Regular at eps with density inside [delta, 1 - delta] (inclusive)."""
-    delta = Fraction(delta)
+    eps = exact(eps, "eps must be a finite number")
+    delta = exact(delta, "delta must be a finite number")
     d = pair_density(G, A, B)
     if not delta <= d <= 1 - delta:
         return False
@@ -116,7 +117,7 @@ def toy_szemeredi_partition(G: Graph, m: int, eps) -> tuple[int, ...]:
                           f"m <= {MAX_TOY_BLOCKS}")
     if m > G.n:
         raise DomainError("more blocks than vertices")
-    eps = Fraction(eps)
+    eps = exact(eps, "eps must be a finite number")
     n = G.n
     base, extra = divmod(n, m)
     pairs = list(combinations(range(m), 2))

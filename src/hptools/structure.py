@@ -14,7 +14,7 @@ from itertools import accumulate, combinations, permutations, product
 from operator import or_
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, exact
 from .freeness import MAX_UK_HOST, MAX_UK_LEVEL, find_uk_copy
 from .graphs import (Graph, bits, far_clique, induced_subgraph, k_submasks,
                      mask_of, part_masks)
@@ -23,21 +23,10 @@ from .regularity import (MAX_TOY_BLOCKS, MAX_TOY_VERTICES, min_intra_edges_parts
 from .universal import shatters, universal_layer_sizes
 
 
-def _cutoffs(alpha, n: int) -> tuple[int, int]:
-    """floor(c * alpha * n) for c = 1, 2, by integer floor division of one
-    numerator/denominator pair: a float is read by its exact binary value,
-    a string such as "1/4" through Fraction.  For alpha >= 0 this is
-    truncation; below 0 every cutoff is negative, which no bit count meets
-    under either rounding."""
-    if isinstance(alpha, str):
-        alpha = Fraction(alpha)
-    p, q = alpha.as_integer_ratio()
-    pn = p * n
-    return pn // q, 2 * pn // q
-
-
 def clone_cutoff(alpha, n: int) -> int:
-    return _cutoffs(alpha, n)[0]
+    """floor(alpha * n), with alpha read by ``exact``."""
+    alpha = exact(alpha, "alpha must be a finite number")
+    return alpha.numerator * n // alpha.denominator
 
 
 def max_bad_set(G: Graph, parts, alpha, r: int | None = None) -> int:
@@ -66,9 +55,10 @@ def alpha_adjust(G: Graph, parts, B: int, alpha,
     each vertex a (3 alpha)-clone of B in its new part S'_j, unchecked: it
     lies within floor(2 alpha n) of some b in B inside its old part S_j,
     and |S_j ^ S'_j| <= floor(alpha n)."""
+    alpha = exact(alpha, "alpha must be a finite number")
     old_masks = part_masks(tuple(parts), r)
     bad = list(bits(B))
-    budget, cutoff2 = _cutoffs(alpha, G.n)
+    budget, cutoff2 = clone_cutoff(alpha, G.n), clone_cutoff(2 * alpha, G.n)
     labels = tuple(_clone_part(G.adj, old_masks, bad, cutoff2, v) for v in range(G.n))
     new_masks = part_masks(labels, len(old_masks))
     return labels, all((S ^ T).bit_count() <= budget
@@ -280,12 +270,14 @@ def default_parts(G: Graph, r: int) -> tuple[int, ...]:
 
 
 def _budget(n: int, eps) -> float:
-    """The |A| budget n^(1-eps) in floats, refused when it is not finite."""
+    """The |A| budget n^(1-eps), refused unless float reads eps and it is finite."""
     try:
         eps = float(eps)
         budget = n ** (1 - eps)
     except (OverflowError, ZeroDivisionError):
         budget = float("inf")
+    except (TypeError, ValueError):
+        raise DomainError(f"eps = {eps!r} is not a number") from None
     if budget < float("inf"):  # false for an eps of NaN or -inf too
         return budget
     raise DomainError(f"budget n^(1-eps) is not finite for n = {n}, eps = {eps}")
@@ -300,10 +292,7 @@ def _pipeline_arguments(n: int, r: int, k: int, alpha) -> Fraction:
         raise DomainError(f"packing capped at {MAX_UK_HOST} vertices")
     if not 1 <= k <= MAX_UK_LEVEL:
         raise DomainError(f"universal level capped at {MAX_UK_LEVEL}")
-    try:
-        alpha = Fraction(alpha)
-    except (ValueError, OverflowError):  # NaN, an infinity, a bad string
-        raise DomainError("alpha must lie in (0,1)") from None
+    alpha = exact(alpha, "alpha must lie in (0,1)")
     if not 0 < alpha.numerator < alpha.denominator:  # 0 < alpha < 1
         raise DomainError("alpha must lie in (0,1)")
     return alpha
@@ -324,6 +313,7 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
     input.
     """
     alpha = _pipeline_arguments(G.n, r, k, alpha)
+    budget = _budget(G.n, eps_out)
     parts = tuple(parts_hint) if parts_hint is not None else default_parts(G, r)
     if len(parts) != G.n:
         raise DomainError("parts hint does not match the graph")
@@ -336,18 +326,16 @@ def decompose(G: Graph, r: int, k: int, alpha, parts_hint=None,
         r=r, k=k, hint=parts, bad_set=bad, adjusted_labels=labels,
         adjustment_ok=adjustment_ok, pieces=pieces, alpha=alpha,
         eps_out=float(eps_out),
-        **_consequences(G.n, r, bad, labels, pieces, eps_out))
+        **_consequences(G.n, r, bad, labels, pieces, budget))
 
 
 def _consequences(n: int, r: int, bad_set: int, adjusted_labels, pieces,
-                  eps_out) -> dict:
-    """The fields that a certificate's recorded choices fix: n, A (the bad
-    set plus the packed vertices), part j (adjusted part j minus A, so A and
-    the parts partition the vertices), budget n^(1-eps_out) and budget_ok."""
+                  budget: float) -> dict:
+    """The fields that a certificate's recorded choices and budget fix: n, A
+    (bad set plus packed vertices), part j (adjusted part j minus A), budget_ok."""
     if len(adjusted_labels) != n:
         raise DomainError("adjusted labels do not match the graph")
     A = reduce(or_, (p.vertices for p in pieces), bad_set)
-    budget = _budget(n, eps_out)
     return {"n": n, "exceptional": A,
             "parts": tuple(S & ~A for S in part_masks(adjusted_labels, r)),
             "budget": budget, "budget_ok": A.bit_count() <= budget}
@@ -356,7 +344,7 @@ def _consequences(n: int, r: int, bad_set: int, adjusted_labels, pieces,
 def decomposition_failures(G: Graph, cert: DecompositionCertificate,
                            budget_eps: float | None = None) -> list[str]:
     derived = _consequences(G.n, cert.r, cert.bad_set, cert.adjusted_labels,
-                            cert.pieces, cert.eps_out)
+                            cert.pieces, _budget(G.n, cert.eps_out))
     problems = [f"{'A' if field == 'exceptional' else field} is not what "
                 "the provenance gives" for field, value in derived.items()
                 if getattr(cert, field) != value]

@@ -677,6 +677,17 @@ def _add_close_vertex(data, prov):
     data["parts"] = [[], [], []]
 
 
+def _shorten_first_layer(data, prov):
+    # the vertex goes back to the residual, so only the sizes are wrong
+    data["residual"][0].append(data["pieces"][0]["layers"][0].pop())
+
+
+def _lengthen_first_layer(data, prov):
+    # a part 1 vertex from the residual: a piece of the wrong sizes gets
+    # no further check, so its placement is not reported
+    data["pieces"][0]["layers"][0].append(data["residual"][1].pop(0))
+
+
 @pytest.mark.parametrize("base, edit, problems", [
     (POOL_CERT, lambda data, prov: prov.update(bad_set=[]),
      ["provenance.bad_set: vertex 0 has no clone in B within any part "
@@ -697,9 +708,11 @@ def _add_close_vertex(data, prov):
       "inside every hint part"]),
     (PACKING, lambda data, prov: data.update(residual=[[], []]),
      ["residual is not each part minus the packed vertices"]),
+    (PACKING, _shorten_first_layer, ["piece 0 has wrong layer sizes"]),
+    (PACKING, _lengthen_first_layer, ["piece 0 has wrong layer sizes"]),
 ], ids=["bad-set-emptied", "piece-dropped", "label-moved",
         "adjustment-ok-flipped", "layers-swapped", "close-vertex-added",
-        "residual-emptied"])
+        "residual-emptied", "first-layer-short", "first-layer-long"])
 def test_verify_names_each_tampered_field(base, edit, problems):
     # each of these once read valid: the provenance and the residual were
     # parsed and then ignored

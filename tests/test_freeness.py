@@ -288,6 +288,7 @@ def test_sparse_counts():
     (3, -0.5, "delta must be nonnegative"),
     (3, 200, r"ceiling 2\^\(delta n\^2\) exceeds the float range"),
     (3, 1e300, r"ceiling 2\^\(delta n\^2\) exceeds the float range"),
+    (3, None, "delta must be a finite number"),
 ])
 def test_sparse_counts_refuse_bad_sizes_and_deltas(n, delta, message):
     with pytest.raises(DomainError, match=message):
@@ -428,6 +429,31 @@ def test_draw_window_commutes_with_relabeling(cols, seed, data):
     if isinstance(drawn, tuple):
         drawn = mask_of(cols[i] for i in bits(drawn[0])), drawn[1]
     assert window(spread, cols) == drawn
+
+
+# two rows 64 apart: a window of 7 of the 64 columns separates them
+WIDE = BipGraph(4, 64, (0, (1 << 64) - 1, 0, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: trace_count_check(BipGraph(2, 4, (0, 0)), [0b1111, 0b10000], 2),
+     "block not contained in the B side"),
+    (lambda: max_separated_subset(BipGraph(2, 2, (0b01, 0b10)), "C", 1),
+     "side must be 'A' or 'B'"),
+    (lambda: distinguishing_set(WIDE, 0b11, Fraction(1, 2), seed=0, max_attempts=0),
+     "max_attempts must be positive"),
+    (lambda: distinguishing_set(WIDE, 0b10001, Fraction(1, 2), seed=0),
+     "u_sub not contained in the A side"),
+    (lambda: extract_clone_classes(*planted_clone_instance(1, 1, copies=4),
+                                   Fraction(1, 4), 1, direction="x"),
+     "direction must be 'to-core' or 'from-core'"),
+    (lambda: planted_clone_instance(4, 2, 4),
+     "planted instance does not fit in 64 vertices"),
+], ids=["block-outside-b", "side-c", "no-attempts", "u-sub-outside-a",
+        "direction-x", "planted-too-large"])
+def test_freeness_refuses_arguments_outside_its_domain(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
 
 
 # --- clone classes ------------------------------------------------------------------------

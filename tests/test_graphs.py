@@ -12,7 +12,7 @@ from hptools import (DomainError, Graph, bits, contains_induced,
 from hptools.graphs import (IsomorphismClasses, _degree_order, _extend, _pin_plan,
                             edgelist_decode, graph_from_lower,
                             greedy_maximal_clique, grow_rows, k_submasks,
-                            max_clique)
+                            max_clique, part_masks)
 
 from conftest import (complement, complete_graph, cycle_graph, edgelist_encode,
                       path_graph)
@@ -66,6 +66,17 @@ def test_graph_from_lower_is_the_checked_graph_of_the_symmetric_rows(lower):
 def test_graph_from_lower_refuses_orders_outside_the_cap(n):
     with pytest.raises(DomainError, match=rf"^vertex count {n} outside 0\.\.64$"):
         graph_from_lower(n, [0] * max(n, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: part_masks((0, 5), 2), "part label 5 out of range for r=2"),
+    (lambda: induced_subgraph(complete_graph(3), 1 << 3),
+     "vertex set not contained in the graph"),
+    (lambda: edgelist_decode(""), "empty edge-list input"),
+], ids=["part-label-past-r", "vertex-outside-graph", "empty-edge-list"])
+def test_graph_helpers_refuse_arguments_outside_their_domain(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
 
 
 def test_induced_subgraph():

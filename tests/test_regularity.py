@@ -133,6 +133,24 @@ def test_regular_invariant_under_relabeling_within_sides(G, rnd, eps):
         is_epsilon_regular(H, mask_of(A), mask_of(B), eps)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: is_epsilon_regular(graph_from_edges(4, []), 0b0011, 0b0110,
+                                Fraction(1, 2)), "pair sides overlap"),
+    (lambda: is_epsilon_regular(graph_from_edges(4, []), 0b0011, 0,
+                                Fraction(1, 2)), "pair sides must be nonempty"),
+    (lambda: toy_szemeredi_partition(graph_from_edges(13, []), 2, Fraction(1, 2)),
+     r"toy partitioner capped at n <= 12, m <= 4"),
+    (lambda: toy_szemeredi_partition(graph_from_edges(8, []), 5, Fraction(1, 2)),
+     r"toy partitioner capped at n <= 12, m <= 4"),
+    (lambda: toy_szemeredi_partition(graph_from_edges(3, []), 4, Fraction(1, 2)),
+     "more blocks than vertices"),
+], ids=["regular-sides-overlap", "regular-side-empty", "toy-13-vertices",
+        "toy-5-blocks", "toy-more-blocks-than-vertices"])
+def test_regularity_refuses_pairs_and_sizes_outside_its_domain(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 def test_regular_cap():
     G = graph_from_edges(26, [])
     with pytest.raises(DomainError):

@@ -15,7 +15,7 @@ from hptools import (DomainError, PackingPiece, PackingReport, PropertySpec,
                      random_graph, shatters, structure, verify_decomposition,
                      verify_packing_maximality, verify_packing_report)
 from hptools.graphs import MAX_EXACT_CLIQUE, greedy_maximal_clique, part_masks
-from hptools.structure import _cutoffs, _find_placed_copy, clone_cutoff
+from hptools.structure import _find_placed_copy, clone_cutoff
 
 from conftest import complete_graph
 from oracles import (naive_clone_index, naive_extract_universal_packing,
@@ -53,9 +53,9 @@ def test_clone_cutoff_floor():
                  st.fractions(0, 1).filter(lambda a: 0 < a < 1)),
        st.integers(0, 64))
 def test_integer_cutoffs_match_fraction_products(alpha, n):
-    assert _cutoffs(alpha, n) == tuple(int(Fraction(c) * Fraction(alpha) * n)
-                                       for c in (1, 2))
-    assert clone_cutoff(alpha, n) == int(Fraction(alpha) * n)
+    # alpha_adjust's two cutoffs, at alpha and at 2 alpha
+    for c in (1, 2):
+        assert clone_cutoff(c * alpha, n) == int(c * Fraction(alpha) * n)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 1, 0, -1, -0.25, float("nan"),
@@ -609,7 +609,8 @@ def test_certify_members_refuses_r_and_k_before_its_loop(r, k, message):
     (Fraction(1, 4), float("nan"),
      r"budget n\^\(1-eps\) is not finite for n = 5, eps = nan"),
     (Fraction(1, 4), float("-inf"),
-     r"budget n\^\(1-eps\) is not finite for n = 5, eps = -inf")])
+     r"budget n\^\(1-eps\) is not finite for n = 5, eps = -inf"),
+    (Fraction(1, 4), "x", "eps = 'x' is not a number")])
 def test_certify_members_refuses_alpha_and_budget_before_its_loop(
         monkeypatch, alpha, budget_eps, message):
     def no_decompose(*args, **kwargs):
@@ -622,6 +623,31 @@ def test_certify_members_refuses_alpha_and_budget_before_its_loop(
     with pytest.raises(DomainError, match=f"^{message}$"):
         certify_members(level, 2, 2, alpha, budget_eps)
     assert certify_members([], 2, 2, Fraction(1, 4), Fraction(1, 2)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("eps_out, message", [
+    ("x", "eps = 'x' is not a number"), (None, "eps = None is not a number"),
+    (-2000, r"budget n\^\(1-eps\) is not finite for n = 12, eps = -2000\.0")])
+def test_decompose_refuses_a_budget_eps_before_its_hint(eps_out, message,
+                                                        monkeypatch):
+    # eps_out once reached float() only when the certificate was built,
+    # after the whole pipeline, and "x" ended in a bare ValueError
+    def no_hint(G, r):
+        raise AssertionError("the hint was computed")
+
+    monkeypatch.setattr(structure, "default_parts", no_hint)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        decompose(random_graph(12, 0.5, seed=1), 2, 1, Fraction(1, 4),
+                  eps_out=eps_out)
+
+
+def test_decomposition_failures_refuses_labels_that_miss_a_vertex():
+    G = random_graph(8, 0.5, seed=2)
+    cert = decompose(G, 2, 1, Fraction(1, 4))
+    short = cert._replace(adjusted_labels=cert.adjusted_labels[:-1])
+    with pytest.raises(DomainError,
+                       match="^adjusted labels do not match the graph$"):
+        decomposition_failures(G, short)
 
 
 def test_decompose_refuses_a_hint_label_outside_0_to_r_minus_1():

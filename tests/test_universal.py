@@ -244,6 +244,19 @@ def test_reverse_shatter_preconditions():
         aligned_reverse_shatter(G, [0b0011], 0b1100, 1)  # nothing shattered
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: construct_generalized_universal(0, 1), "need r >= 1 and k >= 1"),
+    (lambda: aligned_reverse_shatter(construct_universal(2).graph, [], 0b110000, 1),
+     "need r >= 1 and t >= 0"),
+    (lambda: aligned_reverse_shatter(construct_universal(2).graph,
+                                     [0b0011, 0b0110], 0b110000, 1),
+     "the A_j and B must be pairwise disjoint"),
+], ids=["no-layers", "no-sets", "sets-overlap"])
+def test_universal_builders_refuse_empty_and_overlapping_inputs(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 def test_aligned_reverse_r1_matches_reverse():
     # the plain flip by hand: in U(2), A = {0..3} and B = {4, 5}; B' is
     # {4, 5} labeled 0, 1, the origin face of bit 0 is {4} (label 0), and
