@@ -25,8 +25,8 @@ from .universal import shatters, universal_layer_sizes
 
 def clone_cutoff(alpha, n: int) -> int:
     """floor(alpha * n), with alpha read by ``exact``."""
-    alpha = exact(alpha, "alpha must be a finite number")
-    return alpha.numerator * n // alpha.denominator
+    p, q = exact(alpha, "alpha must be a finite number").as_integer_ratio()
+    return p * n // q
 
 
 def max_bad_set(G: Graph, parts, alpha, r: int | None = None) -> int:
@@ -55,10 +55,10 @@ def alpha_adjust(G: Graph, parts, B: int, alpha,
     each vertex a (3 alpha)-clone of B in its new part S'_j, unchecked: it
     lies within floor(2 alpha n) of some b in B inside its old part S_j,
     and |S_j ^ S'_j| <= floor(alpha n)."""
-    alpha = exact(alpha, "alpha must be a finite number")
     old_masks = part_masks(tuple(parts), r)
     bad = list(bits(B))
-    budget, cutoff2 = clone_cutoff(alpha, G.n), clone_cutoff(2 * alpha, G.n)
+    # floor(alpha n) and floor(2 alpha n), with no Fraction product
+    budget, cutoff2 = clone_cutoff(alpha, G.n), clone_cutoff(alpha, 2 * G.n)
     labels = tuple(_clone_part(G.adj, old_masks, bad, cutoff2, v) for v in range(G.n))
     new_masks = part_masks(labels, len(old_masks))
     return labels, all((S ^ T).bit_count() <= budget

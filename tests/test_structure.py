@@ -53,9 +53,11 @@ def test_clone_cutoff_floor():
                  st.fractions(0, 1).filter(lambda a: 0 < a < 1)),
        st.integers(0, 64))
 def test_integer_cutoffs_match_fraction_products(alpha, n):
-    # alpha_adjust's two cutoffs, at alpha and at 2 alpha
+    # alpha_adjust's two cutoffs, at alpha and at 2 alpha, the second taken
+    # as floor(alpha * 2n)
     for c in (1, 2):
-        assert clone_cutoff(c * alpha, n) == int(c * Fraction(alpha) * n)
+        assert clone_cutoff(alpha, c * n) == clone_cutoff(c * alpha, n) \
+            == int(c * Fraction(alpha) * n)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 1, 0, -1, -0.25, float("nan"),
