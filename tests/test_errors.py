@@ -31,7 +31,7 @@ def test_exact_returns_a_fraction_unchanged():
 
 @pytest.mark.parametrize("value", [
     "x", None, float("nan"), float("inf"), float("-inf"), "nan", "inf", "1/0",
-    "1e400", "1e-400", "1e-4000000"])
+    "1e400", "1e-400"])
 def test_exact_refuses_what_is_no_finite_number(value):
     with pytest.raises(DomainError, match="^refused$"):
         exact(value, "refused")
