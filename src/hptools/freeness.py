@@ -128,8 +128,13 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     adds no trace and no column splits it from its twin.  Containment is
     hereditary and the spare flags depend on m and n alone, so a value that
     completes a shattered k-set is cut with its subtree, checked only on the
-    k-sets it touches.  Whole mode being symmetric, it swaps the sides when
-    n > m, so that the rows take at most 2^min(m, n) values.
+    k-sets it touches; the last level is counted, not visited.  Whole mode
+    being symmetric, it swaps the sides when n > m, so that the rows take at
+    most 2^min(m, n) values.  In cross mode, flipping a column permutes the
+    traces on every k-set, so x -> x ^ u maps free j-sets onto free j-sets:
+    there are 2^n N_j / j of them, N_j counting those that hold 0, and only
+    the subtree of the first node {0} is searched.  Whole mode lacks this: a
+    spare vertex gives the empty trace, and A's k-sets read the columns.
     """
     if mode not in ("whole", "cross"):
         raise DomainError("mode must be 'whole' or 'cross'")
@@ -160,11 +165,16 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     onto = []  # onto[j]: the row sequences that take exactly j given values
     for j in range(min(m, values + 1) + 1):
         onto.append(j ** m - sum(comb(j, i) * onto[i] for i in range(j)))
+    lcm = 1 if whole else math.lcm(*range(1, len(onto)))  # for weights onto[j] / j
+    weight = onto if whole else [o * lcm // (j or 1) for j, o in enumerate(onto)]
 
     def b_kills(seen: int, fresh: int) -> int:
         """The values that would fill a block of ``seen`` hit by ``fresh``."""
         out = 0
-        for p in bits(fresh):  # one bit per block
+        while fresh:  # one bit per block
+            low = fresh & -fresh
+            fresh ^= low
+            p = low.bit_length() - 1
             block = seen >> (p >> k << k) & ones
             if block.bit_count() == w - 1:
                 out |= trace_of[p >> k][(block ^ ones).bit_length() - 1]
@@ -182,18 +192,28 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
 
     def grow(chosen: tuple[int, ...], seen: int, free: int) -> int:
         """Free sets that extend ``chosen`` by values of ``free``, weighted."""
-        total = free.bit_count() * onto[len(chosen) + 1]
-        for v in bits(free) if len(chosen) + 1 < m else ():
+        j = len(chosen) + 1
+        total, rest = free.bit_count() * weight[j], free if j < m else 0
+        while rest:
+            low = rest & -rest
+            rest ^= low  # the values above v
+            v = low.bit_length() - 1
             fresh = add[v] & ~seen
             kills = b_kills(seen | fresh, fresh)
             for T in combinations(chosen, k - 2) if a_live and k > 1 else ():
                 kills |= a_kills((*T, v))
-            total += grow((*chosen, v), seen | fresh, free >> v + 1 << v + 1 & ~kills)
+            if j + 1 < m:
+                total += grow((*chosen, v), seen | fresh, rest & ~kills)
+            else:  # the child's sets are the last level: count them here
+                total += (rest & ~kills).bit_count() * weight[m]
         return total
 
-    seen = sum(1 << (i << k) for i in range(len(subs))) if whole and n > k else 0
-    kills = b_kills(seen, seen) | (a_kills(()) if a_live and k == 1 else 0)
-    return grow((), seen, full & ~kills)
+    if whole:
+        seen = sum(1 << (i << k) for i in range(len(subs))) if n > k else 0
+        kills = b_kills(seen, seen) | (a_kills(()) if a_live and k == 1 else 0)
+        return grow((), seen, full & ~kills)
+    free = full & ~1 & ~b_kills(add[0], add[0])
+    return (weight[1] + grow((0,), add[0], free)) * values // lcm
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ def default_parts(G: Graph, r: int) -> tuple[int, ...]:
 
 
 def _budget(n: int, eps) -> float:
-    """The |A| budget n^(1-eps), refused unless float reads eps and it is finite."""
+    """The |A| budget n^(1-eps), refused unless eps, read by float, and it are finite."""
     try:
         eps = float(eps)
         budget = n ** (1 - eps)
@@ -278,7 +278,7 @@ def _budget(n: int, eps) -> float:
         budget = float("inf")
     except (TypeError, ValueError):
         raise DomainError(f"eps = {eps!r} is not a number") from None
-    if budget < float("inf"):  # false for an eps of NaN or -inf too
+    if budget < float("inf") and eps < float("inf"):  # false for a NaN or +-inf eps
         return budget
     raise DomainError(f"budget n^(1-eps) is not finite for n = {n}, eps = {eps}")
 
