@@ -165,7 +165,7 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     onto = []  # onto[j]: the row sequences that take exactly j given values
     for j in range(min(m, values + 1) + 1):
         onto.append(j ** m - sum(comb(j, i) * onto[i] for i in range(j)))
-    lcm = 1 if whole else math.lcm(*range(1, len(onto)))  # for weights onto[j] / j
+    lcm = 1 if whole else math.lcm(*range(1, len(onto)))  # cross: j-sets weigh onto[j] / j
     weight = onto if whole else [o * lcm // (j or 1) for j, o in enumerate(onto)]
 
     def b_kills(seen: int, fresh: int) -> int:

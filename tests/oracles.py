@@ -7,8 +7,10 @@ the large acceptance sweeps but keep the definition-direct logic.
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import factorial
+from math import comb, factorial
+from operator import and_
 
 import networkx as nx
 import numpy as np
@@ -197,32 +199,101 @@ def numpy_count_uk_free(m: int, n: int, k: int, mode: str) -> int:
     return int(free.sum())
 
 
-def multiset_count_uk_free(m: int, n: int, k: int, mode: str) -> int:
-    """Test every row multiset once from scratch, weighted by its
-    m!/prod(mult!) labeled orderings.  Only one-side k-sets are tested: in
-    whole mode a mixed k-set cannot be traced (the all-of-S trace needs a
-    vertex adjacent to both sides), and a spare vertex on the k-set's own
-    side (n > k for B, m > k for A) supplies the empty trace."""
+def search_count_uk_free(m: int, n: int, k: int, mode: str) -> int:
+    """Every free set of row values grown from the root in both modes, and
+    every node visited: ``count_uk_free_bipartite``'s search without the
+    column-flip classes of cross mode or the in-place last level.  It keeps
+    no argument checks and no cell cap, so it also serves past
+    ``MAX_COUNT_CELLS``."""
+    whole = mode == "whole"
+    b_live = k <= n and m >= (1 << k) - (whole and n > k)  # rows enough for B
+    a_live = whole and k <= m and n >= (1 << k) - (m > k)  # columns enough for A
+    if not (b_live or a_live):
+        return 1 << (m * n)
+    if whole and n > m:
+        m, n, a_live = n, m, b_live
+    values, w, ones = 1 << n, 1 << k, (1 << (1 << k)) - 1
+    full = (1 << values) - 1  # masks over the 2^n row values
+    has = [full // ((1 << (2 << b)) - 1) * (((1 << (1 << b)) - 1) << (1 << b))
+           for b in range(n)]  # the values with bit b set
+    subs = list(combinations(range(n), k))  # ``seen`` bit i*w + c: trace c on subs[i]
+    add = [sum(1 << (i << k | sum((v >> b & 1) << j for j, b in enumerate(S)))
+               for i, S in enumerate(subs)) for v in range(values)]
+    trace_of = [[reduce(and_, (has[b] if c >> j & 1 else full ^ has[b]
+                               for j, b in enumerate(S)), full)
+                 for c in range(w)] for S in subs]
+    memo: dict[tuple[int, ...], int] = {}  # a_kills(T) by T
+    onto = []  # onto[j]: the row sequences that take exactly j given values
+    for j in range(min(m, values + 1) + 1):
+        onto.append(j ** m - sum(comb(j, i) * onto[i] for i in range(j)))
 
-    def traced(rows, size: int, spare: bool) -> bool:
-        """Is some k-subset of ``size`` positions traced by ``rows``?"""
-        if len(rows) < (1 << k) - spare:
-            return False
-        for S in map(mask_of, combinations(range(size), k)):
-            traces = {row & S for row in rows} - ({0} if spare else set())
-            if len(traces) == (1 << k) - spare:
-                return True
+    def b_kills(seen: int, fresh: int) -> int:
+        """The values that would fill a block of ``seen`` hit by ``fresh``."""
+        out = 0
+        for p in bits(fresh):  # one bit per block
+            block = seen >> (p >> k << k) & ones
+            if block.bit_count() == w - 1:
+                out |= trace_of[p >> k][(block ^ ones).bit_length() - 1]
+        return out
+
+    def a_kills(T: tuple[int, ...]) -> int:
+        """The values v that make T + (v,) a shattered k-set of A."""
+        if T not in memo:
+            cols = [0] * (w >> 1)  # the columns by their trace on T
+            for b in range(n):
+                cols[sum((t >> b & 1) << j for j, t in enumerate(T))] |= 1 << b
+            memo[T] = sum(1 << v for v in range(values) if all(
+                v & g and (v & g != g or not P and m > k) for P, g in enumerate(cols)))
+        return memo[T]
+
+    def grow(chosen: tuple[int, ...], seen: int, free: int) -> int:
+        """Free sets that extend ``chosen`` by values of ``free``, weighted."""
+        total = free.bit_count() * onto[len(chosen) + 1]
+        for v in bits(free) if len(chosen) + 1 < m else ():
+            fresh = add[v] & ~seen
+            kills = b_kills(seen | fresh, fresh)
+            for T in combinations(chosen, k - 2) if a_live and k > 1 else ():
+                kills |= a_kills((*T, v))
+            total += grow((*chosen, v), seen | fresh, free >> v + 1 << v + 1 & ~kills)
+        return total
+
+    seen = sum(1 << (i << k) for i in range(len(subs))) if whole and n > k else 0
+    kills = b_kills(seen, seen) | (a_kills(()) if a_live and k == 1 else 0)
+    return grow((), seen, full & ~kills)
+
+
+def traced(rows, size: int, k: int, spare: bool) -> bool:
+    """Is some k-subset of ``size`` positions traced by ``rows``?  With
+    ``spare``, a vertex outside the k-set's side supplies the empty trace."""
+    if len(rows) < (1 << k) - spare:
         return False
+    for S in map(mask_of, combinations(range(size), k)):
+        traces = {row & S for row in rows} - ({0} if spare else set())
+        if len(traces) == (1 << k) - spare:
+            return True
+    return False
 
+
+def rows_hold_uk(rows, n: int, k: int, mode: str) -> bool:
+    """Does the host whose A rows are ``rows`` on n B vertices hold a U(k)
+    copy?  Only one-side k-sets are tested: in whole mode a mixed k-set
+    cannot be traced (the all-of-S trace needs a vertex adjacent to both
+    sides), and a spare vertex on the k-set's own side (n > k for B, m > k
+    for A) supplies the empty trace."""
+    if mode == "cross":
+        return traced(rows, n, k, False)
+    m = len(rows)
+    cols = [mask_of(a for a, row in enumerate(rows) if row >> b & 1)
+            for b in range(n)]
+    return traced(rows, n, k, n > k) or traced(cols, m, k, m > k)
+
+
+def multiset_count_uk_free(m: int, n: int, k: int, mode: str) -> int:
+    """Test every row multiset once from scratch with ``rows_hold_uk``,
+    weighted by its m!/prod(mult!) labeled orderings."""
     count = 0
     for rows in combinations_with_replacement(range(1 << n), m):
-        cols = [mask_of(a for a, row in enumerate(rows) if row >> b & 1)
-                for b in range(n)]
-        if mode == "cross":
-            copy = traced(rows, n, False)
-        else:
-            copy = traced(rows, n, n > k) or traced(cols, m, m > k)
-        if not copy:
+        if not rows_hold_uk(rows, n, k, mode):
             orderings = factorial(m)
             for mult in Counter(rows).values():
                 orderings //= factorial(mult)

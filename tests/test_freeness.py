@@ -22,7 +22,7 @@ from conftest import bipgraph_encode, bipgraph_to_graph
 from oracles import (brute_max_far_subset, clone_class_failures,
                      multiset_count_uk_free, naive_uk_copy,
                      nonshattering_by_inclusion_exclusion, numpy_count_uk_free,
-                     realizes_every_trace)
+                     realizes_every_trace, rows_hold_uk, search_count_uk_free)
 
 
 # --- BipGraph ----------------------------------------------------------------
@@ -139,6 +139,41 @@ def test_count_free_whole_mode_is_symmetric(shape, k):
     m, n = shape
     assert count_uk_free_bipartite(m, n, k, "whole") == \
         count_uk_free_bipartite(n, m, k, "whole")
+
+
+@pytest.mark.parametrize("mode", ["whole", "cross"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_count_free_matches_the_full_search_to_the_cap(k, mode):
+    # the numpy and multiset oracles stop at 16 cells; the search from the
+    # root, which visits every node, reaches every shape within the cap
+    for m in range(26):
+        for n in range(25 // m + 1 if m else 26):
+            assert count_uk_free_bipartite(m, n, k, mode) == \
+                search_count_uk_free(m, n, k, mode), (m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_column_flips_keep_the_cross_verdict(data, k):
+    # flipping the columns of u permutes the traces on every k-set of B, so
+    # the rows and the rows XOR u hold a cross copy alike: cross mode counts
+    # the free sets of row values through those that hold 0
+    m = data.draw(st.integers(1, 16))
+    n = data.draw(st.integers(1, 16 // m))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+    u = data.draw(st.integers(0, (1 << n) - 1))
+    assert rows_hold_uk(rows, n, k, "cross") == \
+        rows_hold_uk([row ^ u for row in rows], n, k, "cross")
+
+
+def test_column_flips_can_change_a_whole_verdict():
+    # rows 0000 and 0011 hold no U(2); flipped on columns 0 and 2 they read
+    # 0101 and 0110, whose columns 01, 10, 11, 00 trace A's 2-set: whole
+    # mode reads the columns, so it has no such symmetry
+    rows, u = (0b0000, 0b0011), 0b0101
+    assert not rows_hold_uk(rows, 4, 2, "whole")
+    assert rows_hold_uk([row ^ u for row in rows], 4, 2, "whole")
+    assert not rows_hold_uk([row ^ u for row in rows], 4, 2, "cross")
 
 
 # (m, n, k): whole, cross

@@ -601,7 +601,8 @@ def test_certify_members_refuses_r_and_k_before_its_loop(r, k, message):
 
 # a refusal counted as uncertified would read as (0, 388, 14), 0 of the
 # 388 K3-free graphs on 5 vertices certified; a NaN budget fails every
-# founder the same way, and an infinite one passes every founder
+# founder the same way, and an infinite one passes every founder; an eps of
+# +inf gives a budget of 0
 @pytest.mark.parametrize("alpha, budget_eps, message", [
     (0, Fraction(1, 2), r"alpha must lie in \(0,1\)"),
     (Fraction(3, 2), Fraction(1, 2), r"alpha must lie in \(0,1\)"),
@@ -612,6 +613,8 @@ def test_certify_members_refuses_r_and_k_before_its_loop(r, k, message):
      r"budget n\^\(1-eps\) is not finite for n = 5, eps = nan"),
     (Fraction(1, 4), float("-inf"),
      r"budget n\^\(1-eps\) is not finite for n = 5, eps = -inf"),
+    (Fraction(1, 4), float("inf"),
+     r"budget n\^\(1-eps\) is not finite for n = 5, eps = inf"),
     (Fraction(1, 4), "x", "eps = 'x' is not a number")])
 def test_certify_members_refuses_alpha_and_budget_before_its_loop(
         monkeypatch, alpha, budget_eps, message):
@@ -629,11 +632,13 @@ def test_certify_members_refuses_alpha_and_budget_before_its_loop(
 
 @pytest.mark.parametrize("eps_out, message", [
     ("x", "eps = 'x' is not a number"), (None, "eps = None is not a number"),
-    (-2000, r"budget n\^\(1-eps\) is not finite for n = 12, eps = -2000\.0")])
+    (-2000, r"budget n\^\(1-eps\) is not finite for n = 12, eps = -2000\.0"),
+    (float("inf"), r"budget n\^\(1-eps\) is not finite for n = 12, eps = inf")])
 def test_decompose_refuses_a_budget_eps_before_its_hint(eps_out, message,
                                                         monkeypatch):
     # eps_out once reached float() only when the certificate was built,
-    # after the whole pipeline, and "x" ended in a bare ValueError
+    # after the whole pipeline, and "x" ended in a bare ValueError; +inf
+    # once gave a budget of 0 and wrote "eps_out": Infinity
     def no_hint(G, r):
         raise AssertionError("the hint was computed")
 
