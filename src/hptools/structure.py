@@ -270,7 +270,7 @@ def default_parts(G: Graph, r: int) -> tuple[int, ...]:
 
 
 def _budget(n: int, eps) -> float:
-    """The |A| budget n^(1-eps), refused unless eps, read by float, and it are finite."""
+    """The |A| budget n^(1-eps), refused unless float reads eps and both are finite."""
     try:
         eps = float(eps)
         budget = n ** (1 - eps)
