@@ -613,9 +613,9 @@ def test_certify_members_refuses_r_and_k_before_its_loop(r, k, message):
      r"budget n\^\(1-eps\) is not finite for n = 5, eps = nan"),
     (Fraction(1, 4), float("-inf"),
      r"budget n\^\(1-eps\) is not finite for n = 5, eps = -inf"),
+    (Fraction(1, 4), "x", "eps = 'x' is not a number"),
     (Fraction(1, 4), float("inf"),
-     r"budget n\^\(1-eps\) is not finite for n = 5, eps = inf"),
-    (Fraction(1, 4), "x", "eps = 'x' is not a number")])
+     r"budget n\^\(1-eps\) is not finite for n = 5, eps = inf")])
 def test_certify_members_refuses_alpha_and_budget_before_its_loop(
         monkeypatch, alpha, budget_eps, message):
     def no_decompose(*args, **kwargs):
