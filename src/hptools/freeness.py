@@ -13,10 +13,10 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations
+from functools import cache, reduce
+from itertools import combinations, permutations
 from math import comb
-from operator import and_
+from operator import and_, or_
 from typing import NamedTuple
 
 from .errors import DomainError, StepError, exact
@@ -128,13 +128,14 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     adds no trace and no column splits it from its twin.  Containment is
     hereditary and the spare flags depend on m and n alone, so a value that
     completes a shattered k-set is cut with its subtree, checked only on the
-    k-sets it touches; the last level is counted, not visited.  Whole mode
-    being symmetric, it swaps the sides when n > m, so that the rows take at
-    most 2^min(m, n) values.  In cross mode, flipping a column permutes the
-    traces on every k-set, so x -> x ^ u maps free j-sets onto free j-sets:
-    there are 2^n N_j / j of them, N_j counting those that hold 0, and only
-    the subtree of the first node {0} is searched.  Whole mode lacks this: a
-    spare vertex gives the empty trace, and A's k-sets read the columns.
+    k-sets it touches.  Whole mode, symmetric, puts the smaller side in B
+    (n <= 5) and keeps a set only if it is lex-least in its orbit under the
+    column permutations, which keep sets free, weighing it n!/|Stab|; a
+    lex-least set less its largest value is lex-least.  In cross mode, a
+    column flip x -> x ^ u permutes the traces on every k-set, so there are
+    2^n N_j / j free j-sets, N_j counting those that hold 0, and only the
+    subtree of {0} is searched.  The last level is counted: a free m-set
+    extends m free (m-1)-sets (m - 1 holding 0 in cross mode).
     """
     if mode not in ("whole", "cross"):
         raise DomainError("mode must be 'whole' or 'cross'")
@@ -156,8 +157,12 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     has = [full // ((1 << (2 << b)) - 1) * (((1 << (1 << b)) - 1) << (1 << b))
            for b in range(n)]  # the values with bit b set
     subs = list(combinations(range(n), k))  # ``seen`` bit i*w + c: trace c on subs[i]
-    add = [sum(1 << (i << k | sum((v >> b & 1) << j for j, b in enumerate(S)))
-               for i, S in enumerate(subs)) for v in range(values)]
+    add = [0] * values
+    for i, S in enumerate(subs):
+        bit = [1 << (i << k)]  # bit[v]: v's trace on S, for v < 2^b
+        for b in range(n):
+            bit += [x << (1 << S.index(b)) for x in bit] if b in S else bit
+        add = list(map(or_, add, bit))
     trace_of = [[reduce(and_, (has[b] if c >> j & 1 else full ^ has[b]
                                for j, b in enumerate(S)), full)
                  for c in range(w)] for S in subs]
@@ -165,8 +170,10 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     onto = []  # onto[j]: the row sequences that take exactly j given values
     for j in range(min(m, values + 1) + 1):
         onto.append(j ** m - sum(comb(j, i) * onto[i] for i in range(j)))
-    lcm = 1 if whole else math.lcm(*range(1, len(onto)))  # cross: j-sets weigh onto[j] / j
-    weight = onto if whole else [o * lcm // (j or 1) for j, o in enumerate(onto)]
+    scale = m if whole else math.lcm(*range(1, len(onto)))  # cross: j-sets weigh onto[j] / j
+    weight = [o * scale // (1 if whole else j or 1) for j, o in enumerate(onto)]
+    tail = weight[m] // (m if whole else m - 1) if m < len(onto) else 0  # per extension
+    lanes, lsb, guard, order = _column_lanes(n, whole)  # cross: the trivial group
 
     def b_kills(seen: int, fresh: int) -> int:
         """The values that would fill a block of ``seen`` hit by ``fresh``."""
@@ -181,39 +188,62 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
         return out
 
     def a_kills(T: tuple[int, ...]) -> int:
-        """The values v that make T + (v,) a shattered k-set of A."""
+        """The values v that make T + (v,) a shattered k-set of A: in each class
+        of columns by trace on T, v has one and lacks one (a spare, for 0)."""
         if T not in memo:
-            cols = [0] * (w >> 1)  # the columns by their trace on T
+            hit, miss = [0] * (w >> 1), [full if m > k else 0] + [0] * ((w >> 1) - 1)
             for b in range(n):
-                cols[sum((t >> b & 1) << j for j, t in enumerate(T))] |= 1 << b
-            memo[T] = sum(1 << v for v in range(values) if all(
-                v & g and (v & g != g or not P and m > k) for P, g in enumerate(cols)))
+                P = sum((t >> b & 1) << j for j, t in enumerate(T))
+                hit[P], miss[P] = hit[P] | has[b], miss[P] | full ^ has[b]
+            memo[T] = reduce(and_, hit) & reduce(and_, miss)
         return memo[T]
 
-    def grow(chosen: tuple[int, ...], seen: int, free: int) -> int:
-        """Free sets that extend ``chosen`` by values of ``free``, weighted."""
-        j = len(chosen) + 1
-        total, rest = free.bit_count() * weight[j], free if j < m else 0
-        while rest:
-            low = rest & -rest
-            rest ^= low  # the values above v
+    def grow(chosen: tuple[int, ...], images: int, seen: int, free: int, up: int) -> int:
+        """Free sets that extend the kept set ``chosen`` by values of ``up``, weighted."""
+        j, total, kept, ext, orbit = len(chosen) + 1, 0, 0, 0, 1  # kept: the children
+        while up:
+            low = up & -up
+            up ^= low  # the values above v
             v = low.bit_length() - 1
+            child = images | lanes[v]  # lane i: the child's image under g_i
+            if order > 1:
+                diff = child ^ (child & full) * lsb | guard
+                diff &= ~(diff - lsb)  # per lane, the least value in one image only
+                if diff & child:
+                    continue  # some image is lex-smaller: not canonical
+                orbit = order // (diff & guard).bit_count()
             fresh = add[v] & ~seen
-            kills = b_kills(seen | fresh, fresh)
+            kills = b_kills(seen | fresh, fresh) | low
             for T in combinations(chosen, k - 2) if a_live and k > 1 else ():
                 kills |= a_kills((*T, v))
+            kept += orbit
             if j + 1 < m:
-                total += grow((*chosen, v), seen | fresh, rest & ~kills)
-            else:  # the child's sets are the last level: count them here
-                total += (rest & ~kills).bit_count() * weight[m]
-        return total
+                total += grow((*chosen, v), child, seen | fresh, free & ~kills, up & ~kills)
+            else:  # the child's extensions are the last level
+                ext += orbit * (free & ~kills).bit_count()  # below v too
+        return total + kept * weight[j] + ext * tail
 
-    if whole:
+    if whole:  # m >= 2 here, and the empty root weighs nothing
         seen = sum(1 << (i << k) for i in range(len(subs))) if n > k else 0
-        kills = b_kills(seen, seen) | (a_kills(()) if a_live and k == 1 else 0)
-        return grow((), seen, full & ~kills)
+        free = full & ~(b_kills(seen, seen) | (a_kills(()) if a_live and k == 1 else 0))
+        return grow((), 0, seen, free, free) // scale
     free = full & ~1 & ~b_kills(add[0], add[0])
-    return (weight[1] + grow((0,), add[0], free)) * values // lcm
+    rest = free.bit_count() * tail if m == 2 else grow((0,), lanes[0], add[0], free, free)
+    return (weight[1] + rest) * values // scale
+
+
+@cache
+def _column_lanes(n: int, permute: bool) -> tuple[list[int], int, int, int]:
+    """Lane i of ``lanes[v]`` (whole bytes, a guard bit above 2^n) holds bit
+    g_i(v), g_i the i-th permutation of n columns (the identity alone unless
+    ``permute``); then bit 0 and the guard bit of every lane, and the order."""
+    perms = list(permutations(range(n))) if permute else [range(n)]
+    images = [(0,) * len(perms)]  # images[v][i] = g_i(v)
+    for bit in zip(*[[1 << x for x in g] for g in perms]):  # bit[i] = g_i(column b)
+        images += [tuple(map(or_, image, bit)) for image in images]
+    unit = [(1 << x).to_bytes((1 << n) // 8 + 1, "little") for x in range(1 << n)]
+    lanes = [int.from_bytes(b"".join(map(unit.__getitem__, x)), "little") for x in images]
+    return lanes, lanes[0], lanes[0] << (1 << n), len(perms)  # g_i(0) = 0
 
 
 # ---------------------------------------------------------------------------
