@@ -35,9 +35,11 @@ for n in range(2, 6):
           f"{math.log2(c) / n ** 2:>6.3f}")
 print("""
 The counting theorem puts f below 2^(n^(2 - eps)), so the exponent tends
-to 0; at these sizes it has only begun to fall.  Cross mode searches only
-the free sets of row values that hold 0: x -> x ^ u flips the columns of
-u, which permutes the traces on every k-set of B.
+to 0; at these sizes it has only begun to fall.  Both searches use a
+symmetry of the columns.  Cross mode searches only the free sets of row
+values that hold 0: x -> x ^ u flips the columns of u, which permutes the
+traces on every k-set of B.  Whole mode searches one set per orbit of the
+n! column permutations, the lex-least, weighted by the orbit's size.
 """)
 
 print("=" * 64)

@@ -233,16 +233,16 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
 
 
 @cache
-def _column_lanes(n: int, permute: bool) -> tuple[list[int], int, int, int]:
+def _column_lanes(n: int, permute: bool) -> tuple[tuple[int, ...], int, int, int]:
     """Lane i of ``lanes[v]`` (whole bytes, a guard bit above 2^n) holds bit
     g_i(v), g_i the i-th permutation of n columns (the identity alone unless
     ``permute``); then bit 0 and the guard bit of every lane, and the order."""
     perms = list(permutations(range(n))) if permute else [range(n)]
-    images = [(0,) * len(perms)]  # images[v][i] = g_i(v)
+    gv = [(0,) * len(perms)]  # gv[v][i] = g_i(v)
     for bit in zip(*[[1 << x for x in g] for g in perms]):  # bit[i] = g_i(column b)
-        images += [tuple(map(or_, image, bit)) for image in images]
-    unit = [(1 << x).to_bytes((1 << n) // 8 + 1, "little") for x in range(1 << n)]
-    lanes = [int.from_bytes(b"".join(map(unit.__getitem__, x)), "little") for x in images]
+        gv += [tuple(map(or_, x, bit)) for x in gv]
+    one = [(1 << x).to_bytes((1 << n) // 8 + 1, "little") for x in range(1 << n)]
+    lanes = tuple(int.from_bytes(b"".join(map(one.__getitem__, x)), "little") for x in gv)
     return lanes, lanes[0], lanes[0] << (1 << n), len(perms)  # g_i(0) = 0
 
 

@@ -202,8 +202,9 @@ def numpy_count_uk_free(m: int, n: int, k: int, mode: str) -> int:
 def search_count_uk_free(m: int, n: int, k: int, mode: str) -> int:
     """Every free set of row values grown from the root in both modes, and
     every node visited: ``count_uk_free_bipartite``'s search without the
-    column-flip classes of cross mode or the in-place last level.  It keeps
-    no argument checks and no cell cap, so it also serves past
+    column-flip classes of cross mode, the column-permutation classes of
+    whole mode, or the last level counted from the free (m-1)-sets.  It
+    keeps no argument checks and no cell cap, so it also serves past
     ``MAX_COUNT_CELLS``."""
     whole = mode == "whole"
     b_live = k <= n and m >= (1 << k) - (whole and n > k)  # rows enough for B

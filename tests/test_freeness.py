@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import comb, factorial
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,11 +171,52 @@ def test_column_flips_keep_the_cross_verdict(data, k):
 def test_column_flips_can_change_a_whole_verdict():
     # rows 0000 and 0011 hold no U(2); flipped on columns 0 and 2 they read
     # 0101 and 0110, whose columns 01, 10, 11, 00 trace A's 2-set: whole
-    # mode reads the columns, so it has no such symmetry
+    # mode reads the columns, so it has no flip symmetry
     rows, u = (0b0000, 0b0011), 0b0101
     assert not rows_hold_uk(rows, 4, 2, "whole")
     assert rows_hold_uk([row ^ u for row in rows], 4, 2, "whole")
     assert not rows_hold_uk([row ^ u for row in rows], 4, 2, "cross")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_column_permutations_keep_both_verdicts(data, k):
+    # permuting the columns permutes the k-sets of B and the classes of
+    # columns by their trace on a k-set of A, so neither verdict moves:
+    # whole mode counts the free sets of row values one S_n orbit at a time
+    m = data.draw(st.integers(1, 16))
+    n = data.draw(st.integers(1, 16 // m))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+    g = data.draw(st.permutations(range(n)))
+    moved = [sum((row >> b & 1) << g[b] for b in range(n)) for row in rows]
+    for mode in ("whole", "cross"):
+        assert rows_hold_uk(rows, n, k, mode) == rows_hold_uk(moved, n, k, mode)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_lex_least_value_sets_reach_every_orbit(n):
+    # whole mode grows only the sets of row values that are lex-least, as
+    # ascending tuples, in their orbit under the column permutations, and
+    # weighs each by n!/|Stab|: that reaches every orbit because a lex-least
+    # set less its largest value is lex-least, and the weights of the
+    # lex-least j-sets add up to all C(2^n, j) of them
+    values = 1 << n
+    sets = np.arange(1 << values, dtype=np.int64)  # bit v: v is in the set
+    least = np.ones(len(sets), dtype=bool)
+    stab = np.zeros(len(sets), dtype=np.int64)
+    for g in permutations(range(n)):
+        image = np.zeros(1, dtype=np.int64)
+        for v in range(values):  # the images of the sets below 2^(v+1)
+            image = np.concatenate([image, image | 1 << sum((v >> b & 1) << g[b]
+                                                            for b in range(n))])
+        diff = sets ^ image
+        least &= (diff & -diff & image) == 0  # the least value in one of the two
+        stab += image == sets
+    kept = set(sets[least].tolist())
+    assert all(S ^ 1 << (S.bit_length() - 1) in kept for S in kept if S)
+    sizes = np.bitwise_count(sets[least])
+    weights = np.bincount(sizes, weights=factorial(n) // stab[least], minlength=values + 1)
+    assert weights.tolist() == [comb(values, j) for j in range(values + 1)]
 
 
 # (m, n, k): whole, cross
