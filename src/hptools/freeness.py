@@ -70,6 +70,8 @@ def bipgraph_decode(text: str) -> BipGraph:
         m, n = map(int, lines[0].split())
     except ValueError as exc:
         raise DomainError(f"malformed header: {exc}") from exc
+    if not (0 <= m <= MAX_BIP_SIDE and 0 <= n <= MAX_BIP_SIDE):
+        raise DomainError(f"bipartite sides capped at {MAX_BIP_SIDE}")
     if n == 0:  # every row is empty, a blank line dropped above
         lines += [""] * m
     if len(lines) != m + 1:
@@ -122,21 +124,21 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     whole mode, a k-set of A so traced by B's columns (a mixed k-set never
     is: its full trace needs a vertex adjacent to both sides); in whole mode
     a spare vertex beside the k-set (n > k in B, m > k in A) gives the empty
-    trace.  If no side has enough vertices for that, the count is 2^(mn).
-    Else a depth-first search grows the set of distinct row values upward, a
-    j-set standing for the j!S(m, j) row sequences onto it: a repeated row
-    adds no trace and no column splits it from its twin.  Containment is
-    hereditary and the spare flags depend on m and n alone, so a value that
-    completes a shattered k-set is cut with its subtree, checked only on the
-    k-sets it touches.  Whole mode, symmetric, puts the smaller side in B
-    (n <= 5) and keeps a set only if it is lex-least in its orbit under the
-    column permutations, which keep sets free, weighing it n!/|Stab|; a
-    lex-least set less its largest value is lex-least.  In cross mode, a
-    column flip x -> x ^ u permutes the traces on every k-set, so there are
-    2^n N_j / j free j-sets, N_j counting those that hold 0, and only the
-    subtree of {0} is searched.  The last level is counted: a free m-set
-    extends m free (m-1)-sets (m - 1 holding 0 in cross mode).
-    """
+    trace.  If no side has enough vertices for that, the count is 2^(mn);
+    else at k = 1 it is 2^n in cross mode (a column is a U(1) unless it is
+    constant) and 1 in whole mode (an edge and a spare vertex are a U(1)).
+    For k >= 2 a depth-first search grows the set of distinct row values
+    upward, a j-set standing for the j!S(m, j) row sequences onto it: a
+    repeated row adds no trace and no column splits it from its twin.  A
+    value that completes a shattered k-set is cut with its subtree (U(k) is
+    hereditary), checked only on the k-sets it touches.  A set is kept only
+    if lex-least under the column permutations, which keep sets free, and
+    weighs n!/|Stab|.  Whole mode, symmetric, puts the smaller side in B
+    (n <= 5).  In cross mode (m >= 4, n <= 6) a column flip x -> x ^ u
+    permutes the traces on every k-set, so there are 2^n N_j / j free
+    j-sets, N_j counting those that hold 0: only the subtree of {0}, which
+    each permutation maps onto itself, is searched.  The last level is
+    counted: a free m-set extends m (m - 1 in cross mode) free sets."""
     if mode not in ("whole", "cross"):
         raise DomainError("mode must be 'whole' or 'cross'")
     if m < 0 or n < 0:
@@ -150,6 +152,8 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     a_live = whole and k <= m and n >= (1 << k) - (m > k)  # columns enough for A
     if not (b_live or a_live):
         return 1 << (m * n)
+    if k == 1:
+        return 1 if whole else 1 << n
     if whole and n > m:
         m, n, a_live = n, m, b_live
     values, w, ones = 1 << n, 1 << k, (1 << (1 << k)) - 1
@@ -173,7 +177,7 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
     scale = m if whole else math.lcm(*range(1, len(onto)))  # cross: j-sets weigh onto[j] / j
     weight = [o * scale // (1 if whole else j or 1) for j, o in enumerate(onto)]
     tail = weight[m] // (m if whole else m - 1) if m < len(onto) else 0  # per extension
-    lanes, lsb, guard, order = _column_lanes(n, whole)  # cross: the trivial group
+    lanes, lsb, guard, order = _column_lanes(n)
 
     def b_kills(seen: int, fresh: int) -> int:
         """The values that would fill a block of ``seen`` hit by ``fresh``."""
@@ -200,21 +204,20 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
 
     def grow(chosen: tuple[int, ...], images: int, seen: int, free: int, up: int) -> int:
         """Free sets that extend the kept set ``chosen`` by values of ``up``, weighted."""
-        j, total, kept, ext, orbit = len(chosen) + 1, 0, 0, 0, 1  # kept: the children
+        j, total, kept, ext = len(chosen) + 1, 0, 0, 0  # kept: the children
         while up:
             low = up & -up
             up ^= low  # the values above v
             v = low.bit_length() - 1
             child = images | lanes[v]  # lane i: the child's image under g_i
-            if order > 1:
-                diff = child ^ (child & full) * lsb | guard
-                diff &= ~(diff - lsb)  # per lane, the least value in one image only
-                if diff & child:
-                    continue  # some image is lex-smaller: not canonical
-                orbit = order // (diff & guard).bit_count()
+            diff = child ^ (child & full) * lsb | guard
+            diff &= ~(diff - lsb)  # per lane, the least value in one image only
+            if diff & child:
+                continue  # some image is lex-smaller: not canonical
+            orbit = order // (diff & guard).bit_count()
             fresh = add[v] & ~seen
             kills = b_kills(seen | fresh, fresh) | low
-            for T in combinations(chosen, k - 2) if a_live and k > 1 else ():
+            for T in combinations(chosen, k - 2) if a_live else ():
                 kills |= a_kills((*T, v))
             kept += orbit
             if j + 1 < m:
@@ -225,19 +228,18 @@ def count_uk_free_bipartite(m: int, n: int, k: int, mode: str = "whole") -> int:
 
     if whole:  # m >= 2 here, and the empty root weighs nothing
         seen = sum(1 << (i << k) for i in range(len(subs))) if n > k else 0
-        free = full & ~(b_kills(seen, seen) | (a_kills(()) if a_live and k == 1 else 0))
+        free = full & ~b_kills(seen, seen)
         return grow((), 0, seen, free, free) // scale
     free = full & ~1 & ~b_kills(add[0], add[0])
-    rest = free.bit_count() * tail if m == 2 else grow((0,), lanes[0], add[0], free, free)
-    return (weight[1] + rest) * values // scale
+    return (weight[1] + grow((0,), lanes[0], add[0], free, free)) * values // scale
 
 
 @cache
-def _column_lanes(n: int, permute: bool) -> tuple[tuple[int, ...], int, int, int]:
+def _column_lanes(n: int) -> tuple[tuple[int, ...], int, int, int]:
     """Lane i of ``lanes[v]`` (whole bytes, a guard bit above 2^n) holds bit
-    g_i(v), g_i the i-th permutation of n columns (the identity alone unless
-    ``permute``); then bit 0 and the guard bit of every lane, and the order."""
-    perms = list(permutations(range(n))) if permute else [range(n)]
+    g_i(v), g_i the i-th permutation of n columns, the identity first; then
+    bit 0 and the guard bit of every lane, and n!: 415 KB in all at n = 6."""
+    perms = list(permutations(range(n)))
     gv = [(0,) * len(perms)]  # gv[v][i] = g_i(v)
     for bit in zip(*[[1 << x for x in g] for g in perms]):  # bit[i] = g_i(column b)
         gv += [tuple(map(or_, x, bit)) for x in gv]

@@ -12,7 +12,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DomainError
-from .graphs import Graph, bits, graph_from_lower, k_submasks, mask_of
+from .graphs import MAX_VERTICES, Graph, bits, graph_from_lower, k_submasks, mask_of
 
 MAX_TRACE_GROUND = 30
 
@@ -120,9 +120,9 @@ class LayeredUniversal(NamedTuple):
 def universal_layer_sizes(r: int, k: int) -> list[int]:
     sizes = [k]
     for _ in range(r - 1):
-        sizes.append(1 << sum(sizes))
-        if sizes[-1] > 1 << 12:
+        if sizes[-1] > MAX_VERTICES:  # cannot fit: form no power past it
             break
+        sizes.append(1 << sum(sizes))
     return sizes
 
 
@@ -130,8 +130,8 @@ def _build_layered(r: int, k: int, v: tuple[int, ...] | None) -> LayeredUniversa
     if r < 1 or k < 1:
         raise DomainError("need r >= 1 and k >= 1")
     sizes = universal_layer_sizes(r, k)
-    if len(sizes) < r or sum(sizes) > 64:
-        raise DomainError(f"U({r},{k}) does not fit in 64 vertices")
+    if len(sizes) < r or sum(sizes) > MAX_VERTICES:
+        raise DomainError(f"U({r},{k}) does not fit in {MAX_VERTICES} vertices")
     lower: list[int] = []
     layers = []
     offset = 0

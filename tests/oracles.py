@@ -203,7 +203,8 @@ def search_count_uk_free(m: int, n: int, k: int, mode: str) -> int:
     """Every free set of row values grown from the root in both modes, and
     every node visited: ``count_uk_free_bipartite``'s search without the
     column-flip classes of cross mode, the column-permutation classes of
-    whole mode, or the last level counted from the free (m-1)-sets.  It
+    both modes, the last level counted from the free (m-1)-sets, or k = 1
+    decided on entry, which this search reaches as it reaches k >= 2.  It
     keeps no argument checks and no cell cap, so it also serves past
     ``MAX_COUNT_CELLS``."""
     whole = mode == "whole"

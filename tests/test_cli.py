@@ -132,6 +132,15 @@ def test_construct_generalized_universal(capsys):
         "layers": [[0], [1, 2], [3, 4, 5, 6, 7, 8, 9, 10]]}
 
 
+@pytest.mark.parametrize("layers", [["--r", "2"], ["--v", "01"]])
+def test_construct_refuses_a_first_layer_past_the_cap_before_its_power(capsys, layers):
+    # the layer sizes stop at the first layer past 64 vertices, so 2^k is
+    # never formed; at k = 10^20 forming it raised OverflowError
+    rc, out, err = run(capsys, "construct", "--k", str(10 ** 20), *layers)
+    assert out == ""
+    assert_one_line_error(rc, err, f"U(2,{10 ** 20}) does not fit in 64 vertices")
+
+
 def test_count_attach_subcommand(capsys):
     rc, out, _ = run(capsys, "count-attach", "--a", "1", "--n", "2")
     assert rc == 0
@@ -930,6 +939,15 @@ def test_malformed_list_options_exit_1(tmp_path, capsys, argv, needle):
      r"empty bipartite-graph input"),
     (["sparsen", "--alpha", "1/4", "--bipgraph"], "3\n",
      r"malformed header: not enough values to unpack \(expected 2, got 1\)"),
+    # the header's sides are checked before n = 0 pads m empty rows
+    (["sparsen", "--alpha", "1/4", "--bipgraph"], f"{10 ** 20} 0\n",
+     r"bipartite sides capped at 64"),
+    (["separated", "--x", "1", "--k", "2", "--bipgraph"], f"{10 ** 20} 0\n",
+     r"bipartite sides capped at 64"),
+    (["separated", "--x", "1", "--k", "2", "--bipgraph"], "-2 0\n",
+     r"bipartite sides capped at 64"),
+    (["sparsen", "--alpha", "1/4", "--bipgraph"], "3 -1\n",
+     r"bipartite sides capped at 64"),
 ])
 def test_unusable_input_files_exit_1(tmp_path, capsys, argv, text, error):
     path = tmp_path / "input.txt"

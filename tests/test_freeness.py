@@ -195,11 +195,13 @@ def test_column_permutations_keep_both_verdicts(data, k):
 
 @pytest.mark.parametrize("n", range(5))
 def test_lex_least_value_sets_reach_every_orbit(n):
-    # whole mode grows only the sets of row values that are lex-least, as
+    # both modes grow only the sets of row values that are lex-least, as
     # ascending tuples, in their orbit under the column permutations, and
-    # weighs each by n!/|Stab|: that reaches every orbit because a lex-least
+    # weigh each by n!/|Stab|: that reaches every orbit because a lex-least
     # set less its largest value is lex-least, and the weights of the
-    # lex-least j-sets add up to all C(2^n, j) of them
+    # lex-least j-sets add up to all C(2^n, j) of them; a permutation fixes
+    # the value 0, so those that hold 0, cross mode's subtree, add up to all
+    # C(2^n - 1, j - 1) j-sets that hold 0
     values = 1 << n
     sets = np.arange(1 << values, dtype=np.int64)  # bit v: v is in the set
     least = np.ones(len(sets), dtype=bool)
@@ -215,8 +217,36 @@ def test_lex_least_value_sets_reach_every_orbit(n):
     kept = set(sets[least].tolist())
     assert all(S ^ 1 << (S.bit_length() - 1) in kept for S in kept if S)
     sizes = np.bitwise_count(sets[least])
-    weights = np.bincount(sizes, weights=factorial(n) // stab[least], minlength=values + 1)
+    orbits = factorial(n) // stab[least]
+    weights = np.bincount(sizes, weights=orbits, minlength=values + 1)
     assert weights.tolist() == [comb(values, j) for j in range(values + 1)]
+    zero = sets[least] & 1 == 1
+    weights = np.bincount(sizes[zero], weights=orbits[zero], minlength=values + 1)
+    assert weights.tolist() == [comb(values - 1, j - 1) if j else 0
+                                for j in range(values + 1)]
+
+
+def test_lane_tables_stay_within_six_columns(monkeypatch):
+    # a lane table holds n! lanes of 2^n + 1 bits; with k = 1 decided on
+    # entry, cross mode needs m >= 4 rows, so n <= 6 within the cell cap, and
+    # whole mode puts the smaller side in B, so n <= 5; at n = 12 (cross,
+    # k = 1, 2 x 12) the table would not fit in memory, so the recorder
+    # refuses past 6 instead of building it
+    asked = {"whole": set(), "cross": set()}
+    build = freeness._column_lanes
+
+    def record(n):
+        assert n <= 6, f"a lane table for n = {n}"
+        asked[mode].add(n)
+        return build(n)
+
+    monkeypatch.setattr(freeness, "_column_lanes", record)
+    for mode in asked:
+        for k in range(1, 5):
+            for m in range(26):
+                for n in range(25 // m + 1 if m else 26):
+                    count_uk_free_bipartite(m, n, k, mode)
+    assert max(asked["cross"]) <= 6 and max(asked["whole"]) <= 5
 
 
 # (m, n, k): whole, cross
